@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import Iterable
 
 __all__ = ["CliError", "main"]
 
@@ -199,7 +197,7 @@ class RunConfig:
         return {"command": self.command, **self.options}
 
 
-def _write_output(cfg: RunConfig, header: list[str], rows: list[list]) -> None:
+def _write_output(cfg: RunConfig, header: list[str] | None, rows: list[list]) -> None:
     from . import __version__
 
     if cfg.output == "-":
@@ -223,8 +221,9 @@ def _write_stream(cfg, header, rows, fh, version) -> None:
             + "\n"
         )
         for row in rows:
-            obj = {key: (_fmt(v) if isinstance(v, (float, complex)) else v)
-                   for key, v in zip(header, row)}
+            obj = row if header is None else {
+                key: (_fmt(v) if isinstance(v, (float, complex)) else v)
+                for key, v in zip(header, row)}
             fh.write(json.dumps(obj) + "\n")
 
 
@@ -504,9 +503,10 @@ def _cmd_converge(args) -> tuple[RunConfig, list[str], list[list]]:
     rows: list[list] = []
 
     def stab_tol(xi: float) -> float:
-        # Window stabilization floor scaled to the pre-limit correlation
-        # scale 1/(1-xi); the padding ladder would otherwise outgrow desk
-        # memory near xi = 1 chasing accuracy far below the xi-gap itself.
+        # Window stabilization floor at the pre-limit correlation scale
+        # 2(1-xi), the order of the xi-gaps this report measures.  The ladder
+        # reaches far below it (residual 3e-9 at xi = 0.999, padding 32000)
+        # in O(padding) memory, so the floor bounds work, not memory.
         return max(args.tol, 2.0 * (1.0 - xi))
 
     if args.report == "kernel":
@@ -566,9 +566,9 @@ def _cmd_converge(args) -> tuple[RunConfig, list[str], list[list]]:
     return cfg, header, rows
 
 
-def _cmd_sample(args) -> tuple[RunConfig, list[str], list[list]]:
+def _cmd_sample(args) -> tuple[RunConfig, list[str] | None, list[list]]:
     from . import kernels as kr
-    from .sampler import jsonl_lines, sample_underline_then_involute, sample_window
+    from .sampler import sample_underline_then_involute, sample_window
     from .zmeasure import XiParams
 
     base = _build_params(args)
@@ -588,9 +588,8 @@ def _cmd_sample(args) -> tuple[RunConfig, list[str], list[list]]:
         "max_clamp": batch.max_clamp,
     })
     if cfg.fmt == "jsonl":
-        # One configuration per line, as the sorted "n/2" strings.
-        rows = [[line] for line in jsonl_lines(batch)]
-        return cfg, ["__raw__"], rows
+        # No header: one configuration per line, as the sorted "n/2" strings.
+        return cfg, None, [[str(x) for x in c.points] for c in batch.configs]
     header = ["point", "estimate", "se", "exact"]
     rows = [
         [str(x), est.value, est.se, exact.entry(x, x)] for x, est in batch.diagonal
@@ -700,32 +699,11 @@ _DISPATCH = {
 }
 
 
-def _write_sample_jsonl(cfg: RunConfig, rows: list[list]) -> None:
-    from . import __version__
-
-    def emit(fh):
-        fh.write(
-            json.dumps({"gammakernel": __version__, "config": cfg.echo()}, sort_keys=True)
-            + "\n"
-        )
-        for (line,) in rows:
-            fh.write(line + "\n")
-
-    if cfg.output == "-":
-        emit(sys.stdout)
-    else:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            emit(fh)
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg, header, rows = _DISPATCH[args.command](args)
-        if header == ["__raw__"]:
-            _write_sample_jsonl(cfg, rows)
-        else:
-            _write_output(cfg, header, rows)
+        _write_output(cfg, header, rows)
         return 0
     except CliError as e:
         _emit_error(e.name, _EXIT_INVALID, str(e))

@@ -18,7 +18,9 @@ its xi -> 1 limit (the Gamma kernel).  Four evaluation methods are provided:
     circles, again in "sum" (omega1 omega2 - 1) and "difference"
     (omega1 - omega2, inner second circle) variants;
   * underline_prelimit_spectral -- direct tridiagonal diagonalization on a
-    window.
+    window; underline_prelimit_window instead takes the center block of
+    P+ = (I + sign D)/2 on padded windows [-M, M] from a certified trapezoid
+    rule over resolvents, in O(M) work per node and no O(M^2) array.
 
 The J-transform converts underline kernels into the kernels of the finitary
 process (delta - underline on negative rows, with alternating signs), gauge
@@ -30,7 +32,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -40,7 +43,7 @@ from scipy.special import loggamma as _sp_loggamma
 
 from .lattice import HalfInt
 from .special import digamma, log_gamma, sinpi, trigamma
-from .zmeasure import Params, XiParams, pair_product
+from .zmeasure import Params, XiParams
 
 __all__ = [
     "NonConvergenceError",
@@ -63,17 +66,19 @@ __all__ = [
 
 
 class NonConvergenceError(RuntimeError):
-    """Adaptive quadrature failed to stabilize within the node cap."""
+    """Adaptive refinement failed to stabilize within its cap: achieved is the
+    last increment reached (inf if none), nodes the value of the cap `cap` names."""
 
-    def __init__(self, op: str, achieved: float, tol: float, nodes: int):
+    def __init__(self, op: str, achieved: float, tol: float, nodes: int, cap: str = "node cap"):
         super().__init__(
             f"{op}: successive refinements differ by {achieved:.3e} > tol {tol:.3e} "
-            f"at the node cap {nodes}"
+            f"at the {cap} {nodes}"
         )
         self.op = op
         self.achieved = achieved
         self.tol = tol
         self.nodes = nodes
+        self.cap = cap
 
 
 # ---------------------------------------------------------------------------
@@ -205,18 +210,6 @@ class WindowKernel:
         if sub.size == 0:
             return 1.0
         return float(np.linalg.det(sub))
-
-    def crop(self, N: int) -> "WindowKernel":
-        """Restriction to the smaller symmetric window [-N, N]."""
-        if N > self.N:
-            raise ValueError(f"cannot crop window {self.N} to larger {N}")
-        k = self.N - N
-        return replace(
-            self,
-            N=N,
-            values=self.values[k : k + 2 * N, k : k + 2 * N].copy(),
-            meta=dict(self.meta, cropped_from=self.N),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +396,19 @@ def _log_factor(u: np.ndarray, alpha: complex, beta: complex) -> np.ndarray:
     return np.exp(alpha * np.log(-u) + beta * np.log1p(u))
 
 
+def _contour_variant(x, y, variant: str) -> tuple[HalfInt, HalfInt, str]:
+    """Validate the variant.  'auto' picks 'difference' for a mixed-sign pair,
+    ordered (positive, negative) by the kernels' symmetry, and 'sum' otherwise."""
+    x, y = HalfInt.make(x), HalfInt.make(y)
+    if variant not in ("auto", "sum", "difference"):
+        raise ValueError(f"unknown variant {variant!r}")
+    if variant == "auto":
+        if float(x) < 0 < float(y):
+            x, y = y, x
+        variant = "difference" if float(x) > 0 > float(y) else "sum"
+    return x, y, variant
+
+
 def _coupled_sum(
     a: np.ndarray, b: np.ndarray, u1: np.ndarray, u2: np.ndarray, mode: str
 ) -> complex:
@@ -413,6 +419,8 @@ def _coupled_sum(
         u1c = u1[s : s + chunk, None]
         if mode == "sum":
             denom = u1c + u2[None, :] + 1.0
+        elif mode == "sum_circle":
+            denom = u1c * u2[None, :] - 1.0
         else:
             denom = u1c - u2[None, :]
         total += np.sum(a[s : s + chunk, None] * b[None, :] / denom)
@@ -447,14 +455,7 @@ def underline_limit_contour(
     q.nodes until the value stabilizes within q.tol.
     """
     q = q or QuadratureConfig()
-    x = HalfInt.make(x)
-    y = HalfInt.make(y)
-    if variant not in ("auto", "sum", "difference"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if variant == "auto":
-        if float(x) < 0 < float(y):
-            x, y = y, x  # the kernel is symmetric
-        variant = "difference" if float(x) > 0 > float(y) else "sum"
+    x, y, variant = _contour_variant(x, y, variant)
     xv, yv = float(x), float(y)
     z, zp = p.z, p.z_prime
     mu = (zp - z).real
@@ -553,14 +554,7 @@ def underline_prelimit_contour(
     q.nodes until stabilization within q.tol.
     """
     q = q or QuadratureConfig()
-    x = HalfInt.make(x)
-    y = HalfInt.make(y)
-    if variant not in ("auto", "sum", "difference"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if variant == "auto":
-        if float(x) < 0 < float(y):
-            x, y = y, x  # symmetric kernel
-        variant = "difference" if float(x) > 0 > float(y) else "sum"
+    x, y, variant = _contour_variant(x, y, variant)
     xv, yv = float(x), float(y)
     z, zp, xi = p.z, p.z_prime, p.xi
     sq = math.sqrt(xi)
@@ -589,15 +583,7 @@ def underline_prelimit_contour(
         om2, w2 = _circle_nodes(r2, n)
         f1 = _circle_factor(om1, sq, a1, b1, pow1) * w1
         f2 = _circle_factor(om2, sq, a2, b2, pow2) * w2
-        if mode == "sum_circle":
-            total = 0.0 + 0.0j
-            chunk = max(1, 2**22 // n)
-            for s in range(0, n, chunk):
-                denom = om1[s : s + chunk, None] * om2[None, :] - 1.0
-                total += np.sum(f1[s : s + chunk, None] * f2[None, :] / denom)
-            integral = complex(total)
-        else:
-            integral = _coupled_sum(f1, f2, om1, om2, "difference")
+        integral = _coupled_sum(f1, f2, om1, om2, mode)
         val = pref * integral / (2j * math.pi) ** 2
         if prev is not None:
             achieved = abs(val - prev)
@@ -622,12 +608,11 @@ def underline_prelimit_contour(
 
 def _difference_operator(N: int, p: XiParams) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of the difference operator on the window."""
-    pts = window_points(N)
-    xv = np.array([float(t) for t in pts])
+    xv = np.arange(-2 * N + 1, 2 * N, 2) / 2.0
     s = (p.z + p.z_prime).real
     diag = -(xv + p.xi * (s + xv))
-    shifts = [(t.twice + 1) // 2 for t in pts[:-1]]  # x + 1/2 as integers
-    off = np.sqrt([p.xi * pair_product(p.z, p.z_prime, m) for m in shifts])
+    m = xv[:-1] + 0.5  # x + 1/2, integers
+    off = np.sqrt(p.xi * np.real((p.z + m) * (p.z_prime + m)))  # pair_product, vectorized
     return diag, off
 
 
@@ -654,16 +639,75 @@ def underline_prelimit_spectral(N: int, p: XiParams) -> WindowKernel:
     )
 
 
-def _spectral_center(N: int, M: int, p: XiParams) -> tuple[np.ndarray, int]:
-    """Center [-N, N] block of the window-[-M, M] spectral projection.
+def _pivot_sweep(diag: list, off2: list, shifts: np.ndarray):
+    """LDL^T pivots d_k = diag_k - shift - off2_(k-1)/d_(k-1) of (tridiagonal -
+    shift) for k = 0, 1, ..., vectorized over shifts.  At a real shift the
+    negative pivots count the eigenvalues below it (Sturm); at a non-real one
+    1/d_k is the corner resolvent entry of the leading block, |d_k| >= |Im|."""
+    d = diag[0] - shifts
+    yield d
+    for a, b2 in zip(diag[1:], off2):
+        d = (a - shifts) - b2 / d
+        yield d
 
-    Only the center rows of the positive eigenvectors enter the cropped
-    block, so the full M-window projection matrix is never formed.
-    """
+
+def _sign_quadrature(diag: np.ndarray, off: np.ndarray, tol: float) -> tuple:
+    """Trapezoid rule in s for sign(D) = (2/pi) int e^s Re[(D - i e^s)^-1] ds,
+    whose integrand at an eigenvalue lam is sign(lam) sech(s - log|lam|)/2.
+    With gap <= |lam| <= lam_max (Sturm counts at +-gap; Gershgorin), step h
+    errs by at most 2 sum_m sech(pi^2 m/h) (Poisson summation) and the range
+    [log gap - u, log lam_max + u] cuts tails of at most (2/pi) e^-u each, so
+    P+ = (I + sign D)/2 is entrywise within quadrature_bound <= max(tol/1000,
+    1e-14).  Returns nodes t = e^s, weights, positive count, certificate."""
+    r = np.abs(off)
+    lam_max = float(np.max(np.abs(diag) + np.r_[0.0, r] + np.r_[r, 0.0]))
+    # Trial gaps down to 2^-40 lam_max, far above the eps * lam_max backward
+    # error of the counts.
+    deltas = lam_max * 2.0 ** (-0.5 * np.arange(1, 81))
+    neg = np.zeros(1 + 2 * len(deltas), dtype=int)
+    with np.errstate(divide="ignore"):
+        for d in _pivot_sweep(diag.tolist(), (r * r).tolist(), np.r_[0.0, deltas, -deltas]):
+            neg += d < 0
+    clear = neg[1 : 1 + len(deltas)] == neg[1 + len(deltas) :]
+    if not clear.any():
+        raise NonConvergenceError("underline_prelimit_window (no certified gap at 0)",
+                                  math.inf, tol, len(diag) // 2, cap="window half-width")
+    gap = float(deltas[np.argmax(clear)])
+    eps = max(tol / 1000.0, 1e-14)
+    q = eps / 8.0
+    h = math.pi**2 / math.log(1.0 / q)
+    u = math.log(4.0 / (math.pi * eps))
+    s0 = math.log(gap) - u
+    s = s0 + h * np.arange(math.ceil((math.log(lam_max) + u - s0) / h) + 1)
+    disc = 4.0 * q / (1.0 - q)  # >= 2 sum_m sech(pi^2 m/h), as sech x <= 2 e^-x
+    tails = (2.0 / math.pi) * (math.exp(math.log(lam_max) - s[-1]) + math.exp(-u))
+    t = np.exp(s)
+    cert = {"spectral_gap": gap, "quadrature_nodes": len(t), "quadrature_bound": (disc + tails) / 2}
+    return t, (2.0 / math.pi) * h * t, len(diag) - int(neg[0]), cert
+
+
+def _spectral_center(N: int, M: int, p: XiParams, tol: float) -> tuple[np.ndarray, dict]:
+    """Center [-N, N] block of the positive spectral projection of the
+    difference operator on [-M, M], M > N, by the sign quadrature.  Resolvent
+    diagonals come from pivot sweeps from both ends, the entries right of them
+    from running products of right-sweep ratios, one row at a time: O(M nodes)
+    work, O(N nodes) memory."""
     diag, off = _difference_operator(M, p)
-    w, v = eigh_tridiagonal(diag, off, lapack_driver="stemr")
-    rows = v[M - N : M + N, w > 0.0]
-    return rows @ rows.T, rows.shape[1]
+    t, w, positive, cert = _sign_quadrature(diag, off, tol)
+    z = 1j * t
+    lo, m = M - N, 2 * N
+    off2 = off * off
+    a, b2 = diag.tolist(), off2.tolist()
+    # Left pivots at indices lo-1 .. lo+m-2, right pivots at lo+1 .. lo+m.
+    left = np.array(list(islice(_pivot_sweep(a, b2, z), lo - 1, lo + m - 1)))
+    right = np.array(list(islice(_pivot_sweep(a[::-1], b2[::-1], z), lo - 1, lo + m - 1)))[::-1]
+    g = 1.0 / (diag[lo : lo + m, None] - z - off2[lo - 1 : lo + m - 1, None] / left
+               - off2[lo : lo + m, None] / right)
+    ratio = -off[lo : lo + m - 1, None] / right[:-1]
+    sign = np.diag(g.real @ w)
+    for i in range(m - 1):
+        sign[i, i + 1 :] = sign[i + 1 :, i] = (g[i] * np.cumprod(ratio[i:], axis=0)).real @ w
+    return 0.5 * (np.eye(m) + sign), dict(cert, positive_eigenvalues=positive)
 
 
 def underline_prelimit_window(
@@ -674,31 +718,28 @@ def underline_prelimit_window(
 ) -> WindowKernel:
     """Pre-limit kernel on [-N, N] with certified interior accuracy.
 
-    Diagonalizes on padded windows [-M, M], keeping the center block and
-    doubling the padding until it stabilizes below tol (the projection
-    kernel of the full lattice operator is approximated by window projections
-    with boundary effects decaying into the interior).
-    """
+    Center blocks of window projections on [-M, M] (boundary effects decay
+    into the interior) come from a resolvent quadrature of the sign function
+    certified a priori to max(tol/1000, 1e-14); no O(M^2) array is formed.
+    The padding M - N doubles until successive blocks differ by at most tol;
+    past max_pad NonConvergenceError carries the last residual.  meta records
+    padding, padding_residual, positive_eigenvalues, spectral_gap,
+    quadrature_nodes and quadrature_bound."""
     pad = max(16, N // 2, math.ceil(1.0 / (1.0 - p.xi)))
-    prev, _ = _spectral_center(N, N + pad, p)
+    prev, _ = _spectral_center(N, N + pad, p, tol)
+    residual = math.inf
     while True:
         pad *= 2
         if N + pad > max_pad:
-            raise NonConvergenceError("underline_prelimit_window", math.inf, tol, N + pad)
-        cur, rank = _spectral_center(N, N + pad, p)
+            raise NonConvergenceError(
+                "underline_prelimit_window", residual, tol, max_pad, cap="padding cap max_pad"
+            )
+        cur, cert = _spectral_center(N, N + pad, p, tol)
         residual = float(np.max(np.abs(cur - prev)))
         if residual <= tol:
             return WindowKernel(
-                N=N,
-                kind="underline_prelimit",
-                values=cur,
-                params=p.base,
-                xi=p.xi,
-                meta={
-                    "positive_eigenvalues": rank,
-                    "padding": pad,
-                    "padding_residual": residual,
-                },
+                N=N, kind="underline_prelimit", values=cur, params=p.base, xi=p.xi,
+                meta=dict(cert, padding=pad, padding_residual=residual),
             )
         prev = cur
 

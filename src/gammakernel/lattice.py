@@ -12,7 +12,6 @@ as a Python int and dimension ratios are Fractions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -98,10 +97,6 @@ class HalfInt:
         if not isinstance(n, int):
             return NotImplemented
         return HalfInt(self.twice - 2 * n)
-
-    @property
-    def is_positive(self) -> bool:
-        return self.twice > 0
 
     @property
     def value(self) -> float:
@@ -248,9 +243,6 @@ class FiniteConfig:
 
     def is_balanced(self) -> bool:
         return len(self.positives) == len(self.negatives)
-
-    def union(self, other: "FiniteConfig") -> "FiniteConfig":
-        return FiniteConfig(self.points + other.points)
 
     def restrict(self, window: int) -> "FiniteConfig":
         """Points with |x| <= window."""

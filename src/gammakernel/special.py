@@ -13,7 +13,6 @@ import cmath
 import math
 from typing import Iterable
 
-import numpy as np
 import scipy.special as _sp
 
 __all__ = [
@@ -133,13 +132,3 @@ def pochhammer_lambda(x: complex, rows: Iterable[int]) -> complex:
     for i, row in enumerate(rows, start=1):
         out *= pochhammer(x - i + 1, int(row))
     return out
-
-
-def log_gamma_vec(w: np.ndarray) -> np.ndarray:
-    """Vectorized principal-branch log Gamma for arrays (complex dtype)."""
-    return _sp.loggamma(np.asarray(w, dtype=complex))
-
-
-def digamma_vec(w: np.ndarray) -> np.ndarray:
-    """Vectorized digamma for complex arrays."""
-    return _sp.digamma(np.asarray(w, dtype=complex))

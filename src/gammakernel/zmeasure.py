@@ -28,7 +28,6 @@ from .lattice import (
     HalfInt,
     Partition,
     dim_ratio,
-    from_balanced_config,
     partitions_up_to,
     to_balanced_config,
     to_maya,

@@ -11,9 +11,11 @@ Ground truths used here:
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from gammakernel.lattice import HalfInt
 from gammakernel.zmeasure import Params, XiParams, correlation_oracle
@@ -34,6 +36,7 @@ from gammakernel.kernels import (
     weighted_blocks,
     window_points,
 )
+from gammakernel.kernels import _difference_operator, _sign_quadrature, _spectral_center
 
 PRINCIPAL = Params(0.4 + 0.7j, 0.4 - 0.7j)
 EQUAL = Params(0.5, 0.5)
@@ -222,6 +225,70 @@ def test_prelimit_pair_matches_maya_enumeration():
 
 
 # ---------------------------------------------------------------------------
+# Padding ladder: resolvent quadrature against the eigensolver
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("xi", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize("p", [EQUAL, PRINCIPAL, DISTINCT], ids=["equal", "principal", "distinct"])
+def test_prelimit_center_block_matches_eigensolver(p, xi):
+    # The quadrature center block of a padded window (the ladder's first
+    # rung) against a dense eigensolve of the same window, and the
+    # certificate the ladder reports.
+    px = XiParams(p, xi)
+    N, tol = 6, 1e-9
+    M = N + 2 * max(16, math.ceil(1.0 / (1.0 - xi)))
+    block, cert = _spectral_center(N, M, px, tol)
+    w, v = eigh_tridiagonal(*_difference_operator(M, px))
+    rows = v[M - N : M + N, w > 0.0]
+    assert np.max(np.abs(block - rows @ rows.T)) <= 1e-10
+    assert cert["positive_eigenvalues"] == rows.shape[1]
+    assert 0.0 < cert["spectral_gap"] <= np.min(np.abs(w))
+    meta = underline_prelimit_window(4, px, tol=tol).meta
+    assert meta["quadrature_bound"] <= tol / 1000
+    assert meta["padding_residual"] <= tol
+    assert meta["quadrature_nodes"] > 0 and meta["spectral_gap"] > 0.0
+
+
+def test_prelimit_window_beyond_eigensolver_reach():
+    # Padding 32000: all eigenvectors of the 64016-point window would take
+    # about 32 GB; the quadrature ladder needs O(padding) memory.
+    wk = underline_prelimit_window(8, XiParams(EQUAL, 0.999), tol=1e-6, max_pad=1 << 15)
+    assert wk.meta["padding_residual"] <= 1e-6
+    assert wk.meta["quadrature_bound"] <= 1e-9
+    ev = np.linalg.eigvalsh(wk.values)
+    assert ev.min() > -1e-6 and ev.max() < 1.0 + 1e-6
+
+
+def test_prelimit_center_block_memory_is_linear_in_padding():
+    # One rung at M = 8000: an M x M array alone would take 2 GB.
+    tracemalloc.start()
+    try:
+        _spectral_center(4, 8000, XiParams(PRINCIPAL, 0.999), 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6, peak
+
+
+def test_prelimit_window_padding_cap_reports_residual():
+    px = XiParams(EQUAL, 0.99)
+    with pytest.raises(NonConvergenceError) as exc:
+        underline_prelimit_window(4, px, tol=1e-12, max_pad=500)
+    err = exc.value
+    assert err.op == "underline_prelimit_window"
+    assert err.tol < err.achieved < math.inf
+    assert err.nodes == 500
+    assert "padding cap max_pad 500" in str(err)
+
+
+def test_sign_quadrature_fails_without_spectral_gap():
+    # [[1, 1], [1, 1]] has the eigenvalue 0: no gap around 0 can be certified.
+    with pytest.raises(NonConvergenceError) as exc:
+        _sign_quadrature(np.array([1.0, 1.0]), np.array([1.0]), 1e-9)
+    assert "gap" in exc.value.op
+
+
+# ---------------------------------------------------------------------------
 # J-transform, gauge transform, blocks
 # ---------------------------------------------------------------------------
 
@@ -390,6 +457,7 @@ def test_nonconvergence_error_reported():
     assert err.op == "underline_limit_contour"
     assert err.nodes == 16
     assert err.achieved > err.tol
+    assert "at the node cap 16" in str(err)
 
 
 # ---------------------------------------------------------------------------
