@@ -239,7 +239,6 @@ def _emit_error(name: str, code: int, message: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_weight(args) -> tuple[RunConfig, list[str], list[list]]:
-    from .lattice import FiniteConfig
     from .zmeasure import log_weight_config, log_weight_partition
 
     p = _xi_params(args)
@@ -250,13 +249,7 @@ def _cmd_weight(args) -> tuple[RunConfig, list[str], list[list]]:
         label, kind = str(lam) or "(empty)", "partition"
         logw = log_weight_partition(lam, p)
     else:
-        pts = _parse_half_list(args.config)
-        config = FiniteConfig(pts)
-        if len(config.positives) != len(config.negatives):
-            raise CliError(
-                "config_balanced",
-                "--config must be balanced (equal counts on both sides of 0)",
-            )
+        config = _balanced_config(args)
         label, kind = ",".join(str(x) for x in config.points) or "(empty)", "config"
         logw = log_weight_config(config, p)
     cfg = _run_config(args, {
@@ -407,7 +400,7 @@ def _cmd_fredholm(args) -> tuple[RunConfig, list[str], list[list]]:
     return cfg, ["route", "value", "error"], rows
 
 
-def _rn_config(args):
+def _balanced_config(args):
     from .lattice import FiniteConfig
 
     pts = _parse_half_list(args.config)
@@ -425,7 +418,7 @@ def _cmd_rn(args) -> tuple[RunConfig, list[str], list[list]]:
     from .zmeasure import XiParams
 
     word = _parse_word(args.word)
-    config = _rn_config(args)
+    config = _balanced_config(args)
     base = _build_params(args)
     xi = _xi_value(args, required=False)
     pts_n = max(((abs(x.twice) + 1) // 2 for x in config.points), default=0)
@@ -502,25 +495,18 @@ def _cmd_converge(args) -> tuple[RunConfig, list[str], list[list]]:
     N = args.window
     rows: list[list] = []
 
-    def stab_tol(xi: float) -> float:
-        # Window stabilization floor at the pre-limit correlation scale
-        # 2(1-xi), the order of the xi-gaps this report measures.  The ladder
-        # reaches far below it (residual 3e-9 at xi = 0.999, padding 32000)
-        # in O(padding) memory, so the floor bounds work, not memory.
-        return max(args.tol, 2.0 * (1.0 - xi))
-
     if args.report == "kernel":
         limit = kr.underline_limit_window(N, base)
         header = ["xi", "max_abs_gap"]
         for xi in sweep:
-            pre = kr.underline_prelimit_window(N, XiParams(base, xi), tol=stab_tol(xi))
+            pre = kr.underline_prelimit_window(N, XiParams(base, xi), tol=args.tol)
             rows.append([xi, float(abs(pre.values - limit.values).max())])
     elif args.report == "blocknorms":
         bl_limit = kr.weighted_blocks(kr.j_transform(kr.underline_limit_window(N, base)))
         header = ["xi", "trace_pp", "trace_gap", "hs_pm", "hs_gap"]
         for xi in sweep:
             bl = kr.weighted_blocks(
-                kr.j_transform(kr.underline_prelimit_window(N, XiParams(base, xi), tol=stab_tol(xi)))
+                kr.j_transform(kr.underline_prelimit_window(N, XiParams(base, xi), tol=args.tol))
             )
             rows.append([
                 xi, bl.trace_pp, abs(bl.trace_pp - bl_limit.trace_pp),
@@ -550,7 +536,7 @@ def _cmd_converge(args) -> tuple[RunConfig, list[str], list[list]]:
         header = ["xi", "value", "limit_value", "gap"]
         for xi in sweep:
             wk = kr.j_transform(
-                kr.underline_prelimit_window(kernel_n, XiParams(base, xi), tol=stab_tol(xi))
+                kr.underline_prelimit_window(kernel_n, XiParams(base, xi), tol=args.tol)
             )
             v = expectation_det(f, wk)
             rows.append([xi, v, limit_val, abs(v - limit_val)])
@@ -578,12 +564,12 @@ def _cmd_sample(args) -> tuple[RunConfig, list[str] | None, list[list]]:
     else:
         under = kr.underline_prelimit_window(args.window, XiParams(base, xi))
     sample = sample_underline_then_involute if args.involute else sample_window
-    batch = sample(under, args.count, args.seed, workers=args.workers)
+    batch = sample(under, args.count, args.seed)
     exact = kr.j_transform(under) if args.involute else under
     cfg = _run_config(args, {
         "z": _fmt(base.z), "zp": _fmt(base.z_prime), "xi": xi,
         "window": args.window, "count": args.count, "seed": args.seed,
-        "involute": bool(args.involute), "workers": args.workers,
+        "involute": bool(args.involute),
         "kind": batch.kind, "algorithm": batch.algorithm, "rng": batch.rng,
         "max_clamp": batch.max_clamp,
     })
@@ -681,7 +667,6 @@ def _build_parser() -> _Parser:
     s.add_argument("--window", type=int, default=4)
     s.add_argument("--count", type=int, default=1000)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--workers", type=int, default=1)
     s.add_argument("--involute", action="store_true",
                    help="flip occupancy on the negative half (J-side configs)")
     return parser

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 from scipy.linalg import expm
 
 from .kernels import NonConvergenceError, WindowKernel, window_points
-from .lattice import FiniteConfig, HalfInt, to_balanced_config
-from .zmeasure import XiParams, enumerate_weights
+from .lattice import FiniteConfig, HalfInt, window_index
+from .zmeasure import XiParams, partition_ensemble
 
 __all__ = [
     "ZeroTail",
@@ -33,6 +33,7 @@ __all__ = [
     "SparseConfig",
     "PhiValue",
     "phi_eval",
+    "phi_rows",
     "multiply_functionals",
     "ExpectationSum",
     "expectation_sum",
@@ -112,6 +113,15 @@ class TestFunction:
     @property
     def support(self) -> tuple[HalfInt, ...]:
         return tuple(x for x, v in self.values if v != 0.0)
+
+    def on_window(self, N: int) -> np.ndarray:
+        """Values at the 2N ascending points of [-N, N], 0 off the table."""
+        out = np.zeros(2 * N)
+        for x, v in self.values:
+            j = window_index(x, N)
+            if j is not None:
+                out[j] = v
+        return out
 
     @property
     def window_radius(self) -> float:
@@ -218,6 +228,16 @@ def phi_eval(f: TestFunction, X, full_output: bool = False):
     return value
 
 
+def phi_rows(f: TestFunction, occupancy: np.ndarray, N: int) -> np.ndarray:
+    """Phi_f of every row of an occupancy matrix over the window [-N, N],
+    multiplied in ascending point order as phi_eval does."""
+    fv = f.on_window(N)
+    out = np.ones(occupancy.shape[0])
+    for j in np.flatnonzero(fv):
+        out[occupancy[:, j]] *= 1.0 + fv[j]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Expectations: enumeration route
 # ---------------------------------------------------------------------------
@@ -238,8 +258,8 @@ def expectation_sum(f: TestFunction, p: XiParams, max_size: int = 20) -> Expecta
     configurations (each factor contributes at most max(1, |1+f(x)|), and
     factors outside the tabulation equal 1).
     """
-    items, tail = enumerate_weights(p, max_size)
-    total = math.fsum(w * phi_eval(f, to_balanced_config(lam)) for lam, w in items)
+    occ, weights, tail = partition_ensemble(p, max_size)
+    total = math.fsum(weights * phi_rows(f, occ, occ.shape[1] // 2))
     bound = 1.0
     for _, v in f.values:
         bound *= max(1.0, abs(1.0 + v))
@@ -265,6 +285,25 @@ def _det_one_plus(a: np.ndarray) -> float:
     if sign == 0.0:
         return 0.0
     return float(sign * math.exp(logmag))
+
+
+def _doubling_windows(N: int) -> list[int]:
+    """The nested window chain 1, 2, 4, ..., its last step capped at N."""
+    ns = [1]
+    while ns[-1] < N:
+        ns.append(min(2 * ns[-1], N))
+    return ns
+
+
+def _nested_operators(fv: np.ndarray, kernel: WindowKernel) -> Iterator[tuple[int, np.ndarray]]:
+    """(n, A_g A_h K A_h on [-n, n]) along _doubling_windows(kernel.N), lazily,
+    for f with values fv on the kernel window; the weighted operator has
+    entries f(x) sqrt(|x|/|y|) K(x, y)."""
+    absx = np.abs(np.arange(1 - 2 * kernel.N, 2 * kernel.N, 2)) / 2.0
+    weighted = (fv * np.sqrt(absx))[:, None] * kernel.values / np.sqrt(absx)[None, :]
+    for n in _doubling_windows(kernel.N):
+        idx = np.flatnonzero(absx <= n)
+        yield n, weighted[np.ix_(idx, idx)]
 
 
 def expectation_det(
@@ -294,37 +333,27 @@ def expectation_det(
             f"radius {f.support_radius}"
         )
 
-    pts = kernel.points
-    absx = np.array([abs(float(t)) for t in pts])
-    fv = np.array([f(t) for t in pts])
-    weighted = (fv * np.sqrt(absx))[:, None] * kernel.values / np.sqrt(absx)[None, :]
-
     windows: list[int] = []
     dets: list[float] = []
     increments: list[float] = []
-    n = 1
-    while True:
-        n = min(n, kernel.N)
-        idx = np.flatnonzero(absx <= n)
+    for n, block in _nested_operators(f.on_window(kernel.N), kernel):
         windows.append(n)
-        dets.append(_det_one_plus(weighted[np.ix_(idx, idx)]))
+        dets.append(_det_one_plus(block))
         if len(dets) >= 2:
             increments.append(abs(dets[-1] - dets[-2]) / max(1.0, abs(dets[-1])))
         done_exact = zero_tail and n >= cover
         done_stable = len(increments) >= 2 and increments[-1] < tol and increments[-2] < tol
         if done_exact or done_stable:
             break
-        if n == kernel.N:
-            raise NonConvergenceError(
-                "expectation_det",
-                max(increments[-2:]) if increments else math.inf,
-                tol,
-                kernel.N,
-            )
-        n *= 2
+    else:
+        raise NonConvergenceError(
+            "expectation_det",
+            max(increments[-2:]) if increments else math.inf,
+            tol,
+            kernel.N,
+        )
 
-    idx = np.flatnonzero(absx <= windows[-1])
-    cond = float(np.linalg.cond(np.eye(len(idx)) + weighted[np.ix_(idx, idx)]))
+    cond = float(np.linalg.cond(np.eye(len(block)) + block))
     result = ExpectationDet(
         value=dets[-1],
         windows=tuple(windows),

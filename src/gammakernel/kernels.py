@@ -41,7 +41,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import digamma as _sp_digamma
 from scipy.special import loggamma as _sp_loggamma
 
-from .lattice import HalfInt
+from .lattice import HalfInt, window_index
 from .special import digamma, log_gamma, sinpi, trigamma
 from .zmeasure import Params, XiParams
 
@@ -192,8 +192,8 @@ class WindowKernel:
 
     def index_of(self, x: HalfInt) -> int:
         x = HalfInt.make(x)
-        i = (x.twice + 2 * self.N - 1) // 2
-        if not (0 <= i < 2 * self.N):
+        i = window_index(x, self.N)
+        if i is None:
             raise KeyError(f"{x} outside window [-{self.N}, {self.N}]")
         return i
 
@@ -714,7 +714,7 @@ def underline_prelimit_window(
     N: int,
     p: XiParams,
     tol: float = 1e-9,
-    max_pad: int = 1 << 13,
+    max_pad: int = 1 << 16,
 ) -> WindowKernel:
     """Pre-limit kernel on [-N, N] with certified interior accuracy.
 

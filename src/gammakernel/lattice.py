@@ -6,6 +6,11 @@ differences with the negative half-lattice Z'_-), the particle/hole
 involution, and the finitary permutation group generated by the adjacent
 transpositions sigma_n of the pair (n - 1/2, n + 1/2).
 
+An ensemble of configurations inside a window [-N, N] is stored as a boolean
+occupancy matrix: one row per configuration, one column per window point in
+ascending order (``window_index``).  The particle/hole involution acts on it
+as one XOR with the negative half (``involute_occupancy``).
+
 All arithmetic in this module is exact: half-integers store twice their value
 as a Python int and dimension ratios are Fractions.
 """
@@ -18,6 +23,8 @@ from functools import total_ordering
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 __all__ = [
     "HalfInt",
     "Partition",
@@ -28,6 +35,8 @@ __all__ = [
     "to_balanced_config",
     "from_balanced_config",
     "particle_hole_involution",
+    "window_index",
+    "involute_occupancy",
     "apply_sigma",
     "apply_sigma_modified",
     "dim_ratio",
@@ -279,15 +288,6 @@ class MayaDiagram:
     def __repr__(self) -> str:
         return f"MayaDiagram(diff=[{', '.join(str(p) for p in self.diff)}])"
 
-    def toggle(self, x: HalfInt) -> "MayaDiagram":
-        """Flip membership of a single point."""
-        pts = set(self.diff.points)
-        if x in pts:
-            pts.remove(x)
-        else:
-            pts.add(x)
-        return MayaDiagram(pts)
-
 
 @dataclass(frozen=True)
 class FinitaryPermutation:
@@ -328,28 +328,10 @@ class FinitaryPermutation:
 def to_maya(lam: Partition) -> MayaDiagram:
     """Maya diagram {lambda_i - i + 1/2 : i >= 1} of a partition.
 
-    For i beyond the last row the points are -i + 1/2, i.e. all of Z'_- except
-    finitely many; the result is stored as the finite symmetric difference
-    with Z'_-.
+    It differs from Z'_- exactly at the p_i (extra positive points) and the
+    -q_i (holes), so it is the particle/hole involution of X(lambda).
     """
-    diff: set[HalfInt] = set()
-    for i, r in enumerate(lam.rows, start=1):
-        x = _half(2 * (r - i) + 1)
-        if x.twice > 0:
-            diff.add(x)  # extra positive point
-        else:
-            pass  # negative point already in Z'_-; handled below
-    # Points of Z'_- that the diagram misses: -i + 1/2 for i <= len(rows)
-    # is replaced by lambda_i - i + 1/2, so the occupied negative points are
-    # {lambda_i - i + 1/2 < 0} plus the tail {-i + 1/2 : i > len(rows)}.
-    occupied_negative = {
-        _half(2 * (r - i) + 1) for i, r in enumerate(lam.rows, start=1) if 2 * (r - i) + 1 < 0
-    }
-    for i in range(1, len(lam.rows) + 1):
-        x = _half(-2 * i + 1)
-        if x not in occupied_negative:
-            diff.add(x)  # hole in Z'_-
-    return MayaDiagram(diff)
+    return particle_hole_involution(to_balanced_config(lam))
 
 
 def to_balanced_config(lam: Partition) -> FiniteConfig:
@@ -407,6 +389,17 @@ def particle_hole_involution(obj):
     raise TypeError(f"cannot involute {type(obj).__name__}")
 
 
+def window_index(x: HalfInt, N: int) -> int | None:
+    """Column of x among the 2N ascending points of [-N, N]; None outside."""
+    return (x.twice + 2 * N - 1) // 2 if abs(x.twice) < 2 * N else None
+
+
+def involute_occupancy(occupancy: np.ndarray, points: Sequence[HalfInt]) -> np.ndarray:
+    """particle_hole_involution of every row of an occupancy matrix whose
+    columns are the given points: XOR with the negative half Z'_-."""
+    return occupancy ^ np.array([x.twice < 0 for x in points], dtype=bool)
+
+
 # ---------------------------------------------------------------------------
 # Permutation actions
 # ---------------------------------------------------------------------------
@@ -418,7 +411,7 @@ def _sigma_on_maya(n: int, maya: MayaDiagram) -> MayaDiagram:
     hi = _half(2 * n + 1)
     if (lo in maya) == (hi in maya):
         return maya
-    return maya.toggle(lo).toggle(hi)
+    return MayaDiagram(set(maya.diff.points) ^ {lo, hi})
 
 
 def apply_sigma(sigma: FinitaryPermutation, lam: Partition) -> Partition:
@@ -461,14 +454,19 @@ def _sigma_modified_once(n: int, config: FiniteConfig) -> FiniteConfig:
     return FiniteConfig(pts)
 
 
-def apply_sigma_modified(sigma: FinitaryPermutation, config: FiniteConfig) -> FiniteConfig:
-    """sigma~(X) = inv(sigma(inv(X))) for balanced X; preserves balancedness."""
-    if not config.is_balanced():
-        raise ValueError(f"modified action requires a balanced configuration, got {config}")
+def _apply_modified(sigma: FinitaryPermutation, config: FiniteConfig) -> FiniteConfig:
+    """The modified word action on any finite set, window restrictions too."""
     out = config
     for n in sigma.generators_in_order():
         out = _sigma_modified_once(n, out)
     return out
+
+
+def apply_sigma_modified(sigma: FinitaryPermutation, config: FiniteConfig) -> FiniteConfig:
+    """sigma~(X) = inv(sigma(inv(X))) for balanced X; preserves balancedness."""
+    if not config.is_balanced():
+        raise ValueError(f"modified action requires a balanced configuration, got {config}")
+    return _apply_modified(sigma, config)
 
 
 # ---------------------------------------------------------------------------

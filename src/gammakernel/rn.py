@@ -30,6 +30,7 @@ from .lattice import (
     FiniteConfig,
     FinitaryPermutation,
     HalfInt,
+    _apply_modified,
     _sigma_modified_once,
     apply_sigma_modified,
     to_balanced_config,
@@ -40,6 +41,8 @@ from .fredholm import (
     SparseConfig,
     TestFunction,
     _det_one_plus,
+    _doubling_windows,
+    _nested_operators,
     expectation_det,
     multiply_functionals,
     phi_eval,
@@ -74,15 +77,6 @@ def _as_permutation(sigma) -> FinitaryPermutation:
 
 def _as_config(X) -> FiniteConfig:
     return X if isinstance(X, FiniteConfig) else FiniteConfig(X)
-
-
-def _apply_modified(sigma: FinitaryPermutation, config: FiniteConfig) -> FiniteConfig:
-    """The modified word action on an arbitrary finite set (no balance
-    requirement, so it applies to window restrictions as well)."""
-    out = config
-    for n in sigma.generators_in_order():
-        out = _sigma_modified_once(n, out)
-    return out
 
 
 def word_window(sigma) -> int:
@@ -556,25 +550,20 @@ def verify_limit_transport(
     for W in _subsets(wpts):
         term = rn_compose(perm, FiniteConfig(W), p, N=N, radius=kernel.N).terms[0]
         groups.setdefault(term.f, {})[W] = term.a
-    jobs: list[tuple[float, TestFunction]] = []
+    # Each job is c Phi_h, h = g + f + g f as in multiply_functionals(g, f).
+    jobs: list[tuple[float, np.ndarray]] = []
     for f, amap in groups.items():
         coeff = CylinderFunction(wpts, {W: amap.get(W, 0.0) for W in _subsets(wpts)})
+        fv = f.on_window(kernel.N)
         for c, g in expand_cylinder(coeff.times(F)):
-            jobs.append((c, multiply_functionals(g, f)))
+            gv = g.on_window(kernel.N)
+            jobs.append((c, gv + fv + gv * fv))
 
-    pts = kernel.points
-    absx = np.array([abs(float(t)) for t in pts])
-    sqrt_absx = np.sqrt(absx)
-    ns = [1]
-    while ns[-1] < kernel.N:
-        ns.append(min(2 * ns[-1], kernel.N))
-    slices = [np.flatnonzero(absx <= n) for n in ns]
+    ns = _doubling_windows(kernel.N)
     totals = np.zeros(len(ns))
-    for c, f in jobs:
-        fv = np.array([f(t) for t in pts])
-        weighted = (fv * sqrt_absx)[:, None] * kernel.values / sqrt_absx[None, :]
-        for i, idx in enumerate(slices):
-            totals[i] += c * _det_one_plus(weighted[np.ix_(idx, idx)])
+    for c, hv in jobs:
+        for i, (_, block) in enumerate(_nested_operators(hv, kernel)):
+            totals[i] += c * _det_one_plus(block)
     # The truncation error of the raw sums decays like a power series in 1/n
     # on the doubling chain (the 1/|x| tails of the density functionals meet
     # the 1/|x| decay of the kernel diagonal), so two Richardson levels in

@@ -10,23 +10,25 @@ a Schur-complement update.
 
 Batches are reproducible: a documented 64-bit seed feeds a counter-based
 generator, and work is split into fixed-size chunks with seeds derived by
-``numpy.random.SeedSequence.spawn``, so the output is bit-identical for any
-worker count and chunks can be reduced in any order.
+``numpy.random.SeedSequence.spawn``, so a batch is bit-identical for a fixed
+seed and is a prefix of every larger batch drawn with that seed.  A batch
+stores its configurations as a boolean occupancy matrix over the window
+points, and every estimator is a reduction over it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .lattice import FiniteConfig, HalfInt
+from .lattice import FiniteConfig, HalfInt, involute_occupancy, window_index
 from .kernels import NonConvergenceError, WindowKernel
-from .fredholm import TestFunction, phi_eval
+from .fredholm import TestFunction, phi_rows
 
 __all__ = [
     "Estimate",
@@ -50,13 +52,14 @@ class Estimate(NamedTuple):
     se: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleBatch:
     """A reproducible batch of window configurations with estimators.
 
-    ``configs`` are subsets of the window points; ``diagonal`` holds the
-    per-point occupation frequencies with standard errors; ``max_clamp`` is
-    the largest spectral correction applied to push eigenvalues into [0, 1].
+    ``occupancy[s, i]`` says whether sample s holds ``points[i]``; ``configs``
+    is the same batch as point sets; ``diagonal`` holds the per-point
+    occupation frequencies with standard errors; ``max_clamp`` is the largest
+    spectral correction applied to push eigenvalues into [0, 1].
     """
 
     N: int
@@ -64,18 +67,36 @@ class SampleBatch:
     kind: str
     count: int
     points: tuple[HalfInt, ...]
-    configs: tuple[FiniteConfig, ...]
+    occupancy: np.ndarray
     diagonal: tuple[tuple[HalfInt, Estimate], ...]
     max_clamp: float
     algorithm: str = ALGORITHM
     rng: str = RNG
 
+    @cached_property
+    def configs(self) -> tuple[FiniteConfig, ...]:
+        """The sampled configurations as point sets, one per occupancy row."""
+        return tuple(
+            FiniteConfig(self.points[i] for i in np.flatnonzero(row))
+            for row in self.occupancy
+        )
+
+    def _hits(self, pts, present: bool) -> Estimate:
+        """Frequency of samples holding every point of pts (present) or none
+        of them; no sample holds a point outside the window."""
+        cols = [window_index(HalfInt.make(x), self.N) for x in pts]
+        if present and None in cols:
+            return _bernoulli(0, self.count)
+        sub = self.occupancy[:, [j for j in cols if j is not None]]
+        hits = sub.all(axis=1) if present else ~sub.any(axis=1)
+        return _bernoulli(int(np.count_nonzero(hits)), self.count)
+
     def rho1(self, x) -> Estimate:
         """Empirical one-point function at a window point."""
         x = HalfInt.make(x)
-        for pt, est in self.diagonal:
-            if pt == x:
-                return est
+        j = window_index(x, self.N)
+        if j is not None:
+            return self.diagonal[j][1]
         raise KeyError(f"{x} outside window [-{self.N}, {self.N}]")
 
     def pair_frequency(self, x, y) -> Estimate:
@@ -83,30 +104,26 @@ class SampleBatch:
         x, y = HalfInt.make(x), HalfInt.make(y)
         if x == y:
             raise ValueError("two-point estimator needs distinct points")
-        hits = sum(1 for c in self.configs if x in c and y in c)
-        return _bernoulli(hits, self.count)
+        return self._hits((x, y), present=True)
 
     def avoidance(self, pts: Iterable) -> Estimate:
         """Empirical probability that the configuration misses every point."""
-        targets = {HalfInt.make(t) for t in pts}
-        hits = sum(1 for c in self.configs if not (targets & set(c.points)))
-        return _bernoulli(hits, self.count)
+        return self._hits(pts, present=False)
 
     def mean_count(self) -> Estimate:
         """Empirical mean number of points per configuration."""
-        return _mean([len(c.points) for c in self.configs])
+        return _mean(self.occupancy.sum(axis=1))
 
     def phi_mean(self, f: TestFunction) -> Estimate:
         """Empirical mean of the multiplicative functional Phi_f."""
-        return _mean([phi_eval(f, c) for c in self.configs])
+        return _mean(phi_rows(f, self.occupancy, self.N))
 
     def balance_frequency(self) -> Estimate:
         """Frequency of configurations with equally many points on each side
         of zero."""
-        hits = sum(
-            1 for c in self.configs if len(c.positives) == len(c.negatives)
-        )
-        return _bernoulli(hits, self.count)
+        negative = self.occupancy[:, : self.N].sum(axis=1)
+        positive = self.occupancy[:, self.N :].sum(axis=1)
+        return _bernoulli(int(np.count_nonzero(negative == positive)), self.count)
 
 
 def _bernoulli(hits: int, n: int) -> Estimate:
@@ -114,7 +131,7 @@ def _bernoulli(hits: int, n: int) -> Estimate:
     return Estimate(p, math.sqrt(p * (1.0 - p) / n))
 
 
-def _mean(values: list[float]) -> Estimate:
+def _mean(values: np.ndarray) -> Estimate:
     arr = np.asarray(values, dtype=float)
     se = arr.std(ddof=1) / math.sqrt(len(arr)) if len(arr) > 1 else 0.0
     return Estimate(float(arr.mean()), float(se))
@@ -141,91 +158,63 @@ def _spectrum(kernel: WindowKernel) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def _sample_chunk(
-    w: np.ndarray, vecs: np.ndarray, count: int, rng: np.random.Generator
-) -> list[tuple[int, ...]]:
+    w: np.ndarray, vecs: np.ndarray, occupancy: np.ndarray, rng: np.random.Generator
+) -> None:
+    """Fill each row of ``occupancy`` with one sample."""
     d = len(w)
-    out: list[tuple[int, ...]] = []
-    for _ in range(count):
+    for row in occupancy:
         sel = rng.random(d) < w
         k = int(sel.sum())
         if k == 0:
-            out.append(())
             continue
         proj = vecs[:, sel] @ vecs[:, sel].T
-        chosen: list[int] = []
         for _step in range(k):
             p = np.clip(np.diag(proj), 0.0, None)
             p = p / p.sum()
             i = int(rng.choice(d, p=p))
-            chosen.append(i)
+            row[i] = True
             proj = proj - np.outer(proj[:, i], proj[i, :]) / proj[i, i]
-        out.append(tuple(sorted(chosen)))
-    return out
 
 
 def _make_batch(
-    kernel: WindowKernel,
-    kind: str,
-    seed: int,
-    configs: tuple[FiniteConfig, ...],
-    max_clamp: float,
+    kernel: WindowKernel, kind: str, seed: int, occupancy: np.ndarray, max_clamp: float
 ) -> SampleBatch:
-    pts = kernel.points
-    count = len(configs)
-    diag = tuple(
-        (x, _bernoulli(sum(1 for c in configs if x in c), count)) for x in pts
-    )
+    occupancy.flags.writeable = False
+    count = len(occupancy)
+    hits = occupancy.sum(axis=0).tolist()
     return SampleBatch(
         N=kernel.N,
         seed=seed,
         kind=kind,
         count=count,
-        points=pts,
-        configs=configs,
-        diagonal=diag,
+        points=kernel.points,
+        occupancy=occupancy,
+        diagonal=tuple((x, _bernoulli(h, count)) for x, h in zip(kernel.points, hits)),
         max_clamp=max_clamp,
     )
 
 
-def sample_window(
-    kernel: WindowKernel, count: int, seed: int, workers: int = 1
-) -> SampleBatch:
+def sample_window(kernel: WindowKernel, count: int, seed: int) -> SampleBatch:
     """Draw exact determinantal samples of the window restriction.
 
     Chunk boundaries and chunk seeds depend only on (count, seed), so the
-    batch is bit-identical for any ``workers``; eigenvalues outside [0, 1]
-    are clamped, and a clamp beyond 1e-4 aborts.
+    batch is bit-identical for a fixed seed; eigenvalues outside [0, 1] are
+    clamped, and a clamp beyond 1e-4 aborts.
     """
     _check_sampleable(kernel)
     count = int(count)
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     w, vecs, max_clamp = _spectrum(kernel)
-    sizes = [_CHUNK] * (count // _CHUNK)
-    if count % _CHUNK:
-        sizes.append(count % _CHUNK)
-    seeds = np.random.SeedSequence(int(seed)).spawn(len(sizes))
-
-    def run(args: tuple[int, np.random.SeedSequence]) -> list[tuple[int, ...]]:
-        n, ss = args
-        return _sample_chunk(w, vecs, n, np.random.Generator(np.random.Philox(ss)))
-
-    jobs = list(zip(sizes, seeds))
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run, jobs))
-    else:
-        chunks = [run(j) for j in jobs]
-    pts = kernel.points
-    configs = tuple(
-        FiniteConfig(pts[i] for i in idxs) for chunk in chunks for idxs in chunk
-    )
-    return _make_batch(kernel, kernel.kind, int(seed), configs, max_clamp)
+    occupancy = np.zeros((count, len(w)), dtype=bool)
+    seeds = np.random.SeedSequence(int(seed)).spawn(math.ceil(count / _CHUNK))
+    for start, ss in zip(range(0, count, _CHUNK), seeds):
+        rng = np.random.Generator(np.random.Philox(ss))
+        _sample_chunk(w, vecs, occupancy[start : start + _CHUNK], rng)
+    return _make_batch(kernel, kernel.kind, int(seed), occupancy, max_clamp)
 
 
-def sample_underline_then_involute(
-    kernel: WindowKernel, count: int, seed: int, workers: int = 1
-) -> SampleBatch:
+def sample_underline_then_involute(kernel: WindowKernel, count: int, seed: int) -> SampleBatch:
     """Sample the symmetric process, then flip occupancy on the negative half
     of the window.
 
@@ -233,12 +222,8 @@ def sample_underline_then_involute(
     come from the J-transformed kernel, so their statistics cross-check that
     kernel's minors.
     """
-    base = sample_window(kernel, count, seed, workers=workers)
-    negatives = frozenset(x for x in kernel.points if x.twice < 0)
-    flipped = tuple(
-        FiniteConfig((set(c.points) - negatives) | (negatives - set(c.points)))
-        for c in base.configs
-    )
+    base = sample_window(kernel, count, seed)
+    flipped = involute_occupancy(base.occupancy, kernel.points)
     return _make_batch(
         kernel, kernel.kind + "+involution", int(seed), flipped, base.max_clamp
     )
@@ -246,8 +231,9 @@ def sample_underline_then_involute(
 
 def jsonl_lines(batch: SampleBatch) -> Iterator[str]:
     """One JSON array per configuration, points as sorted "n/2" strings."""
-    for c in batch.configs:
-        yield json.dumps([str(x) for x in c.points])
+    names = [str(x) for x in batch.points]
+    for row in batch.occupancy:
+        yield json.dumps([names[i] for i in np.flatnonzero(row)])
 
 
 def write_jsonl(batch: SampleBatch, path) -> None:

@@ -28,9 +28,10 @@ from .lattice import (
     HalfInt,
     Partition,
     dim_ratio,
+    involute_occupancy,
     partitions_up_to,
     to_balanced_config,
-    to_maya,
+    window_index,
 )
 
 __all__ = [
@@ -44,23 +45,8 @@ __all__ = [
     "enumerate_weights",
     "OracleValue",
     "correlation_oracle",
+    "partition_ensemble",
 ]
-
-_EXHAUSTIVE_K = 10**6
-
-
-@lru_cache(maxsize=None)
-def _positivity_scan(z: complex, z_prime: complex) -> float | None:
-    """Worst integer shift k with (z+k)(z'+k) <= 0 on |k| <= 10^6, or None.
-
-    Cached: the scan is a pure function of the pair, and reflections
-    reconstruct the same pair many times over."""
-    ks = np.arange(-_EXHAUSTIVE_K, _EXHAUSTIVE_K + 1, dtype=np.float64)
-    vals = np.real((z + ks) * (z_prime + ks))
-    if np.all(vals > 0.0):
-        return None
-    return float(ks[np.argmin(vals)])
-
 
 def pair_product(z: complex, z_prime: complex, shift: complex) -> float:
     """The real positive value (z + shift)(z' + shift) for admissible pairs."""
@@ -74,9 +60,10 @@ class Params:
 
     Principal series: z not real and z' = conj(z).
     Complementary series: z, z' real non-integers with floor(z) == floor(z').
-    Either way (z + k)(z' + k) > 0 for all integers k; the constructor
-    verifies this exhaustively on |k| <= 10^6 (beyond which the product is
-    dominated by k^2 > 0).
+    Either way (z + k)(z' + k) > 0 in exact arithmetic for all integers k,
+    and |z + k| >= 1 unless k is one of the two integers bracketing -Re z.
+    Only there can the floating-point product vanish by underflow, so the
+    constructor evaluates it at those two k and rejects a product <= 0.
     """
 
     z: complex
@@ -103,11 +90,11 @@ class Params:
                     f"real parameters must share an interval (N, N+1); got z={x}, z_prime={y}"
                 )
             series = "complementary"
-        k_bad = _positivity_scan(z, zp)
-        if k_bad is not None:
-            raise ValueError(
-                f"(z+k)(z'+k) must be positive for all integers k; fails at k={k_bad:g}"
-            )
+        for k in (-np.floor(z.real), -np.floor(z.real) - 1.0):
+            if not pair_product(z, zp, k) > 0.0:
+                raise ValueError(
+                    f"(z+k)(z'+k) must be positive for all integers k; fails at k={k + 0.0:g}"
+                )
         object.__setattr__(self, "series", series)
 
     @property
@@ -232,13 +219,19 @@ def weight_config(config: FiniteConfig, p: XiParams) -> float:
 @lru_cache(maxsize=16)
 def _enumerate_cached(
     p: XiParams, max_size: int
-) -> tuple[tuple[tuple[Partition, float], ...], float]:
+) -> tuple[tuple[tuple[Partition, float], ...], np.ndarray, float]:
+    if max_size > 30:
+        raise ValueError(f"max_size must be <= 30, got {max_size}")
+    if max_size < 0:
+        raise ValueError(f"max_size must be >= 0, got {max_size}")
     items = tuple((lam, weight_partition(lam, p)) for lam in partitions_up_to(max_size))
-    total = math.fsum(w for _, w in items)
+    weights = np.array([w for _, w in items])
+    weights.flags.writeable = False
+    total = math.fsum(weights)
     tail = 1.0 - total
     if tail < -1e-9:
         raise AssertionError(f"weights sum to {total} > 1; parameter or formula error")
-    return items, max(tail, 0.0)
+    return items, weights, max(tail, 0.0)
 
 
 def enumerate_weights(
@@ -247,12 +240,30 @@ def enumerate_weights(
     """All (lambda, M(lambda)) with |lambda| <= max_size, plus the tail mass
     1 - sum of listed weights (nonnegative; shrinks as max_size grows).
     Recent enumerations are cached, keyed by (parameters, max_size)."""
-    if max_size > 30:
-        raise ValueError(f"max_size must be <= 30, got {max_size}")
-    if max_size < 0:
-        raise ValueError(f"max_size must be >= 0, got {max_size}")
-    items, tail = _enumerate_cached(p, max_size)
+    items, _, tail = _enumerate_cached(p, max_size)
     return list(items), tail
+
+
+@lru_cache(maxsize=None)
+def _partition_occupancy(max_size: int) -> np.ndarray:
+    """Occupancy of X(lambda) for every |lambda| <= max_size, rows in
+    enumeration order, on the window of half-width max(max_size, 1), which
+    holds every Frobenius coordinate (p_1, q_1 <= max_size - 1/2)."""
+    W = max(max_size, 1)
+    parts = list(partitions_up_to(max_size))
+    occ = np.zeros((len(parts), 2 * W), dtype=bool)
+    for row, lam in enumerate(parts):
+        occ[row, [window_index(x, W) for x in to_balanced_config(lam)]] = True
+    occ.flags.writeable = False
+    return occ
+
+
+def partition_ensemble(p: XiParams, max_size: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """The z-measure ensemble of all |lambda| <= max_size as (occupancy of the
+    balanced configurations X(lambda) on [-W, W], W = max(max_size, 1),
+    weights M(lambda), tail mass), rows in enumeration order."""
+    _, weights, tail = _enumerate_cached(p, max_size)
+    return _partition_occupancy(max_size), weights, tail
 
 
 class OracleValue(NamedTuple):
@@ -282,15 +293,14 @@ def correlation_oracle(
         raise ValueError("correlation points must be distinct")
     if process not in ("config", "maya"):
         raise ValueError(f"process must be 'config' or 'maya', got {process!r}")
-    items, tail = enumerate_weights(p, max_size)
-    acc = []
-    for lam, w in items:
-        if process == "config":
-            support = to_balanced_config(lam)
-            if all(x in support for x in pts):
-                acc.append(w)
-        else:
-            maya = to_maya(lam)
-            if all(x in maya for x in pts):
-                acc.append(w)
-    return OracleValue(math.fsum(acc), tail)
+    occ, weights, tail = partition_ensemble(p, max_size)
+    W = occ.shape[1] // 2
+    inside = [x for x in pts if window_index(x, W) is not None]
+    # No X(lambda) reaches beyond the window, so out there every Maya diagram
+    # equals Z'_-: negative points are always present, positive ones never.
+    if any(process == "config" or x.twice > 0 for x in pts if x not in inside):
+        return OracleValue(0.0, tail)
+    sub = occ[:, [window_index(x, W) for x in inside]]
+    if process == "maya":
+        sub = involute_occupancy(sub, inside)
+    return OracleValue(math.fsum(weights[sub.all(axis=1)]), tail)

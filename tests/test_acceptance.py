@@ -333,7 +333,7 @@ def test_criterion_7_limit_transport_and_xi_convergence():
     gaps = []
     for xi in (0.9, 0.99, 0.999):
         xp = XiParams(EQUAL, xi)
-        kx = j_transform(underline_prelimit_window(8, xp, tol=max(1e-8, 2 * (1 - xi))))
+        kx = j_transform(underline_prelimit_window(8, xp, tol=1e-8))
         gaps.append(abs(expectation_det(f, kx) - target))
     assert gaps[0] > gaps[1] > gaps[2], f"gaps not shrinking: {gaps}"
     print(
@@ -360,7 +360,7 @@ def test_criterion_8_block_norm_convergence():
     gap_tr, gap_hs = [], []
     for xi in (0.9, 0.99, 0.999):
         xp = XiParams(EQUAL, xi)
-        kx = j_transform(underline_prelimit_window(256, xp, tol=max(1e-8, 2 * (1 - xi))))
+        kx = j_transform(underline_prelimit_window(256, xp, tol=1e-8))
         blocks = weighted_blocks(kx)
         gap_tr.append(abs(blocks.trace_pp - limit.trace_pp))
         gap_hs.append(abs(blocks.hs_pm - limit.hs_pm))

@@ -268,6 +268,7 @@ def test_sample_jsonl_deterministic_and_parseable():
     meta = json.loads(lines[0])
     assert meta["config"]["command"] == "sample"
     assert meta["config"]["seed"] == 9
+    assert "workers" not in meta["config"]
     assert len(lines) == 1 + 50
     for ln in lines[1:]:
         pts = json.loads(ln)
@@ -283,6 +284,12 @@ def test_sample_csv_estimates_match_exact():
     for r in rows:
         err = abs(float(r["estimate"]) - float(r["exact"]))
         assert err <= 5 * float(r["se"]) + 1e-3
+
+
+def test_sample_rejects_workers_flag():
+    res = run_cli("sample", "--window", "2", "--count", "10", "--workers", "2")
+    assert res.returncode == 2
+    assert stderr_error(res)["name"] == "argv"
 
 
 def test_sample_output_file(tmp_path):

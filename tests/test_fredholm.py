@@ -9,8 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from gammakernel.lattice import FiniteConfig, HalfInt
-from gammakernel.zmeasure import Params, XiParams, correlation_oracle
+from gammakernel.lattice import FiniteConfig, HalfInt, to_balanced_config
+from gammakernel.zmeasure import Params, XiParams, correlation_oracle, enumerate_weights
 from gammakernel.kernels import (
     NonConvergenceError,
     j_transform,
@@ -137,6 +137,25 @@ def test_expectation_sum_avoidance():
     out = expectation_sum(f, px, max_size=18)
     rho = correlation_oracle([H(1)], px, max_size=18, process="config")
     assert abs(out.value - (1.0 - rho.value)) <= out.error + rho.tail_mass + 1e-12
+
+
+@pytest.mark.parametrize("max_size", [0, 1, 6, 14])
+def test_expectation_sum_matches_per_partition_reference(max_size):
+    # Reference: Phi_f of each X(lambda), weighted and summed one by one.
+    # Tabulated points reach |x| = 25/2, beyond the ensemble's window.
+    fs = [
+        TestFunction(()),
+        TestFunction.from_map({H(1): -1.0, H(-3): 0.5, H(25): 3.0}),
+        TestFunction.from_callable(lambda t: -0.3 / abs(t), 12, InverseDecay(0.3)),
+    ]
+    for base, xi in ((EQUAL, 0.3), (PRINCIPAL, 0.5)):
+        px = XiParams(base, xi)
+        items, tail = enumerate_weights(px, max_size)
+        for f in fs:
+            ref = math.fsum(w * phi_eval(f, to_balanced_config(lam)) for lam, w in items)
+            out = expectation_sum(f, px, max_size=max_size)
+            assert abs(out.value - ref) <= 1e-15 * abs(ref)
+            assert out.tail_mass == tail
 
 
 # ---------------------------------------------------------------------------

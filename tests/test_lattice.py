@@ -117,8 +117,13 @@ def test_from_balanced_rejects_unbalanced():
 
 @pytest.mark.parametrize("lam", list(partitions_up_to(10)))
 def test_maya_diff_equals_balanced_config(lam):
-    # The symmetric difference of the Maya diagram with Z'_- is exactly X(lambda).
+    # The symmetric difference of the Maya diagram with Z'_- is exactly X(lambda),
+    # and membership follows the definition {lambda_i - i + 1/2 : i >= 1}.
     assert to_maya(lam).diff == to_balanced_config(lam)
+    n = lam.size + 1
+    defined = {HalfInt(2 * (lam[i] - i) + 1) for i in range(1, 2 * n + 1)}
+    for t in range(-2 * n + 1, 2 * n, 2):
+        assert (HalfInt(t) in to_maya(lam)) == (HalfInt(t) in defined)
 
 
 def test_maya_membership():

@@ -20,7 +20,7 @@ from gammakernel.kernels import (
     underline_limit_window,
     underline_prelimit_window,
 )
-from gammakernel.fredholm import TestFunction, expectation_det
+from gammakernel.fredholm import TestFunction, expectation_det, phi_eval
 from gammakernel.sampler import (
     jsonl_lines,
     sample_underline_then_involute,
@@ -71,10 +71,12 @@ def test_seeded_determinism_bit_exact():
     assert c.configs != a.configs
 
 
-def test_worker_count_does_not_change_output():
-    a = sample_window(K4, 9000, seed=5, workers=1)
-    b = sample_window(K4, 9000, seed=5, workers=4)
-    assert a.configs == b.configs
+def test_chunked_stream_is_prefix_stable():
+    # Chunk seeds depend only on the seed and the chunk number, so a smaller
+    # batch is a prefix of a larger one with the same seed.
+    a = sample_window(K4, 9000, seed=5)
+    b = sample_window(K4, 4096, seed=5)
+    assert a.configs[:4096] == b.configs
 
 
 def test_batch_metadata():
@@ -107,6 +109,37 @@ def test_rho2_matches_two_by_two_minor():
 def test_mean_count_matches_trace():
     est = BATCH.mean_count()
     assert abs(est.value - np.trace(K4.values)) <= 4 * est.se
+
+
+@pytest.mark.parametrize("batch", [BATCH, INVOLUTED], ids=["plain", "involuted"])
+def test_estimators_match_direct_counts(batch):
+    # Reference: count over the configurations one by one.  H(11) lies
+    # outside the window, where no configuration has points.
+    configs = batch.configs
+    n = len(configs)
+    assert n == batch.count == batch.occupancy.shape[0]
+
+    def bernoulli(hits):
+        p = hits / n
+        return (p, math.sqrt(p * (1.0 - p) / n))
+
+    def mean(values):
+        arr = np.asarray(values, dtype=float)
+        return (float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(n)))
+
+    for x, est in batch.diagonal:
+        assert est == bernoulli(sum(1 for c in configs if x in c))
+    for x, y in [(H(-1), H(1)), (H(-7), H(-5)), (H(1), H(11))]:
+        ref = bernoulli(sum(1 for c in configs if x in c and y in c))
+        assert batch.pair_frequency(x, y) == ref
+    for pts in ([], [H(-1)], [H(1), H(-3), H(7)], [H(3), H(11)]):
+        ref = bernoulli(sum(1 for c in configs if not set(pts) & set(c.points)))
+        assert batch.avoidance(pts) == ref
+    assert batch.mean_count() == mean([len(c) for c in configs])
+    f = TestFunction.from_map({H(-3): -0.6, H(1): 0.4, H(3): -0.2, H(11): 5.0})
+    assert batch.phi_mean(f) == mean([phi_eval(f, c) for c in configs])
+    ref = bernoulli(sum(1 for c in configs if c.is_balanced()))
+    assert batch.balance_frequency() == ref
 
 
 def test_estimator_validation():

@@ -3,6 +3,7 @@ agreement of the partition and configuration formulas, conjugation and
 reflection symmetries, normalization, and the enumeration oracle."""
 
 import math
+import random
 
 import pytest
 
@@ -11,6 +12,8 @@ from gammakernel.lattice import (
     HalfInt,
     Partition,
     partitions_up_to,
+    to_balanced_config,
+    to_maya,
 )
 from gammakernel.zmeasure import (
     Params,
@@ -58,6 +61,19 @@ def test_invalid_params_rejected():
         XiParams(COMPLEMENTARY, 1.0)
     with pytest.raises(ValueError):
         XiParams(COMPLEMENTARY, -0.2)
+
+
+def test_underflowing_pair_factor_rejected():
+    # (z+k)(z'+k) underflows to 0.0 at the integer k nearest -Re z, also
+    # far beyond |k| = 10^6.
+    for z in (-3e6 + 1e-200j, -3 + 1e-200j):
+        with pytest.raises(ValueError, match="fails at k"):
+            Params(z, z.conjugate())
+    with pytest.raises(ValueError, match="fails at k=0"):
+        Params(1e-200, 1e-200)
+    for z, zp in ((0.5 + 1.0j, 0.5 - 1.0j), (0.5, 0.5), (2.3, 2.7), (-1.5, -1.9),
+                  (-3e6 + 1e-3j, -3e6 - 1e-3j), (1e-100, 1e-100), (-3 + 1e-150j, -3 - 1e-150j)):
+        assert Params(z, zp).zz > 0.0
 
 
 def test_negated_stays_admissible():
@@ -224,6 +240,28 @@ def test_maya_and_config_memberships_are_complementary():
     d = correlation_oracle([neg], p, 14, process="maya")
     total = correlation_oracle([], p, 14).value
     assert d.value == pytest.approx(total - c.value, rel=1e-10)
+
+
+def reference_oracle(pts, p, max_size, process):
+    """The oracle as one membership test per partition."""
+    items, tail = enumerate_weights(p, max_size)
+    member = to_balanced_config if process == "config" else to_maya
+    return math.fsum(w for lam, w in items if all(x in member(lam) for x in pts)), tail
+
+
+@pytest.mark.parametrize("max_size", [0, 1, 5, 12])
+def test_oracle_matches_per_partition_reference(max_size):
+    # Subsets of sizes 0-3 out to |x| = 41/2, well beyond the ensemble's
+    # window of half-width max(max_size, 1).
+    rng = random.Random(max_size)
+    grid = [HalfInt(t) for t in range(-41, 42, 2)]
+    for base, xi in ((COMPLEMENTARY, 0.3), (PRINCIPAL, 0.45)):
+        p = XiParams(base, xi)
+        for _ in range(15):
+            pts = rng.sample(grid, rng.randrange(4))
+            for process in ("config", "maya"):
+                got = correlation_oracle(pts, p, max_size, process=process)
+                assert tuple(got) == reference_oracle(pts, p, max_size, process), (pts, process)
 
 
 def test_oracle_invalid_process():
