@@ -2,10 +2,11 @@
 
 Draws exact samples of the lattice process restricted to a finite window
 (spectral decomposition, Bernoulli selection of eigenvectors, then a
-projection/Schur-complement chain), checks the empirical one- and
+diagonal Schur-complement chain), checks the empirical one- and
 two-point statistics against the kernel, and applies the particle/hole
 involution to reach the finitary process.  Sampling is bit-reproducible
-for a fixed seed regardless of worker count.  Run with
+for a fixed seed, and a batch is a prefix of a larger one drawn with the
+same seed.  Run with
 
     python3 demos/05_sampling.py
 """

@@ -10,6 +10,7 @@ under finitary permutations of the lattice, and exact sampling.
 """
 
 import os as _os
+from types import ModuleType as _ModuleType
 
 # Cap BLAS/OpenMP threads before any numerical library loads; honoured by
 # libraries that read these variables at load time.
@@ -101,81 +102,8 @@ from .sampler import (
 
 __version__ = "0.1.0"
 
+# The public names are the imports above, with the version string.
 __all__ = [
-    # lattice combinatorics
-    "HalfInt",
-    "Partition",
-    "FiniteConfig",
-    "MayaDiagram",
-    "FinitaryPermutation",
-    "to_maya",
-    "to_balanced_config",
-    "from_balanced_config",
-    "particle_hole_involution",
-    "apply_sigma",
-    "apply_sigma_modified",
-    "dim_ratio",
-    # special functions
-    "log_gamma",
-    "digamma",
-    "trigamma",
-    "pochhammer",
-    "pochhammer_lambda",
-    # measure weights and enumeration oracles
-    "Params",
-    "XiParams",
-    "log_weight_partition",
-    "weight_partition",
-    "log_weight_config",
-    "weight_config",
-    "enumerate_weights",
-    "OracleValue",
-    "correlation_oracle",
-    # correlation kernels
-    "WindowKernel",
-    "QuadratureConfig",
-    "NonConvergenceError",
-    "window_points",
-    "underline_limit_integrable",
-    "underline_limit_contour",
-    "underline_limit_window",
-    "underline_prelimit_contour",
-    "underline_prelimit_spectral",
-    "underline_prelimit_window",
-    "j_transform",
-    "gauge_transform",
-    "WeightedBlocks",
-    "weighted_blocks",
-    "density_constant",
-    "reflection_sign",
-    # multiplicative functionals and Fredholm determinants
-    "TestFunction",
-    "ZeroTail",
-    "InverseDecay",
-    "SparseConfig",
-    "phi_eval",
-    "multiply_functionals",
-    "expectation_sum",
-    "expectation_det",
-    "regularized_det",
-    "sparseness_certificate",
-    # Radon-Nikodym derivatives and transport checks
-    "RnTerm",
-    "RnExpression",
-    "rn_exact",
-    "rn_closed_form",
-    "rn_compose",
-    "rn_limit",
-    "word_window",
-    "CylinderFunction",
-    "expand_cylinder",
-    "verify_transport",
-    "verify_limit_transport",
-    # exact sampling
-    "Estimate",
-    "SampleBatch",
-    "sample_window",
-    "sample_underline_then_involute",
-    "write_jsonl",
-    "__version__",
-]
+    name for name, obj in globals().items()
+    if not name.startswith("_") and not isinstance(obj, _ModuleType)
+] + ["__version__"]

@@ -554,7 +554,7 @@ def _cmd_converge(args) -> tuple[RunConfig, list[str], list[list]]:
 
 def _cmd_sample(args) -> tuple[RunConfig, list[str] | None, list[list]]:
     from . import kernels as kr
-    from .sampler import sample_underline_then_involute, sample_window
+    from .sampler import point_names, sample_underline_then_involute, sample_window
     from .zmeasure import XiParams
 
     base = _build_params(args)
@@ -575,7 +575,7 @@ def _cmd_sample(args) -> tuple[RunConfig, list[str] | None, list[list]]:
     })
     if cfg.fmt == "jsonl":
         # No header: one configuration per line, as the sorted "n/2" strings.
-        return cfg, None, [[str(x) for x in c.points] for c in batch.configs]
+        return cfg, None, list(point_names(batch))
     header = ["point", "estimate", "se", "exact"]
     rows = [
         [str(x), est.value, est.se, exact.entry(x, x)] for x, est in batch.diagonal

@@ -4,16 +4,19 @@ A symmetric window kernel with spectrum in [0, 1] defines a point process on
 the window whose correlation functions are the principal minors of the
 kernel.  Sampling is spectral: each eigenvector independently joins a random
 projection with probability its eigenvalue, and the projection is then
-sampled one point at a time — the diagonal of the current projection is the
-selection density, and each selected point conditions the remainder through
-a Schur-complement update.
+sampled one point at a time.  Only the diagonal of the conditioned
+projection is kept (Tremblay, Barthelme and Amblard, 2018): a point is drawn
+by inverse CDF from that diagonal, and each drawn point adds one normalized
+Schur-complement column whose square it subtracts.  The samples of a chunk
+run this chain in lockstep.
 
 Batches are reproducible: a documented 64-bit seed feeds a counter-based
 generator, and work is split into fixed-size chunks with seeds derived by
-``numpy.random.SeedSequence.spawn``, so a batch is bit-identical for a fixed
-seed and is a prefix of every larger batch drawn with that seed.  A batch
-stores its configurations as a boolean occupancy matrix over the window
-points, and every estimator is a reduction over it.
+``numpy.random.SeedSequence.spawn``.  Each sample reads only its own row of
+uniforms, so a batch is bit-identical for a fixed seed and is a prefix of a
+larger one for any count.  A batch stores its configurations as a boolean
+occupancy matrix over the window points, and every estimator is a reduction
+over it.
 """
 
 from __future__ import annotations
@@ -34,15 +37,17 @@ __all__ = [
     "Estimate",
     "SampleBatch",
     "jsonl_lines",
+    "point_names",
     "sample_underline_then_involute",
     "sample_window",
     "write_jsonl",
 ]
 
-ALGORITHM = "spectral projection mixture + Schur-complement chain"
+ALGORITHM = "spectral projection mixture + lockstep diagonal Schur-complement chain"
 RNG = "numpy Philox (counter-based), 64-bit seed, SeedSequence chunk spawn"
 CLAMP_LIMIT = 1e-4
 _CHUNK = 4096
+_BLOCK = 64
 
 
 class Estimate(NamedTuple):
@@ -160,20 +165,59 @@ def _spectrum(kernel: WindowKernel) -> tuple[np.ndarray, np.ndarray, float]:
 def _sample_chunk(
     w: np.ndarray, vecs: np.ndarray, occupancy: np.ndarray, rng: np.random.Generator
 ) -> None:
-    """Fill each row of ``occupancy`` with one sample."""
+    """Fill each row of ``occupancy`` with one sample.
+
+    Row s reads only its own uniforms: ``u[s, :d]`` select the eigenvectors
+    and ``u[s, d + t]`` draws its t-th point.  Rows sorted by point count run
+    the chain in lockstep, ``_BLOCK`` rows at a time, and stacked per-row
+    products keep each row's arithmetic independent of its block, so the
+    output depends neither on the chunk size nor on the block size.
+    """
     d = len(w)
-    for row in occupancy:
-        sel = rng.random(d) < w
-        k = int(sel.sum())
-        if k == 0:
-            continue
-        proj = vecs[:, sel] @ vecs[:, sel].T
-        for _step in range(k):
-            p = np.clip(np.diag(proj), 0.0, None)
-            p = p / p.sum()
-            i = int(rng.choice(d, p=p))
-            row[i] = True
-            proj = proj - np.outer(proj[:, i], proj[i, :]) / proj[i, i]
+    u = rng.random((len(occupancy), 2 * d))
+    sel = u[:, :d] < w
+    order = np.argsort(-sel.sum(axis=1), kind="stable")
+    for start in range(0, len(order), _BLOCK):
+        rows = order[start : start + _BLOCK]
+        occupancy[rows] = _chain(vecs, sel[rows], u[rows, d:])
+
+
+def _chain(vecs: np.ndarray, sel: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Occupancy drawn by the diagonal-only Schur chain for rows sorted by
+    descending point count.  ``diag`` is each row's selection density given
+    its points so far; ``cols[:, t]`` is the normalized Schur column of the
+    point drawn at step t, and the rows still drawing are a prefix."""
+    count = sel.sum(axis=1)
+    n, d = sel.shape
+    sel_vecs = sel.astype(float)[:, None, :]
+    diag = np.matmul(sel_vecs, (vecs * vecs).T)[:, 0, :]
+    cols = np.empty((n, int(count[0]), d))
+    occ = np.zeros((n, d), dtype=bool)
+    for t in range(cols.shape[1]):
+        a = int(np.count_nonzero(count > t))
+        ar = np.arange(a)
+        cdf = np.maximum(diag[:a], 0.0).cumsum(axis=1)
+        total = cdf[:, -1]
+        # The total is exactly the number of points left to draw; rounding
+        # moves it by O(d eps), a rank-deficient selection by about 1.
+        _fail_unless(abs(total - (count[:a] - t)) < 0.5, total, "selection total", d)
+        target = np.minimum(u[:a, t] * total, np.nextafter(total, 0.0))
+        i = np.count_nonzero(cdf <= target[:, None], axis=1)
+        col = (np.matmul(sel_vecs[:a] * vecs[i][:, None, :], vecs.T)
+               - np.matmul(cols[ar, :t, i][:, None, :], cols[:a, :t]))[:, 0, :]
+        pivot = col[ar, i]
+        _fail_unless((pivot > 0.0) & (pivot < np.inf), pivot, "Schur pivot", d)
+        col /= np.sqrt(pivot)[:, None]
+        cols[:a, t] = col
+        diag[:a] -= col * col
+        occ[ar, i] = True
+    return occ
+
+
+def _fail_unless(ok: np.ndarray, values: np.ndarray, what: str, d: int) -> None:
+    if not ok.all():
+        bad = float(values[~ok][0])
+        raise NonConvergenceError(f"{what} while sampling", bad, 0.0, d, cap="window size")
 
 
 def _make_batch(
@@ -229,11 +273,17 @@ def sample_underline_then_involute(kernel: WindowKernel, count: int, seed: int) 
     )
 
 
-def jsonl_lines(batch: SampleBatch) -> Iterator[str]:
-    """One JSON array per configuration, points as sorted "n/2" strings."""
+def point_names(batch: SampleBatch) -> Iterator[list[str]]:
+    """Each configuration as its sorted "n/2" point strings, read off the
+    occupancy rows one at a time."""
     names = [str(x) for x in batch.points]
     for row in batch.occupancy:
-        yield json.dumps([names[i] for i in np.flatnonzero(row)])
+        yield [names[i] for i in np.flatnonzero(row)]
+
+
+def jsonl_lines(batch: SampleBatch) -> Iterator[str]:
+    """One JSON array per configuration, points as sorted "n/2" strings."""
+    return map(json.dumps, point_names(batch))
 
 
 def write_jsonl(batch: SampleBatch, path) -> None:

@@ -7,6 +7,7 @@ implementation bias, not against unlucky draws).
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from gammakernel.kernels import (
     underline_prelimit_window,
 )
 from gammakernel.fredholm import TestFunction, expectation_det, phi_eval
+import gammakernel.sampler as sampler_module
 from gammakernel.sampler import (
+    _sample_chunk,
     jsonl_lines,
     sample_underline_then_involute,
     sample_window,
@@ -32,6 +35,7 @@ H = HalfInt
 EQUAL = Params(0.5, 0.5)
 
 K4 = underline_limit_window(4, EQUAL)
+K60 = underline_limit_window(30, Params(0.3 + 0.5j, 0.3 - 0.5j))
 BATCH = sample_window(K4, 20000, seed=42)
 INVOLUTED = sample_underline_then_involute(K4, 20000, seed=7)
 KJ = j_transform(K4)
@@ -72,11 +76,45 @@ def test_seeded_determinism_bit_exact():
 
 
 def test_chunked_stream_is_prefix_stable():
-    # Chunk seeds depend only on the seed and the chunk number, so a smaller
-    # batch is a prefix of a larger one with the same seed.
-    a = sample_window(K4, 9000, seed=5)
-    b = sample_window(K4, 4096, seed=5)
-    assert a.configs[:4096] == b.configs
+    # Chunk seeds depend only on the seed and the chunk number, and each
+    # sample reads only its own row of uniforms, so a batch is a prefix of a
+    # larger one with the same seed whatever the count.
+    big = sample_window(K4, 9000, seed=5)
+    for count in (1, 63, 100, 4096, 4097):
+        small = sample_window(K4, count, seed=5)
+        assert np.array_equal(small.occupancy, big.occupancy[:count]), count
+    assert big.configs[:4096] == sample_window(K4, 4096, seed=5).configs
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_row_block_does_not_change_output(monkeypatch, block):
+    ref = sample_window(K60, 300, seed=17).occupancy
+    monkeypatch.setattr(sampler_module, "_BLOCK", block)
+    assert np.array_equal(sample_window(K60, 300, seed=17).occupancy, ref)
+
+
+def test_sampling_memory_is_bounded():
+    # A full chunk at 2N=60: the uniforms (4096 x 120 doubles, 3.9 MB)
+    # dominate; the Schur columns are held for one row block at a time.
+    tracemalloc.start()
+    try:
+        sample_window(K60, 4096, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6, peak
+
+
+def test_degenerate_projection_fails_loudly():
+    # Two copies of one eigenvector, both selected: the projection has rank
+    # 1, so the second point has nothing left to draw from.
+    occupancy = np.zeros((3, 2), dtype=bool)
+    vecs = np.array([[1.0, 1.0], [0.0, 0.0]])
+    rng = np.random.Generator(np.random.Philox(1))
+    with pytest.raises(NonConvergenceError) as err:
+        _sample_chunk(np.ones(2), vecs, occupancy, rng)
+    assert err.value.nodes == 2
+    assert abs(err.value.achieved) < 1e-12
 
 
 def test_batch_metadata():
@@ -104,6 +142,28 @@ def test_rho2_matches_two_by_two_minor():
         est = BATCH.pair_frequency(x, y)
         exact = K4.minor((x, y))
         assert abs(est.value - exact) <= 4 * max(est.se, 1e-12)
+
+
+def test_principal_window_pairs_and_number_variance():
+    # 2N = 60 on the principal pair: every adjacent 2x2 minor, and the number
+    # variance tr K - tr K^2 of a determinantal projection mixture.  Pair
+    # counts use the binomial standard error at the exact minor with a
+    # half-count continuity correction: some pairs have minors ~ 1e-6, so
+    # they are expected 0.03 times and drawn 0 or 1 times.
+    n = 20000
+    batch = sample_window(K60, n, seed=2026)
+    pts = K60.points
+    for x, y in zip(pts, pts[1:]):
+        hits = batch.pair_frequency(x, y).value * n
+        exact = K60.minor((x, y))
+        se = math.sqrt(n * exact * (1.0 - exact))
+        assert abs(hits - n * exact) - 0.5 <= 4 * se, (x, y, hits, n * exact)
+    counts = batch.occupancy.sum(axis=1).astype(float)
+    dev = counts - counts.mean()
+    var = float(np.mean(dev**2))
+    se = math.sqrt((np.mean(dev**4) - var**2) / len(counts))
+    exact = float(np.trace(K60.values) - np.sum(K60.values * K60.values))
+    assert abs(var - exact) <= 4 * se, (var, exact, se)
 
 
 def test_mean_count_matches_trace():
