@@ -82,7 +82,6 @@ from .fredholm import (
 from .rn import (
     CylinderFunction,
     RnExpression,
-    RnTerm,
     expand_cylinder,
     rn_closed_form,
     rn_compose,

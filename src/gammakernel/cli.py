@@ -19,7 +19,6 @@ import argparse
 import csv
 import json
 import math
-import re
 import sys
 from dataclasses import dataclass
 
@@ -66,24 +65,13 @@ def _parse_complex(text: str, flag: str) -> complex:
     return value
 
 
-_HALF_RE = re.compile(r"\s*(-?\d+)\s*/\s*2\s*\Z")
-
-
 def _parse_half(text: str):
     from .lattice import HalfInt
 
-    m = _HALF_RE.match(text)
-    if not m:
-        raise CliError(
-            "half_integer_format",
-            f"half-integers must be written 'n/2' with odd n, got {text!r}",
-        )
-    n = int(m.group(1))
-    if n % 2 == 0:
-        raise CliError(
-            "half_integer_format", f"{text!r} is not a half-integer (even numerator)"
-        )
-    return HalfInt(n)
+    try:
+        return HalfInt.parse(text)
+    except ValueError as e:
+        raise CliError("half_integer_format", str(e))
 
 
 def _parse_half_list(text: str) -> tuple:

@@ -10,13 +10,17 @@ the second-order difference operator
 onto the positive part of its spectrum (the pre-limit kernel, 0 < xi < 1), and
 its xi -> 1 limit (the Gamma kernel).  Four evaluation methods are provided:
 
-  * underline_limit_integrable -- closed form through Gamma/psi functions;
+  * underline_limit_integrable -- closed form through Gamma/psi functions,
+    one body (_limit_closed_form) for single entries and for
+    underline_limit_window;
   * underline_limit_contour    -- double contour integral over hairpin
     contours [+inf - i rho, 0-, +inf + i rho], in two variants ("sum"
     denominator u1+u2+1, and "difference" denominator u1-u2 with rho1 < rho2);
   * underline_prelimit_contour -- double contour integral over origin-centered
     circles, again in "sum" (omega1 omega2 - 1) and "difference"
-    (omega1 - omega2, inner second circle) variants;
+    (omega1 - omega2, inner second circle) variants; both contour routes
+    supply only their nodes and factors to one node-doubling trapezoid
+    driver (_contour_value);
   * underline_prelimit_spectral -- direct tridiagonal diagonalization on a
     window; underline_prelimit_window instead takes the center block of
     P+ = (I + sign D)/2 on padded windows [-M, M] from a certified trapezoid
@@ -34,15 +38,16 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import digamma as _sp_digamma
+from scipy.special import gammasgn as _sp_gammasgn
 from scipy.special import loggamma as _sp_loggamma
 
 from .lattice import HalfInt, window_index
-from .special import digamma, log_gamma, sinpi, trigamma
+from .special import log_gamma, sinpi, trigamma
 from .zmeasure import Params, XiParams
 
 __all__ = [
@@ -66,14 +71,15 @@ __all__ = [
 
 
 class NonConvergenceError(RuntimeError):
-    """Adaptive refinement failed to stabilize within its cap: achieved is the
-    last increment reached (inf if none), nodes the value of the cap `cap` names."""
+    """A computation missed its accuracy target.  After adaptive refinement,
+    achieved is the last increment reached (inf if none) and nodes the value
+    of the cap `cap` names.  A non-iterative check passes `detail`, naming the
+    quantity, its value and its limit, in place of the refinement wording."""
 
-    def __init__(self, op: str, achieved: float, tol: float, nodes: int, cap: str = "node cap"):
-        super().__init__(
-            f"{op}: successive refinements differ by {achieved:.3e} > tol {tol:.3e} "
-            f"at the {cap} {nodes}"
-        )
+    def __init__(self, op: str, achieved: float, tol: float, nodes: int,
+                 cap: str = "node cap", detail: str | None = None):
+        detail = detail or f"successive refinements differ by {achieved:.3e} > tol {tol:.3e}"
+        super().__init__(f"{op}: {detail} at the {cap} {nodes}")
         self.op = op
         self.achieved = achieved
         self.tol = tol
@@ -101,7 +107,8 @@ class QuadratureConfig:
     u_max: truncation of the unbounded hairpin rays.  None picks the smallest
         cutoff whose analytic tail envelope is below tol/10.
     tol: stabilization tolerance for adaptive node doubling.
-    max_nodes: hard cap on nodes per ray / per circle.
+    max_nodes: hard cap on nodes per ray / per circle; at least 2 * nodes,
+        since stabilization compares two successive node counts.
     """
 
     nodes: int = 64
@@ -116,6 +123,11 @@ class QuadratureConfig:
     def __post_init__(self) -> None:
         if self.nodes < 8:
             raise ValueError("nodes must be at least 8")
+        if self.max_nodes < 2 * self.nodes:
+            raise ValueError(
+                f"max_nodes must be at least 2 * nodes = {2 * self.nodes} so that two "
+                f"refinements can be compared, got {self.max_nodes}"
+            )
         if not (0.0 < self.rho1 < self.rho2 < 0.5):
             raise ValueError(
                 f"need 0 < rho1 < rho2 < 1/2, got rho1={self.rho1}, rho2={self.rho2}"
@@ -216,15 +228,9 @@ class WindowKernel:
 # Route 1: integrable closed form for the limit kernel
 # ---------------------------------------------------------------------------
 
-def _gamma_sign_real(t: float) -> float:
-    """Sign of Gamma(t) for real non-integer t."""
-    if t > 0:
-        return 1.0
-    return -1.0 if math.floor(-t) % 2 == 0 else 1.0
-
-
-def underline_limit_integrable(x, y, p: Params) -> float:
-    """The limit (Gamma) kernel via its Gamma/psi closed form.
+def _limit_closed_form(xv: np.ndarray, yv: np.ndarray, p: Params) -> np.ndarray:
+    """The limit (Gamma) kernel at every pair (xv[i], yv[j]) of half-integers,
+    in its diagonal form wherever x == y.
 
     Evaluated in a cancellation-free real arrangement per parameter branch:
     for conjugate non-real parameters through arg Gamma, for distinct real
@@ -232,87 +238,52 @@ def underline_limit_integrable(x, y, p: Params) -> float:
     for equal real parameters through psi/psi' carrying the same signs (the
     sign pair is what the distinct-parameter form degenerates to).
     """
-    x = HalfInt.make(x)
-    y = HalfInt.make(y)
     z, zp = p.z, p.z_prime
-    xv, yv = float(x), float(y)
+    same = xv[:, None] == yv[None, :]
+    diff = np.where(same, 1.0, xv[:, None] - yv[None, :])  # same-point entries are replaced
+
+    def at(f):  # f on xv and on yv, once when they are the same grid
+        fx = f(xv)
+        return fx, fx if yv is xv else f(yv)
+
     if p.series == "principal":
-        b = z.imag
-        s2 = abs(sinpi(z)) ** 2
-        if x == y:
-            im_psi = digamma(z + xv + 0.5).imag
-            return 2.0 * s2 * im_psi / (math.pi * math.sinh(2 * math.pi * b))
-        th_x = log_gamma(z + xv + 0.5).imag
-        th_y = log_gamma(z + yv + 0.5).imag
-        return (
-            2.0 * s2 * math.sin(th_x - th_y)
-            / (math.pi * math.sinh(2 * math.pi * b) * (xv - yv))
-        )
+        th_x, th_y = at(lambda v: np.imag(_sp_loggamma(z + v + 0.5)))
+        off = np.sin(th_x[:, None] - th_y[None, :]) / diff
+        on = np.imag(_sp_digamma(z + xv + 0.5 + 0j))
+        scale = 2.0 * abs(sinpi(z)) ** 2 / (math.pi * math.sinh(2 * math.pi * z.imag))
+        return np.where(same, on[:, None], off) * scale
     zr, zpr = z.real, zp.real
+    sg_x, sg_y = at(lambda v: _sp_gammasgn(zr + v + 0.5))
+    sg = sg_x[:, None] * sg_y[None, :]
     if zr == zpr:
-        c = (sinpi(zr).real / math.pi) ** 2
-        if x == y:
-            return c * trigamma(zr + xv + 0.5).real
-        cx = _gamma_sign_real(zr + xv + 0.5)
-        cy = _gamma_sign_real(zr + yv + 0.5)
-        num = _sp_digamma(zr + xv + 0.5) - _sp_digamma(zr + yv + 0.5)
-        return c * cx * cy * float(num) / (xv - yv)
-    s = (sinpi(zr) * sinpi(zpr) / (math.pi * sinpi(zr - zpr))).real
-    if x == y:
-        num = _sp_digamma(zr + xv + 0.5) - _sp_digamma(zpr + xv + 0.5)
-        return s * float(num)
-    dx = 0.5 * (math.lgamma(zr + xv + 0.5) - math.lgamma(zpr + xv + 0.5))
-    dy = 0.5 * (math.lgamma(zr + yv + 0.5) - math.lgamma(zpr + yv + 0.5))
-    cx = _gamma_sign_real(zr + xv + 0.5)
-    cy = _gamma_sign_real(zr + yv + 0.5)
-    return s * cx * cy * 2.0 * math.sinh(dx - dy) / (xv - yv)
+        psi_x, psi_y = at(lambda v: _sp_digamma(zr + v + 0.5))
+        off = sg * (psi_x[:, None] - psi_y[None, :]) / diff
+        on = np.array([trigamma(zr + t + 0.5).real for t in xv])
+        scale = (sinpi(zr).real / math.pi) ** 2
+    else:
+        d_x, d_y = at(lambda v: 0.5 * np.array(
+            [math.lgamma(zr + t + 0.5) - math.lgamma(zpr + t + 0.5) for t in v]))
+        off = sg * 2.0 * np.sinh(d_x[:, None] - d_y[None, :]) / diff
+        on = _sp_digamma(zr + xv + 0.5) - _sp_digamma(zpr + xv + 0.5)
+        scale = (sinpi(zr) * sinpi(zpr) / (math.pi * sinpi(zr - zpr))).real
+    return np.where(same, on[:, None], off) * scale
+
+
+def underline_limit_integrable(x, y, p: Params) -> float:
+    """The limit (Gamma) kernel entry at (x, y) via its Gamma/psi closed form."""
+    xv, yv = (np.array([float(HalfInt.make(t))]) for t in (x, y))
+    return float(_limit_closed_form(xv, yv, p)[0, 0])
 
 
 def underline_limit_window(N: int, p: Params) -> WindowKernel:
-    """Window kernel of the limit kernel, vectorized over the integrable form."""
-    pts = window_points(N)
-    xv = np.array([float(t) for t in pts])
-    z, zp = p.z, p.z_prime
-    n = len(xv)
-    diff = xv[:, None] - xv[None, :]
-    off = ~np.eye(n, dtype=bool)
-    np.fill_diagonal(diff, 1.0)  # diagonal is overwritten below
-    vals = np.empty((n, n))
-    if p.series == "principal":
-        b = z.imag
-        s2 = abs(sinpi(z)) ** 2
-        theta = np.imag(_sp_loggamma(z + xv + 0.5))
-        denom = math.pi * math.sinh(2 * math.pi * b)
-        vals[off] = (np.sin(theta[:, None] - theta[None, :]) / diff)[off]
-        np.fill_diagonal(vals, np.imag(_sp_digamma(z + xv + 0.5 + 0j)))
-        vals *= 2.0 * s2 / denom
-    elif z.real == zp.real:
-        zr = z.real
-        c = (sinpi(zr).real / math.pi) ** 2
-        psi = _sp_digamma(zr + xv + 0.5)
-        sg = np.array([_gamma_sign_real(zr + t + 0.5) for t in xv])
-        vals[off] = (
-            (sg[:, None] * sg[None, :]) * (psi[:, None] - psi[None, :]) / diff
-        )[off]
-        np.fill_diagonal(vals, [trigamma(zr + t + 0.5).real for t in xv])
-        vals *= c
-    else:
-        zr, zpr = z.real, zp.real
-        s = (sinpi(zr) * sinpi(zpr) / (math.pi * sinpi(zr - zpr))).real
-        lg = np.array([math.lgamma(zr + t + 0.5) - math.lgamma(zpr + t + 0.5) for t in xv])
-        sg = np.array([_gamma_sign_real(zr + t + 0.5) for t in xv])
-        delta = 0.5 * lg
-        vals[off] = (
-            (sg[:, None] * sg[None, :]) * 2.0 * np.sinh(delta[:, None] - delta[None, :]) / diff
-        )[off]
-        psi_diff = _sp_digamma(zr + xv + 0.5) - _sp_digamma(zpr + xv + 0.5)
-        np.fill_diagonal(vals, psi_diff)
-        vals *= s
-    return WindowKernel(N=N, kind="underline_limit", values=vals, params=p, xi=None)
+    """Window kernel of the limit kernel: the closed form on the window grid."""
+    xv = np.array([float(t) for t in window_points(N)])
+    return WindowKernel(N=N, kind="underline_limit", values=_limit_closed_form(xv, xv, p),
+                        params=p, xi=None)
 
 
 # ---------------------------------------------------------------------------
-# Gamma prefactor shared by all contour representations
+# Gamma prefactor and quadrature driver shared by the contour routes
 # ---------------------------------------------------------------------------
 
 def _gamma_prefactor(x: float, y: float, p: Params) -> complex:
@@ -331,12 +302,77 @@ def _gamma_prefactor(x: float, y: float, p: Params) -> complex:
     return cmath.exp(lg_num - 0.5 * lg_den.real)
 
 
-def _snap_real(value: complex, tol: float, op: str) -> float:
-    scale = max(1.0, abs(value.real))
-    limit = max(1e-9, 50.0 * tol) * scale
-    if abs(value.imag) > limit:
-        raise NonConvergenceError(op + " (imaginary residue)", abs(value.imag), limit, 0)
-    return value.real
+def _coupled_sum(
+    a: np.ndarray, b: np.ndarray, u1: np.ndarray, u2: np.ndarray, mode: str
+) -> complex:
+    """sum_{i,j} a_i b_j / denom(u1_i, u2_j), chunked to bound memory."""
+    total = 0.0 + 0.0j
+    chunk = max(1, 2**22 // max(len(u2), 1))
+    for s in range(0, len(u1), chunk):
+        u1c = u1[s : s + chunk, None]
+        if mode == "sum":
+            denom = u1c + u2[None, :] + 1.0
+        elif mode == "sum_circle":
+            denom = u1c * u2[None, :] - 1.0
+        else:
+            denom = u1c - u2[None, :]
+        total += np.sum(a[s : s + chunk, None] * b[None, :] / denom)
+    return complex(total)
+
+
+def _contour_setup(x, y, variant: str, p) -> tuple[HalfInt, HalfInt, str, tuple]:
+    """Validate the variant.  'auto' picks 'difference' for a mixed-sign pair,
+    ordered (positive, negative) by the kernels' symmetry, and 'sum' otherwise.
+    Also returns the exponents (a1, b1, a2, b2) of the two contour factors,
+    the same for the hairpin and the circle representations."""
+    x, y = HalfInt.make(x), HalfInt.make(y)
+    if variant not in ("auto", "sum", "difference"):
+        raise ValueError(f"unknown variant {variant!r}")
+    if variant == "auto":
+        if float(x) < 0 < float(y):
+            x, y = y, x
+        variant = "difference" if float(x) > 0 > float(y) else "sum"
+    xv, yv, z, zp = float(x), float(y), p.z, p.z_prime
+    pair2 = (z + yv - 0.5, -zp - yv - 0.5)
+    a2, b2 = pair2 if variant == "sum" else pair2[::-1]
+    return x, y, variant, (zp + xv - 0.5, -z - xv - 0.5, a2, b2)
+
+
+def _contour_value(
+    op: str,
+    q: QuadratureConfig,
+    pref: complex,
+    mode: str,
+    contours: Callable[[int], tuple],
+) -> tuple[float, int, float]:
+    """pref times the coupled trapezoid sum over two contours, divided by
+    (2 pi i)^2.  contours(n) returns (u1, f1, u2, f2): the nodes of each
+    contour at n nodes per ray / circle and the weighted factors there.  n
+    doubles from q.nodes until successive values agree within q.tol (past
+    q.max_nodes NonConvergenceError carries the last increment); the value
+    must then be real within max(1e-9, 50 tol).  Returns the real value, the
+    nodes per contour and the last increment."""
+    n = q.nodes
+    prev = None
+    achieved = math.inf
+    while True:
+        u1, f1, u2, f2 = contours(n)
+        val = pref * _coupled_sum(f1, f2, u1, u2, mode) / (2j * math.pi) ** 2
+        if prev is not None:
+            achieved = abs(val - prev)
+            if achieved <= q.tol * max(1.0, abs(val)):
+                break
+        prev = val
+        n *= 2
+        if n > q.max_nodes:
+            raise NonConvergenceError(op, achieved, q.tol, n // 2)
+    limit = max(1e-9, 50.0 * q.tol) * max(1.0, abs(val.real))
+    if abs(val.imag) > limit:
+        raise NonConvergenceError(
+            op + " (imaginary residue)", abs(val.imag), limit, len(u1), cap="node count",
+            detail=f"imaginary part {abs(val.imag):.3e} > limit {limit:.3e}",
+        )
+    return val.real, len(u1), achieved
 
 
 # ---------------------------------------------------------------------------
@@ -396,37 +432,6 @@ def _log_factor(u: np.ndarray, alpha: complex, beta: complex) -> np.ndarray:
     return np.exp(alpha * np.log(-u) + beta * np.log1p(u))
 
 
-def _contour_variant(x, y, variant: str) -> tuple[HalfInt, HalfInt, str]:
-    """Validate the variant.  'auto' picks 'difference' for a mixed-sign pair,
-    ordered (positive, negative) by the kernels' symmetry, and 'sum' otherwise."""
-    x, y = HalfInt.make(x), HalfInt.make(y)
-    if variant not in ("auto", "sum", "difference"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if variant == "auto":
-        if float(x) < 0 < float(y):
-            x, y = y, x
-        variant = "difference" if float(x) > 0 > float(y) else "sum"
-    return x, y, variant
-
-
-def _coupled_sum(
-    a: np.ndarray, b: np.ndarray, u1: np.ndarray, u2: np.ndarray, mode: str
-) -> complex:
-    """sum_{i,j} a_i b_j / denom(u1_i, u2_j), chunked to bound memory."""
-    total = 0.0 + 0.0j
-    chunk = max(1, 2**22 // max(len(u2), 1))
-    for s in range(0, len(u1), chunk):
-        u1c = u1[s : s + chunk, None]
-        if mode == "sum":
-            denom = u1c + u2[None, :] + 1.0
-        elif mode == "sum_circle":
-            denom = u1c * u2[None, :] - 1.0
-        else:
-            denom = u1c - u2[None, :]
-        total += np.sum(a[s : s + chunk, None] * b[None, :] / denom)
-    return complex(total)
-
-
 def _auto_u_max(tail_exp: float, tol: float) -> float:
     """Smallest ray cutoff U whose analytic tail envelope
     U^tail_exp / (-tail_exp) falls below tol/10 (tail_exp < 0).  Returns inf
@@ -455,56 +460,31 @@ def underline_limit_contour(
     q.nodes until the value stabilizes within q.tol.
     """
     q = q or QuadratureConfig()
-    x, y, variant = _contour_variant(x, y, variant)
-    xv, yv = float(x), float(y)
-    z, zp = p.z, p.z_prime
-    mu = (zp - z).real
-
-    a1 = zp + xv - 0.5
-    b1 = -z - xv - 0.5
-    if variant == "sum":
-        a2, b2 = z + yv - 0.5, -zp - yv - 0.5
-        rho_1 = rho_2 = q.rho1
-        decay2 = mu - 1.0
-        mode = "sum"
-    else:
-        a2, b2 = -zp - yv - 0.5, z + yv - 0.5
-        rho_1, rho_2 = q.rho1, q.rho2
-        decay2 = -mu - 1.0
-        mode = "difference"
+    x, y, mode, (a1, b1, a2, b2) = _contour_setup(x, y, variant, p)
+    mu = (p.z_prime - p.z).real
     decay1 = mu - 1.0
+    if mode == "sum":
+        rho_2, decay2, slope2 = q.rho1, mu - 1.0, 0.0
+    else:
+        rho_2, decay2, slope2 = q.rho2, -mu - 1.0, 0.5
     umax1 = q.u_max if q.u_max is not None else _auto_u_max(decay1, q.tol)
     umax2 = q.u_max if q.u_max is not None else _auto_u_max(decay2, q.tol)
 
-    slope2 = 0.5 if mode == "difference" else 0.0
-    pref = _gamma_prefactor(xv, yv, p)
-    n = q.nodes
-    prev = None
-    achieved = math.inf
-    while True:
-        u1, w1 = _hairpin_nodes(rho_1, n, umax1)
+    def contours(n):
+        u1, w1 = _hairpin_nodes(q.rho1, n, umax1)
         u2, w2 = _hairpin_nodes(rho_2, n, umax2, slope=slope2)
-        f1 = _log_factor(u1, a1, b1) * w1
-        f2 = _log_factor(u2, a2, b2) * w2
-        integral = _coupled_sum(f1, f2, u1, u2, mode) / (2j * math.pi) ** 2
-        val = pref * integral
-        if prev is not None:
-            achieved = abs(val - prev)
-            if achieved <= q.tol * max(1.0, abs(val)):
-                break
-        prev = val
-        n *= 2
-        if n > q.max_nodes:
-            raise NonConvergenceError("underline_limit_contour", achieved, q.tol, n // 2)
+        return u1, _log_factor(u1, a1, b1) * w1, u2, _log_factor(u2, a2, b2) * w2
+
+    pref = _gamma_prefactor(float(x), float(y), p)
+    result, nodes, achieved = _contour_value("underline_limit_contour", q, pref, mode, contours)
     # Analytic envelope estimate for the truncated ray tails.
     tail = 0.0
     for umax, decay in ((umax1, decay1), (umax2, decay2)):
         if math.isfinite(umax) and decay < -1e-12:
             tail += abs(pref) * umax ** decay / (-decay)
-    result = _snap_real(val, q.tol, "underline_limit_contour")
     if full_output:
         info = {
-            "nodes_per_contour": len(u1),
+            "nodes_per_contour": nodes,
             "variant": mode,
             "tail_bound": tail,
             "last_increment": achieved,
@@ -554,48 +534,26 @@ def underline_prelimit_contour(
     q.nodes until stabilization within q.tol.
     """
     q = q or QuadratureConfig()
-    x, y, variant = _contour_variant(x, y, variant)
-    xv, yv = float(x), float(y)
-    z, zp, xi = p.z, p.z_prime, p.xi
+    x, y, variant, (a1, b1, a2, b2) = _contour_setup(x, y, variant, p)
+    xi = p.xi
     sq = math.sqrt(xi)
     r1 = q.circle_radius(xi)
 
     # omega powers are integers: single-valued, no branch issues.
     pow1 = -(x.twice + 1) // 2
-    a1, b1 = zp + xv - 0.5, -z - xv - 0.5
     if variant == "sum":
-        r2 = r1
-        a2, b2 = z + yv - 0.5, -zp - yv - 0.5
-        pow2 = -(y.twice + 1) // 2
-        mode = "sum_circle"
+        r2, pow2, mode = r1, -(y.twice + 1) // 2, "sum_circle"
     else:
-        r2 = q.circle_radius_inner(xi)
-        a2, b2 = -zp - yv - 0.5, z + yv - 0.5
-        pow2 = (y.twice - 1) // 2
-        mode = "difference"
+        r2, pow2, mode = q.circle_radius_inner(xi), (y.twice - 1) // 2, "difference"
 
-    pref = _gamma_prefactor(xv, yv, p.base) * (1.0 - xi)
-    n = q.nodes
-    prev = None
-    achieved = math.inf
-    while True:
+    def contours(n):
         om1, w1 = _circle_nodes(r1, n)
         om2, w2 = _circle_nodes(r2, n)
         f1 = _circle_factor(om1, sq, a1, b1, pow1) * w1
-        f2 = _circle_factor(om2, sq, a2, b2, pow2) * w2
-        integral = _coupled_sum(f1, f2, om1, om2, mode)
-        val = pref * integral / (2j * math.pi) ** 2
-        if prev is not None:
-            achieved = abs(val - prev)
-            if achieved <= q.tol * max(1.0, abs(val)):
-                break
-        prev = val
-        n *= 2
-        if n > q.max_nodes:
-            raise NonConvergenceError(
-                "underline_prelimit_contour", achieved, q.tol, n // 2
-            )
-    result = _snap_real(val, q.tol, "underline_prelimit_contour")
+        return om1, f1, om2, _circle_factor(om2, sq, a2, b2, pow2) * w2
+
+    pref = _gamma_prefactor(float(x), float(y), p.base) * (1.0 - xi)
+    result, n, achieved = _contour_value("underline_prelimit_contour", q, pref, mode, contours)
     if full_output:
         info = {"nodes_per_circle": n, "variant": mode, "last_increment": achieved}
         return result, info
@@ -670,8 +628,12 @@ def _sign_quadrature(diag: np.ndarray, off: np.ndarray, tol: float) -> tuple:
             neg += d < 0
     clear = neg[1 : 1 + len(deltas)] == neg[1 + len(deltas) :]
     if not clear.any():
-        raise NonConvergenceError("underline_prelimit_window (no certified gap at 0)",
-                                  math.inf, tol, len(diag) // 2, cap="window half-width")
+        inside = int(neg[len(deltas)] - neg[-1])
+        raise NonConvergenceError(
+            "underline_prelimit_window (no certified gap at 0)", math.inf, tol, len(diag) // 2,
+            cap="window half-width",
+            detail=f"{inside} eigenvalue(s) within {deltas[-1]:.3e} of 0, the narrowest gap tried,",
+        )
     gap = float(deltas[np.argmax(clear)])
     eps = max(tol / 1000.0, 1e-14)
     q = eps / 8.0

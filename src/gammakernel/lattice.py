@@ -17,6 +17,7 @@ as a Python int and dimension ratios are Fractions.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -43,6 +44,8 @@ __all__ = [
     "partitions_of",
     "partitions_up_to",
 ]
+
+_HALF_RE = re.compile(r"\s*(-?\d+)\s*/\s*2\s*\Z")
 
 
 @total_ordering
@@ -73,11 +76,12 @@ class HalfInt:
 
     @classmethod
     def parse(cls, text: str) -> "HalfInt":
-        """Parse the external 'n/2' form, e.g. '-1/2' or '3/2'."""
-        s = text.strip()
-        if not s.endswith("/2"):
-            raise ValueError(f"half-integer strings must look like 'n/2', got {text!r}")
-        return cls(int(s[:-2]))
+        """Parse the external 'n/2' form with odd n, e.g. '-1/2' or '3/2': an
+        optional minus sign and decimal digits, no '+' and no underscores."""
+        m = _HALF_RE.match(text)
+        if not m:
+            raise ValueError(f"half-integers must be written 'n/2' with odd n, got {text!r}")
+        return cls(int(m.group(1)))
 
     def __str__(self) -> str:
         return f"{self.twice}/2"

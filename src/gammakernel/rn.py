@@ -50,7 +50,6 @@ from .fredholm import (
 from .kernels import WindowKernel, j_transform, underline_limit_window, window_points
 
 __all__ = [
-    "RnTerm",
     "RnExpression",
     "RnLimitValue",
     "word_window",
@@ -107,34 +106,25 @@ def rn_exact(sigma, X, p: XiParams) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RnTerm:
-    """One summand a * xi^k * Phi_f."""
-
-    a: float
-    k: int
-    f: TestFunction
-
-
-@dataclass(frozen=True)
 class RnExpression:
-    """sum_i a_i xi^(k_i) Phi_(f_i), conditioned on the configuration inside
+    """a * xi^k * Phi_f, conditioned on the configuration inside
     [-window, window] equaling window_config.
 
-    Each f_i vanishes inside the window, is tabulated on the lattice points
-    out to +-radius, and carries an inverse-decay constant certifying
-    |f_i(x)| <= c_i / |x| beyond the window.  Evaluation returns 0 on
+    f vanishes inside the window, is tabulated on the lattice points out to
+    +-radius, and carries an inverse-decay constant certifying
+    |f(x)| <= c / |x| beyond the window.  Evaluation returns 0 on
     configurations whose window restriction differs (the expression is one
     cylinder piece of the full density).
     """
 
-    terms: tuple[RnTerm, ...]
+    a: float
+    k: int
+    f: TestFunction
     window: int
     window_config: FiniteConfig
     radius: int
 
     def __post_init__(self) -> None:
-        if not self.terms:
-            raise ValueError("expression needs at least one term")
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
         if self.radius < self.window:
@@ -148,7 +138,7 @@ class RnExpression:
             )
 
     def _check_radius(self, points: Iterable[HalfInt]) -> None:
-        if not any(isinstance(t.f.tail, InverseDecay) for t in self.terms):
+        if not isinstance(self.f.tail, InverseDecay):
             return
         far = [x for x in points if abs(x.twice) > 2 * self.radius]
         if far:
@@ -165,9 +155,7 @@ class RnExpression:
         if config.restrict(self.window) != self.window_config:
             return 0.0
         self._check_radius(config.points)
-        return math.fsum(
-            t.a * xi ** t.k * phi_eval(t.f, config) for t in self.terms
-        )
+        return self.a * xi ** self.k * phi_eval(self.f, config)
 
 
 class RnLimitValue(NamedTuple):
@@ -183,7 +171,7 @@ def rn_limit(expr: RnExpression, X) -> RnLimitValue:
 
     The materialized points must include everything within the tabulated
     radius; the unmaterialized remainder enters only through the certified
-    bound, via each term's inverse-decay constant and the configuration's
+    bound, via f's inverse-decay constant and the configuration's
     tail sum certificate.
     """
     if isinstance(X, SparseConfig):
@@ -194,10 +182,9 @@ def rn_limit(expr: RnExpression, X) -> RnLimitValue:
     if listed.restrict(expr.window) != expr.window_config:
         return RnLimitValue(0.0, 0.0)
     expr._check_radius(listed.points)
-    parts = [(t, phi_eval(t.f, sparse, full_output=True)) for t in expr.terms]
-    value = math.fsum(t.a * v.value for t, v in parts)
-    bound = math.fsum(abs(t.a * v.value) * v.relative_bound for t, v in parts)
-    return RnLimitValue(value, bound)
+    v = phi_eval(expr.f, sparse, full_output=True)
+    value = expr.a * v.value
+    return RnLimitValue(value, abs(value) * v.relative_bound)
 
 
 def _outside_grid(N: int, radius: int) -> list[HalfInt]:
@@ -205,7 +192,7 @@ def _outside_grid(N: int, radius: int) -> list[HalfInt]:
 
 
 def _identity_expression(N: int, W: FiniteConfig, radius: int) -> RnExpression:
-    return RnExpression((RnTerm(1.0, 0, TestFunction(())),), N, W, radius)
+    return RnExpression(1.0, 0, TestFunction(()), N, W, radius)
 
 
 def rn_closed_form(
@@ -243,9 +230,8 @@ def rn_closed_form(
         mirror = rn_closed_form(
             -n, FiniteConfig(-x for x in W), p.negated(), N=N, radius=radius
         )
-        t = mirror.terms[0]
-        f = TestFunction(tuple((-x, v) for x, v in t.f.values), t.f.tail)
-        return RnExpression((RnTerm(t.a, t.k, f),), N, W, radius)
+        f = TestFunction(tuple((-x, v) for x, v in mirror.f.values), mirror.f.tail)
+        return RnExpression(mirror.a, mirror.k, f, N, W, radius)
 
     x_min = N + 0.5  # nearest lattice point beyond the window
     grid = _outside_grid(N, radius)
@@ -270,7 +256,7 @@ def rn_closed_form(
         else:
             c = 2.0 * ((2.0 * x_min) / (2.0 * x_min - 1.0)) ** 2
         f = TestFunction(tuple(vals), InverseDecay(c))
-        return RnExpression((RnTerm(a, sign, f),), N, W, radius)
+        return RnExpression(a, sign, f, N, W, radius)
 
     lo, hi = HalfInt(2 * n - 1), HalfInt(2 * n + 1)
     if (lo in W) == (hi in W):
@@ -304,7 +290,7 @@ def rn_closed_form(
         c_right = (2.0 + u_max) * x_min / (x_min - pv)
         c_left = 2.0 / (1.0 - 1.0 / (x_min + pv)) ** 2
     f = TestFunction(tuple(vals), InverseDecay(max(c_right, c_left)))
-    return RnExpression((RnTerm(a, sign, f),), N, W, radius)
+    return RnExpression(a, sign, f, N, W, radius)
 
 
 def rn_compose(
@@ -337,12 +323,12 @@ def rn_compose(
     f = TestFunction(())
     cur = W
     for m in perm.word:  # leftmost factor first; the trajectory tracks the rest
-        term = rn_closed_form(m, cur, p, N=N, radius=radius).terms[0]
-        a *= term.a
-        k += term.k
-        f = multiply_functionals(f, term.f)
+        step = rn_closed_form(m, cur, p, N=N, radius=radius)
+        a *= step.a
+        k += step.k
+        f = multiply_functionals(f, step.f)
         cur = _sigma_modified_once(m, cur)
-    return RnExpression((RnTerm(a, k, f),), N, W, radius)
+    return RnExpression(a, k, f, N, W, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +530,12 @@ def verify_limit_transport(
     lhs_terms = expand_cylinder(F.transform(perm))
     lhs = math.fsum(c * expectation_det(g, kernel) for c, g in lhs_terms)
 
-    # Group the per-window-configuration single terms by tail functional.
+    # Group the per-window-configuration expressions by tail functional.
     wpts = tuple(window_points(N))
     groups: dict[TestFunction, dict[frozenset, float]] = {}
     for W in _subsets(wpts):
-        term = rn_compose(perm, FiniteConfig(W), p, N=N, radius=kernel.N).terms[0]
-        groups.setdefault(term.f, {})[W] = term.a
+        expr = rn_compose(perm, FiniteConfig(W), p, N=N, radius=kernel.N)
+        groups.setdefault(expr.f, {})[W] = expr.a
     # Each job is c Phi_h, h = g + f + g f as in multiply_functionals(g, f).
     jobs: list[tuple[float, np.ndarray]] = []
     for f, amap in groups.items():

@@ -157,7 +157,8 @@ def _spectrum(kernel: WindowKernel) -> tuple[np.ndarray, np.ndarray, float]:
     max_clamp = float(max(0.0, -w.min(initial=0.0), w.max(initial=0.0) - 1.0))
     if max_clamp > CLAMP_LIMIT:
         raise NonConvergenceError(
-            "spectral clamp while sampling", max_clamp, CLAMP_LIMIT, len(w)
+            "spectral clamp while sampling", max_clamp, CLAMP_LIMIT, len(w), cap="window size",
+            detail=f"eigenvalues leave [0, 1] by {max_clamp:.3e} > limit {CLAMP_LIMIT:.3e}",
         )
     return np.clip(w, 0.0, 1.0), vecs, max_clamp
 
@@ -200,13 +201,15 @@ def _chain(vecs: np.ndarray, sel: np.ndarray, u: np.ndarray) -> np.ndarray:
         total = cdf[:, -1]
         # The total is exactly the number of points left to draw; rounding
         # moves it by O(d eps), a rank-deficient selection by about 1.
-        _fail_unless(abs(total - (count[:a] - t)) < 0.5, total, "selection total", d)
+        _fail_unless(abs(total - (count[:a] - t)) < 0.5, total, "selection total",
+                     "within 1/2 of the points left to draw", d)
         target = np.minimum(u[:a, t] * total, np.nextafter(total, 0.0))
         i = np.count_nonzero(cdf <= target[:, None], axis=1)
         col = (np.matmul(sel_vecs[:a] * vecs[i][:, None, :], vecs.T)
                - np.matmul(cols[ar, :t, i][:, None, :], cols[:a, :t]))[:, 0, :]
         pivot = col[ar, i]
-        _fail_unless((pivot > 0.0) & (pivot < np.inf), pivot, "Schur pivot", d)
+        _fail_unless((pivot > 0.0) & (pivot < np.inf), pivot, "Schur pivot",
+                     "positive and finite", d)
         col /= np.sqrt(pivot)[:, None]
         cols[:a, t] = col
         diag[:a] -= col * col
@@ -214,10 +217,11 @@ def _chain(vecs: np.ndarray, sel: np.ndarray, u: np.ndarray) -> np.ndarray:
     return occ
 
 
-def _fail_unless(ok: np.ndarray, values: np.ndarray, what: str, d: int) -> None:
+def _fail_unless(ok: np.ndarray, values: np.ndarray, what: str, limit: str, d: int) -> None:
     if not ok.all():
         bad = float(values[~ok][0])
-        raise NonConvergenceError(f"{what} while sampling", bad, 0.0, d, cap="window size")
+        raise NonConvergenceError(f"{what} while sampling", bad, 0.0, d, cap="window size",
+                                  detail=f"{what} {bad:.3e} is not {limit}")
 
 
 def _make_batch(

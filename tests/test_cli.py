@@ -137,9 +137,19 @@ def test_kernel_starved_quadrature_exits_3():
 
 
 def test_kernel_bad_half_integer():
-    res = run_cli("kernel", "--method", "integrable", "--x", "0.5")
+    for text in ("0.5", "+3/2", "1_1/2"):
+        res = run_cli("kernel", "--method", "integrable", "--x", text)
+        assert res.returncode == 2, text
+        assert stderr_error(res)["name"] == "half_integer_format"
+
+
+def test_kernel_quadrature_cap_below_two_levels_exits_2():
+    res = run_cli("kernel", "--method", "contour-limit", "--x", "1/2",
+                  "--nodes", "64", "--max-nodes", "32")
     assert res.returncode == 2
-    assert stderr_error(res)["name"] == "half_integer_format"
+    err = stderr_error(res)
+    assert err["name"] == "quadrature_config"
+    assert "max_nodes" in err["message"]
 
 
 # ---------------------------------------------------------------------------

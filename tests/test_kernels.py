@@ -36,7 +36,12 @@ from gammakernel.kernels import (
     weighted_blocks,
     window_points,
 )
-from gammakernel.kernels import _difference_operator, _sign_quadrature, _spectral_center
+from gammakernel.kernels import (
+    _contour_value,
+    _difference_operator,
+    _sign_quadrature,
+    _spectral_center,
+)
 
 PRINCIPAL = Params(0.4 + 0.7j, 0.4 - 0.7j)
 EQUAL = Params(0.5, 0.5)
@@ -148,6 +153,17 @@ def test_limit_window_matches_scalar():
         for x in wk.points:
             for y in wk.points:
                 assert abs(wk.entry(x, y) - underline_limit_integrable(x, y, p)) < 1e-13
+
+
+def test_limit_window_matches_contour():
+    # The window's closed form against the independent hairpin-contour route,
+    # same-sign and mixed-sign pairs, in each parameter branch.
+    pts = [H(t) for t in (-11, -3, 1, 11)]
+    for p in (PRINCIPAL, EQUAL, DISTINCT):
+        wk = underline_limit_window(6, p)
+        for i, x in enumerate(pts):
+            for y in pts[i:]:
+                assert abs(wk.entry(x, y) - underline_limit_contour(x, y, p)) < 1e-8, (p, x, y)
 
 
 def test_limit_diagonal_in_unit_interval():
@@ -286,6 +302,10 @@ def test_sign_quadrature_fails_without_spectral_gap():
     with pytest.raises(NonConvergenceError) as exc:
         _sign_quadrature(np.array([1.0, 1.0]), np.array([1.0]), 1e-9)
     assert "gap" in exc.value.op
+    msg = str(exc.value)
+    assert "1 eigenvalue(s) within 1.819e-12 of 0" in msg
+    assert msg.endswith("at the window half-width 1")
+    assert "successive refinements" not in msg
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +449,11 @@ def test_quadrature_config_validation():
         QuadratureConfig(tol=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(u_max=0.5)
+    # Stabilization compares two node counts, so the cap must allow a doubling.
+    for cap in (32, 64, 127):
+        with pytest.raises(ValueError, match="max_nodes"):
+            QuadratureConfig(nodes=64, max_nodes=cap)
+    assert QuadratureConfig(nodes=64, max_nodes=128).max_nodes == 128
 
 
 def test_circle_radius_band():
@@ -458,6 +483,21 @@ def test_nonconvergence_error_reported():
     assert err.nodes == 16
     assert err.achieved > err.tol
     assert "at the node cap 16" in str(err)
+
+
+def test_contour_imaginary_residue_reports_nodes():
+    # A stable but non-real quadrature value: three coincident nodes whose
+    # coupled sum is 3, times a prefactor that makes the value 3 + 3i.
+    def contours(n):
+        return np.full(3, 2.0 + 0j), np.ones(3), np.ones(1, complex), np.ones(1)
+
+    pref = (2j * math.pi) ** 2 * (1 + 1j)
+    with pytest.raises(NonConvergenceError) as exc:
+        _contour_value("op", QuadratureConfig(nodes=8), pref, "difference", contours)
+    err = exc.value
+    assert err.op == "op (imaginary residue)"
+    assert err.nodes == 3 and err.achieved == pytest.approx(3.0)
+    assert "imaginary part 3.000e+00 > limit 1.500e-08 at the node count 3" in str(err)
 
 
 # ---------------------------------------------------------------------------

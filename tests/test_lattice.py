@@ -57,8 +57,10 @@ def test_halfint_rejects_integers():
         HalfInt(2)
     with pytest.raises(ValueError):
         HalfInt.make(1.25)
-    with pytest.raises(ValueError):
-        HalfInt.parse("3")
+    for text in ("3", "4/2", "+3/2", "1_1/2", "3/2/2", "0x3/2"):
+        with pytest.raises(ValueError):
+            HalfInt.parse(text)
+    assert HalfInt.parse(" -3 / 2 ") == HalfInt(-3)
 
 
 # ---------------------------------------------------------------------------

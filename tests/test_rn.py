@@ -26,7 +26,6 @@ from gammakernel.kernels import j_transform, underline_limit_window
 from gammakernel.rn import (
     CylinderFunction,
     RnExpression,
-    RnTerm,
     expand_cylinder,
     rn_closed_form,
     rn_compose,
@@ -111,38 +110,36 @@ def test_word_window():
 
 
 def test_closed_form_identity_patterns():
-    # A generator whose window pattern it fixes contributes the unit term.
+    # A generator whose window pattern it fixes contributes the unit density.
     expr = rn_closed_form(1, FiniteConfig(()), EQUAL, N=2)
-    assert expr.terms == (RnTerm(1.0, 0, TestFunction(())),)
+    assert (expr.a, expr.k, expr.f) == (1.0, 0, TestFunction(()))
     # Mixed central pair is fixed by sigma_0.
     expr = rn_closed_form(0, FiniteConfig((H(1),)), EQUAL, N=1)
-    assert expr.terms[0].k == 0 and expr.terms[0].a == 1.0
+    assert expr.k == 0 and expr.a == 1.0
 
 
 def test_closed_form_add_case_constants():
-    # sigma_0 on the empty window restriction: one term with k = 1, a = zz'.
+    # sigma_0 on the empty window restriction: k = 1, a = zz'.
     for base in (EQUAL, PRINCIPAL):
         expr = rn_closed_form(0, FiniteConfig(()), base, N=1)
-        (term,) = expr.terms
-        assert term.k == 1
-        assert term.a == pytest.approx(base.zz, rel=1e-14)
+        assert expr.k == 1
+        assert expr.a == pytest.approx(base.zz, rel=1e-14)
         # The tail functional is inverse-decay bounded, not zero:
         # f(x) = ((2|x| - 1) / (2|x| + 1))^2 - 1 outside the window.
-        assert isinstance(term.f.tail, InverseDecay)
-        assert term.f(H(3)) == pytest.approx((2.0 / 4.0) ** 2 - 1.0, rel=1e-14)
-        assert term.f(H(-5)) == pytest.approx((4.0 / 6.0) ** 2 - 1.0, rel=1e-14)
+        assert isinstance(expr.f.tail, InverseDecay)
+        assert expr.f(H(3)) == pytest.approx((2.0 / 4.0) ** 2 - 1.0, rel=1e-14)
+        assert expr.f(H(-5)) == pytest.approx((4.0 / 6.0) ** 2 - 1.0, rel=1e-14)
 
 
 def test_closed_form_shift_case_constants():
     # sigma_1 moving 1/2 -> 3/2 on W = {-1/2, 1/2}: a = (z+1)(z'+1)/4, k = 1.
     W = FiniteConfig((H(-1), H(1)))
     expr = rn_closed_form(1, W, EQUAL, N=2)
-    (term,) = expr.terms
-    assert term.k == 1
+    assert expr.k == 1
     # (z+1)(z'+1)/n^2 from the moved pair, over the squared interaction with
     # the in-window point at -1/2: net (z+1)(z'+1)/4.
     want = ((EQUAL.z + 1) * (EQUAL.z_prime + 1)).real / 4.0
-    assert term.a == pytest.approx(want, rel=1e-13)
+    assert expr.a == pytest.approx(want, rel=1e-13)
 
 
 def test_closed_form_matches_exact():
@@ -183,11 +180,10 @@ def test_closed_form_tail_bound_certified():
                 if bits >> i & 1
             )
             expr = rn_closed_form(n, W, EQUAL, radius=64)
-            (term,) = expr.terms
-            if isinstance(term.f.tail, ZeroTail):
+            if isinstance(expr.f.tail, ZeroTail):
                 continue
-            c = term.f.tail.c
-            for x, v in term.f.values:
+            c = expr.f.tail.c
+            for x, v in expr.f.values:
                 assert abs(v) <= c / abs(float(x)) * (1 + 1e-12)
 
 
@@ -197,7 +193,7 @@ def test_closed_form_validation():
     with pytest.raises(ValueError):
         rn_closed_form(0, FiniteConfig((H(5),)), EQUAL, N=1)  # point outside window
     with pytest.raises(ValueError):
-        RnExpression((RnTerm(1.0, 0, TestFunction(())),), 4, FiniteConfig(()), 2)
+        RnExpression(1.0, 0, TestFunction(()), 4, FiniteConfig(()), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +221,13 @@ def test_expression_radius_guard():
 
 
 def test_expression_xi_isolation():
-    """Each term scales as xi^k: dividing the evaluation by xi^k gives a
+    """The expression scales as xi^k: dividing the evaluation by xi^k gives a
     constant across xi."""
     X = to_balanced_config(Partition((2, 1)))
     expr = rn_closed_form(1, X.restrict(2), EQUAL, N=2, radius=24)
-    (term,) = expr.terms
     ref = expr.evaluate(X, xi=1.0)
     for xi in (0.1, 0.35, 0.8):
-        assert expr.evaluate(X, xi=xi) / xi**term.k == pytest.approx(ref, rel=1e-10)
+        assert expr.evaluate(X, xi=xi) / xi**expr.k == pytest.approx(ref, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +258,9 @@ def test_compose_involution_is_unit():
         for X in (FiniteConfig(()), to_balanced_config(Partition((2, 2, 1)))):
             N = abs(n) + 1
             expr = rn_compose((n, n), X.restrict(N), EQUAL, radius=24)
-            (term,) = expr.terms
-            assert term.k == 0
-            assert term.a == pytest.approx(1.0, rel=1e-12)
-            for _, v in term.f.values:
+            assert expr.k == 0
+            assert expr.a == pytest.approx(1.0, rel=1e-12)
+            for _, v in expr.f.values:
                 assert abs(v) < 1e-12
             assert expr.evaluate(X, xi=0.6) == pytest.approx(1.0, rel=1e-11)
 

@@ -115,6 +115,10 @@ def test_degenerate_projection_fails_loudly():
         _sample_chunk(np.ones(2), vecs, occupancy, rng)
     assert err.value.nodes == 2
     assert abs(err.value.achieved) < 1e-12
+    msg = str(err.value)
+    assert "is not within 1/2 of the points left to draw at the window size 2" in msg
+    assert msg.startswith("selection total while sampling: selection total ")
+    assert "successive refinements" not in msg
 
 
 def test_batch_metadata():
@@ -268,6 +272,10 @@ def test_large_clamp_aborts():
     with pytest.raises(NonConvergenceError) as err:
         sample_window(synthetic(vals), 20, seed=3)
     assert err.value.achieved == pytest.approx(5e-4, rel=1e-6)
+    assert str(err.value) == (
+        "spectral clamp while sampling: eigenvalues leave [0, 1] by 5.000e-04 "
+        "> limit 1.000e-04 at the window size 4"
+    )
 
 
 def test_rejects_asymmetric_or_transformed_kernels():
