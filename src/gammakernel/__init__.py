@@ -9,19 +9,7 @@ determinants of multiplicative functionals, exact Radon-Nikodym derivatives
 under finitary permutations of the lattice, and exact sampling.
 """
 
-import os as _os
 from types import ModuleType as _ModuleType
-
-# Cap BLAS/OpenMP threads before any numerical library loads; honoured by
-# libraries that read these variables at load time.
-if "GK_THREADS" in _os.environ:
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        _os.environ.setdefault(_var, _os.environ["GK_THREADS"])
 
 from .lattice import (
     FiniteConfig,
@@ -37,7 +25,6 @@ from .lattice import (
     to_balanced_config,
     to_maya,
 )
-from .special import digamma, log_gamma, pochhammer, pochhammer_lambda, trigamma
 from .zmeasure import (
     OracleValue,
     Params,
@@ -46,7 +33,6 @@ from .zmeasure import (
     enumerate_weights,
     log_weight_config,
     log_weight_partition,
-    weight_config,
     weight_partition,
 )
 from .kernels import (
@@ -55,9 +41,7 @@ from .kernels import (
     WeightedBlocks,
     WindowKernel,
     density_constant,
-    gauge_transform,
     j_transform,
-    reflection_sign,
     underline_limit_contour,
     underline_limit_integrable,
     underline_limit_window,
@@ -76,7 +60,6 @@ from .fredholm import (
     expectation_sum,
     multiply_functionals,
     phi_eval,
-    regularized_det,
     sparseness_certificate,
 )
 from .rn import (
@@ -96,7 +79,6 @@ from .sampler import (
     SampleBatch,
     sample_underline_then_involute,
     sample_window,
-    write_jsonl,
 )
 
 __version__ = "0.1.0"

@@ -9,8 +9,7 @@ configuration reproduces the numeric columns bit for bit.
 Exit codes: 0 success; 2 invalid parameters or arguments; 3 numerical
 non-convergence.  Failures print a machine-readable JSON object to stderr
 naming the failed precondition.  Half-integers are always written "n/2";
-permutation words are JSON arrays.  The environment variable GK_THREADS caps
-the threads numerical libraries may use.
+permutation words are JSON arrays.
 """
 
 from __future__ import annotations
@@ -268,6 +267,8 @@ def _kernel_grid(args) -> tuple[tuple, tuple]:
 
 
 def _cmd_kernel(args) -> tuple[RunConfig, list[str], list[list]]:
+    import numpy as np
+
     from . import kernels as kr
     from .zmeasure import XiParams
 
@@ -293,12 +294,15 @@ def _cmd_kernel(args) -> tuple[RunConfig, list[str], list[list]]:
         for x in xs:
             for y in ys:
                 rows.append([str(x), str(y), wk.entry(x, y)])
+    elif args.method == "integrable":
+        xv, yv = (np.array([float(t) for t in ts]) for ts in (xs, ys))
+        grid = kr._limit_closed_form(xv, yv, base).tolist()
+        sx, sy = [str(t) for t in xs], [str(t) for t in ys]
+        rows = [[a, b, v] for a, row in zip(sx, grid) for b, v in zip(sy, row)]
     else:
         for x in xs:
             for y in ys:
-                if args.method == "integrable":
-                    v = kr.underline_limit_integrable(x, y, base)
-                elif args.method == "contour-limit":
+                if args.method == "contour-limit":
                     v = kr.underline_limit_contour(x, y, base, q)
                 else:
                     v = kr.underline_prelimit_contour(x, y, XiParams(base, xi), q)

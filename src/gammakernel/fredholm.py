@@ -9,8 +9,8 @@ window reduces to finite linear algebra in the weighted arrangement
 
 with g = f/h^2 bounded when f decays like 1/|x|.  This module provides the
 function/configuration types, the expectation by exhaustive weight enumeration
-and by nested-window determinants, the regularized block determinant, and the
-sparseness certificate for densities decaying like C/|x|.
+and by nested-window determinants, and the sparseness certificate for
+densities decaying like C/|x|.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
-from scipy.linalg import expm
 
 from .kernels import NonConvergenceError, WindowKernel, window_points
 from .lattice import FiniteConfig, HalfInt, window_index
@@ -39,7 +38,6 @@ __all__ = [
     "expectation_sum",
     "ExpectationDet",
     "expectation_det",
-    "regularized_det",
     "SparsenessReport",
     "sparseness_certificate",
 ]
@@ -351,6 +349,7 @@ def expectation_det(
             max(increments[-2:]) if increments else math.inf,
             tol,
             kernel.N,
+            cap="window half-width",
         )
 
     cond = float(np.linalg.cond(np.eye(len(block)) + block))
@@ -364,39 +363,6 @@ def expectation_det(
     if full_output:
         return result
     return result.value
-
-
-# ---------------------------------------------------------------------------
-# Regularized determinant on blocks
-# ---------------------------------------------------------------------------
-
-def regularized_det(a: np.ndarray, pos_mask) -> float:
-    """det((1+A) e^{-A}) * e^{tr A_++ + tr A_--} on a finite window.
-
-    The first factor is the carried-over regularization (it removes the trace
-    of A), the exponential restores the traces of the diagonal blocks; since
-    the mixed blocks contribute nothing to the trace, on a finite window this
-    equals det(1+A) identically, which makes it an independent cross-check of
-    the plain determinant.
-    """
-    a = np.asarray(a, dtype=float)
-    pos = np.asarray(pos_mask, dtype=bool)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"square matrix required, got shape {a.shape}")
-    if pos.shape != (a.shape[0],):
-        raise ValueError("pos_mask must have one flag per window point")
-    tr_blocks = float(np.trace(a[np.ix_(pos, pos)]) + np.trace(a[np.ix_(~pos, ~pos)]))
-    with np.errstate(over="ignore"):
-        m = (np.eye(a.shape[0]) + a) @ expm(-a)
-    if not np.all(np.isfinite(m)):
-        raise OverflowError("matrix exponential overflowed; entries of A too large")
-    sign, logmag = np.linalg.slogdet(m)
-    if sign == 0.0:
-        return 0.0
-    log_total = logmag + tr_blocks
-    if log_total > 700.0:
-        raise OverflowError(f"regularized determinant exceeds exp({log_total:.3g})")
-    return float(sign * math.exp(log_total))
 
 
 # ---------------------------------------------------------------------------

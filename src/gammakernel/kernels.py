@@ -10,9 +10,9 @@ the second-order difference operator
 onto the positive part of its spectrum (the pre-limit kernel, 0 < xi < 1), and
 its xi -> 1 limit (the Gamma kernel).  Four evaluation methods are provided:
 
-  * underline_limit_integrable -- closed form through Gamma/psi functions,
-    one body (_limit_closed_form) for single entries and for
-    underline_limit_window;
+  * underline_limit_integrable -- closed form through SciPy's Gamma, psi and
+    psi' (the equal-real diagonal), one body (_limit_closed_form) for single
+    entries and for underline_limit_window;
   * underline_limit_contour    -- double contour integral over hairpin
     contours [+inf - i rho, 0-, +inf + i rho], in two variants ("sum"
     denominator u1+u2+1, and "difference" denominator u1-u2 with rho1 < rho2);
@@ -27,9 +27,9 @@ its xi -> 1 limit (the Gamma kernel).  Four evaluation methods are provided:
     rule over resolvents, in O(M) work per node and no O(M^2) array.
 
 The J-transform converts underline kernels into the kernels of the finitary
-process (delta - underline on negative rows, with alternating signs), gauge
-transforms conjugate by a diagonal, and weighted_blocks computes the
-trace/Hilbert-Schmidt data of A_h K A_h with h(x) = |x|^(-1/2).
+process (delta - underline on negative rows, with alternating signs), and
+weighted_blocks computes the trace/Hilbert-Schmidt data of A_h K A_h with
+h(x) = |x|^(-1/2).
 """
 
 from __future__ import annotations
@@ -45,9 +45,9 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import digamma as _sp_digamma
 from scipy.special import gammasgn as _sp_gammasgn
 from scipy.special import loggamma as _sp_loggamma
+from scipy.special import polygamma as _sp_polygamma
 
 from .lattice import HalfInt, window_index
-from .special import log_gamma, sinpi, trigamma
 from .zmeasure import Params, XiParams
 
 __all__ = [
@@ -62,11 +62,9 @@ __all__ = [
     "underline_prelimit_window",
     "underline_limit_window",
     "j_transform",
-    "gauge_transform",
     "WeightedBlocks",
     "weighted_blocks",
     "density_constant",
-    "reflection_sign",
 ]
 
 
@@ -228,6 +226,15 @@ class WindowKernel:
 # Route 1: integrable closed form for the limit kernel
 # ---------------------------------------------------------------------------
 
+def _sinpi(w: complex) -> complex:
+    """sin(pi w), reduced by the nearest integer first so that the zeros at
+    large |Re w| keep full relative accuracy."""
+    w = complex(w)
+    n = math.floor(w.real + 0.5)
+    s = cmath.sin(cmath.pi * complex(w.real - n, w.imag))
+    return -s if n % 2 else s
+
+
 def _limit_closed_form(xv: np.ndarray, yv: np.ndarray, p: Params) -> np.ndarray:
     """The limit (Gamma) kernel at every pair (xv[i], yv[j]) of half-integers,
     in its diagonal form wherever x == y.
@@ -250,7 +257,7 @@ def _limit_closed_form(xv: np.ndarray, yv: np.ndarray, p: Params) -> np.ndarray:
         th_x, th_y = at(lambda v: np.imag(_sp_loggamma(z + v + 0.5)))
         off = np.sin(th_x[:, None] - th_y[None, :]) / diff
         on = np.imag(_sp_digamma(z + xv + 0.5 + 0j))
-        scale = 2.0 * abs(sinpi(z)) ** 2 / (math.pi * math.sinh(2 * math.pi * z.imag))
+        scale = 2.0 * abs(_sinpi(z)) ** 2 / (math.pi * math.sinh(2 * math.pi * z.imag))
         return np.where(same, on[:, None], off) * scale
     zr, zpr = z.real, zp.real
     sg_x, sg_y = at(lambda v: _sp_gammasgn(zr + v + 0.5))
@@ -258,14 +265,14 @@ def _limit_closed_form(xv: np.ndarray, yv: np.ndarray, p: Params) -> np.ndarray:
     if zr == zpr:
         psi_x, psi_y = at(lambda v: _sp_digamma(zr + v + 0.5))
         off = sg * (psi_x[:, None] - psi_y[None, :]) / diff
-        on = np.array([trigamma(zr + t + 0.5).real for t in xv])
-        scale = (sinpi(zr).real / math.pi) ** 2
+        on = _sp_polygamma(1, zr + xv + 0.5)
+        scale = (_sinpi(zr).real / math.pi) ** 2
     else:
         d_x, d_y = at(lambda v: 0.5 * np.array(
             [math.lgamma(zr + t + 0.5) - math.lgamma(zpr + t + 0.5) for t in v]))
         off = sg * 2.0 * np.sinh(d_x[:, None] - d_y[None, :]) / diff
         on = _sp_digamma(zr + xv + 0.5) - _sp_digamma(zpr + xv + 0.5)
-        scale = (sinpi(zr) * sinpi(zpr) / (math.pi * sinpi(zr - zpr))).real
+        scale = (_sinpi(zr) * _sinpi(zpr) / (math.pi * _sinpi(zr - zpr))).real
     return np.where(same, on[:, None], off) * scale
 
 
@@ -292,13 +299,15 @@ def _gamma_prefactor(x: float, y: float, p: Params) -> complex:
     assembled in log space (the four-factor product is strictly positive for
     admissible parameters, so its square root is exp of half the real part)."""
     z, zp = p.z, p.z_prime
-    lg_num = log_gamma(-zp - x + 0.5) + log_gamma(-z - y + 0.5)
-    lg_den = (
-        log_gamma(-z - x + 0.5)
-        + log_gamma(-zp - x + 0.5)
-        + log_gamma(-z - y + 0.5)
-        + log_gamma(-zp - y + 0.5)
-    )
+
+    # Complex arguments keep the principal branch (and the sign of Gamma) on
+    # the negative real axis.  No argument is a pole: complementary z is a
+    # non-integer real and principal z is non-real.
+    def lg(w):
+        return complex(_sp_loggamma(complex(w)))
+
+    lg_num = lg(-zp - x + 0.5) + lg(-z - y + 0.5)
+    lg_den = lg(-z - x + 0.5) + lg(-zp - x + 0.5) + lg(-z - y + 0.5) + lg(-zp - y + 0.5)
     return cmath.exp(lg_num - 0.5 * lg_den.real)
 
 
@@ -743,20 +752,6 @@ def j_transform(wk: WindowKernel) -> WindowKernel:
     )
 
 
-def gauge_transform(wk: WindowKernel, phi: Callable[[HalfInt], float]) -> WindowKernel:
-    """Conjugate by a non-vanishing diagonal: phi(x) K(x,y) / phi(y).
-    All principal minors (hence all correlation functions) are unchanged."""
-    pts = wk.points
-    d = np.array([float(phi(t)) for t in pts])
-    if np.any(d == 0.0) or not np.all(np.isfinite(d)):
-        raise ValueError("gauge function must be finite and non-vanishing on the window")
-    vals = wk.values * (d[:, None] / d[None, :])
-    return WindowKernel(
-        N=wk.N, kind=wk.kind, values=vals, params=wk.params, xi=wk.xi,
-        meta=dict(wk.meta, gauged=True),
-    )
-
-
 @dataclass
 class WeightedBlocks:
     """Blocks and norms of A_h K A_h with h(x) = |x|^(-1/2) on a window.
@@ -813,17 +808,10 @@ def density_constant(p: Params) -> float:
     (sin(pi z)/pi)^2 for equal real parameters."""
     z, zp = p.z, p.z_prime
     if z == zp:
-        return float((sinpi(z).real / math.pi) ** 2)
-    val = sinpi(z) * sinpi(zp) * (z - zp) / (math.pi * sinpi(z - zp))
+        return float((_sinpi(z).real / math.pi) ** 2)
+    val = _sinpi(z) * _sinpi(zp) * (z - zp) / (math.pi * _sinpi(z - zp))
     if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):
         raise AssertionError(f"density constant should be real, got {val}")
     if val.real <= 0:
         raise AssertionError(f"density constant should be positive, got {val.real}")
     return float(val.real)
-
-
-def reflection_sign(x, y) -> float:
-    """Sign in the reflection symmetry K_params(x, y) = sign * K_neg_params(-x, -y):
-    +1 when x and y lie on the same side of 0, -1 for mixed pairs."""
-    same = (HalfInt.make(x).twice > 0) == (HalfInt.make(y).twice > 0)
-    return 1.0 if same else -1.0

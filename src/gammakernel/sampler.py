@@ -21,7 +21,6 @@ over it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,11 +35,9 @@ from .fredholm import TestFunction, phi_rows
 __all__ = [
     "Estimate",
     "SampleBatch",
-    "jsonl_lines",
     "point_names",
     "sample_underline_then_involute",
     "sample_window",
-    "write_jsonl",
 ]
 
 ALGORITHM = "spectral projection mixture + lockstep diagonal Schur-complement chain"
@@ -283,14 +280,3 @@ def point_names(batch: SampleBatch) -> Iterator[list[str]]:
     names = [str(x) for x in batch.points]
     for row in batch.occupancy:
         yield [names[i] for i in np.flatnonzero(row)]
-
-
-def jsonl_lines(batch: SampleBatch) -> Iterator[str]:
-    """One JSON array per configuration, points as sorted "n/2" strings."""
-    return map(json.dumps, point_names(batch))
-
-
-def write_jsonl(batch: SampleBatch, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in jsonl_lines(batch):
-            fh.write(line + "\n")

@@ -41,7 +41,6 @@ __all__ = [
     "log_weight_partition",
     "weight_partition",
     "log_weight_config",
-    "weight_config",
     "enumerate_weights",
     "OracleValue",
     "correlation_oracle",
@@ -205,11 +204,6 @@ def log_weight_config(config: FiniteConfig, p: XiParams) -> float:
         for b in qs:
             out -= 2.0 * math.log(a + b + 1)  # p_i + q_j = a + b + 1
     return out
-
-
-def weight_config(config: FiniteConfig, p: XiParams) -> float:
-    """P(X) for a balanced configuration; equals M of the matching partition."""
-    return math.exp(log_weight_config(config, p))
 
 
 # ---------------------------------------------------------------------------

@@ -9,22 +9,17 @@ documented exit codes (2 invalid parameters, 3 non-convergence).
 import csv
 import json
 import math
-import os
 import subprocess
 import sys
 
 import pytest
 
 
-def run_cli(*args, env_extra=None):
-    env = os.environ.copy()
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "gammakernel", *args],
         capture_output=True,
         text=True,
-        env=env,
         timeout=300,
     )
 
@@ -96,6 +91,22 @@ def test_kernel_integrable_diagonal():
     _, rows = parse_csv(res.stdout)
     assert rows[0]["x"] == "1/2" and rows[0]["y"] == "1/2"
     assert float(rows[0]["value"]) == pytest.approx(0.5 - 4 / math.pi**2, rel=1e-12)
+
+
+def test_kernel_integrable_grid_rows():
+    # A non-square --x/--y grid: rows run x-major, and each value is the
+    # entry of the same (x, y) cell in the full window grid.
+    common = ("kernel", "--method", "integrable", "--z", "0.3", "--zp", "0.7")
+    a = run_cli(*common, "--x", "3/2,-1/2", "--y", "1/2,-3/2,3/2")
+    b = run_cli(*common, "--window", "2")
+    assert a.returncode == 0 and b.returncode == 0, a.stderr + b.stderr
+    rows = parse_csv(a.stdout)[1]
+    assert [(r["x"], r["y"]) for r in rows] == [
+        (x, y) for x in ("3/2", "-1/2") for y in ("1/2", "-3/2", "3/2")]
+    window = {(r["x"], r["y"]): r["value"] for r in parse_csv(b.stdout)[1]}
+    assert len(window) == 16
+    for r in rows:
+        assert r["value"] == window[(r["x"], r["y"])]
 
 
 def test_kernel_integrable_vs_contour():
@@ -320,8 +331,3 @@ def test_invalid_params_exit_2():
     assert res.returncode == 2
     assert stderr_error(res)["name"] == "params_admissible"
 
-
-def test_gk_threads_env_accepted():
-    res = run_cli("kernel", "--method", "integrable", "--x", "1/2",
-                  env_extra={"GK_THREADS": "1"})
-    assert res.returncode == 0, res.stderr

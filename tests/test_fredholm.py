@@ -28,7 +28,6 @@ from gammakernel.fredholm import (
     expectation_sum,
     multiply_functionals,
     phi_eval,
-    regularized_det,
     sparseness_certificate,
 )
 
@@ -201,6 +200,9 @@ def test_expectation_det_nonconvergence():
     with pytest.raises(NonConvergenceError) as exc:
         expectation_det(f, K, tol=1e-12)
     assert exc.value.op == "expectation_det"
+    assert exc.value.cap == "window half-width" and exc.value.nodes == 8
+    assert "at the window half-width 8" in str(exc.value)
+    assert "node cap" not in str(exc.value)
 
 
 @pytest.mark.parametrize("base", [EQUAL, PRINCIPAL], ids=["equal", "principal"])
@@ -238,51 +240,6 @@ def test_expectation_det_increments_decrease():
     # Recorded nonzero increments shrink as the window doubles.
     incs = [i for i in out.increments if i > 0.0]
     assert all(a > b for a, b in zip(incs, incs[1:])), out.increments
-
-
-# ---------------------------------------------------------------------------
-# Regularized determinant
-# ---------------------------------------------------------------------------
-
-def test_regularized_det_zero():
-    mask = np.array([True, True, False, False])
-    assert regularized_det(np.zeros((4, 4)), mask) == pytest.approx(1.0)
-
-
-def test_regularized_det_rank_one():
-    a = np.zeros((3, 3))
-    a[0, 0] = 0.7
-    mask = np.array([True, False, False])
-    assert regularized_det(a, mask) == pytest.approx(1.7, abs=1e-12)
-
-
-def test_regularized_det_matches_ordinary():
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        a = rng.normal(scale=0.3 / math.sqrt(12), size=(12, 12))
-        mask = np.arange(12) < 6
-        want = float(np.linalg.det(np.eye(12) + a))
-        got = regularized_det(a, mask)
-        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
-
-
-def test_regularized_det_on_weighted_kernel():
-    # The intended consumer: A = -A_h K A_h restricted to a window.
-    K = k_window(EQUAL, 0.5, 6)
-    h = np.array([1.0 / math.sqrt(abs(float(t))) for t in K.points])
-    a = -h[:, None] * K.values * h[None, :]
-    mask = np.array([t.twice > 0 for t in K.points])
-    want = float(np.linalg.det(np.eye(len(mask)) + a))
-    assert regularized_det(a, mask) == pytest.approx(want, abs=1e-10)
-
-
-def test_regularized_det_validation_and_overflow():
-    with pytest.raises(ValueError):
-        regularized_det(np.zeros((2, 3)), np.array([True, False]))
-    with pytest.raises(ValueError):
-        regularized_det(np.zeros((2, 2)), np.array([True]))
-    with pytest.raises(OverflowError):
-        regularized_det(np.array([[-800.0]]), np.array([True]))
 
 
 # ---------------------------------------------------------------------------

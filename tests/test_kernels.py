@@ -5,14 +5,16 @@ Ground truths used here:
   * brute-force correlation sums from the weight enumeration (small xi),
   * mutual agreement of independent evaluation routes (integrable form,
     hairpin contours, circle contours, spectral projection),
-  * structural identities: projection property, J-symmetry, gauge invariance
-    of minors, reflection symmetry under parameter negation.
+  * structural identities: projection property, J-symmetry, reflection
+    symmetry under parameter negation,
+  * mpmath for the equal-real diagonal (psi') and the contour Gamma prefactor.
 """
 
 import cmath
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
@@ -24,9 +26,7 @@ from gammakernel.kernels import (
     QuadratureConfig,
     density_constant,
     epsilon_sign,
-    gauge_transform,
     j_transform,
-    reflection_sign,
     underline_limit_contour,
     underline_limit_integrable,
     underline_limit_window,
@@ -39,6 +39,7 @@ from gammakernel.kernels import (
 from gammakernel.kernels import (
     _contour_value,
     _difference_operator,
+    _gamma_prefactor,
     _sign_quadrature,
     _spectral_center,
 )
@@ -171,6 +172,38 @@ def test_limit_diagonal_in_unit_interval():
         for t in range(-19, 20, 2):
             v = underline_limit_integrable(H(t), H(t), p)
             assert 0.0 < v < 1.0, (p.z, p.z_prime, t, v)
+
+
+@pytest.mark.parametrize("z", [0.5, -0.5, 2.3, -1.3])
+def test_limit_equal_real_diagonal_matches_mpmath(z):
+    # Equal real parameters: K(x, x) = (sin(pi z)/pi)^2 psi'(z + x + 1/2),
+    # including arguments far out on the negative real axis.
+    wk = underline_limit_window(64, Params(z, z))
+    with mpmath.workdps(40):
+        scale = (mpmath.sinpi(z) / mpmath.pi) ** 2
+        for x, got in zip(wk.points, np.diag(wk.values)):
+            want = float(scale * mpmath.psi(1, z + float(x) + 0.5))
+            assert abs(got - want) <= 1e-14 * abs(want), (x, got, want)
+
+
+@pytest.mark.parametrize("p", [Params(0.3 + 0.5j, 0.3 - 0.5j), Params(0.3, 0.7)],
+                         ids=["principal", "complementary"])
+def test_gamma_prefactor_matches_mpmath(p):
+    # Gamma(-z'-x+1/2) Gamma(-z-y+1/2) over the positive root of the
+    # four-factor product; large x or y puts the Gamma arguments on the
+    # negative real axis (complementary) or to its left (principal).
+    z, zp = p.z, p.z_prime
+    with mpmath.workdps(40):
+        def g(w):
+            return mpmath.gamma(mpmath.mpc(w))
+
+        for tx, ty in [(1, 1), (5, -3), (-7, 9), (21, 13), (-1, -15)]:
+            x, y = tx / 2, ty / 2
+            num = g(-zp - x + 0.5) * g(-z - y + 0.5)
+            den = g(-z - x + 0.5) * g(-zp - x + 0.5) * g(-z - y + 0.5) * g(-zp - y + 0.5)
+            want = complex(num / mpmath.sqrt(mpmath.re(den)))
+            got = _gamma_prefactor(x, y, p)
+            assert abs(got - want) <= 1e-13 * abs(want), (tx, ty, got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +342,7 @@ def test_sign_quadrature_fails_without_spectral_gap():
 
 
 # ---------------------------------------------------------------------------
-# J-transform, gauge transform, blocks
+# J-transform and blocks
 # ---------------------------------------------------------------------------
 
 def test_epsilon_sign_values():
@@ -364,28 +397,6 @@ def test_j_transform_pair_matches_config_enumeration():
         assert abs(got - oracle.value) <= oracle.tail_mass + 1e-9
 
 
-def test_gauge_transform_preserves_minors():
-    rng = np.random.default_rng(7)
-    px = XiParams(SHIFTED, 0.5)
-    K = j_transform(underline_prelimit_window(8, px))
-    signs = {t: float(s) for t, s in zip(K.points, rng.choice([-1.0, 1.0], len(K.points)))}
-    G = gauge_transform(K, lambda t: signs[t])
-    pts = list(K.points)
-    for _ in range(12):
-        sub = rng.choice(len(pts), size=rng.integers(1, 5), replace=False)
-        sel = [pts[i] for i in sub]
-        d0 = float(np.linalg.det(K.submatrix(sel)))
-        d1 = float(np.linalg.det(G.submatrix(sel)))
-        assert abs(d0 - d1) <= 1e-12 * max(1.0, abs(d0))
-
-
-def test_gauge_transform_rejects_vanishing():
-    px = XiParams(EQUAL, 0.5)
-    K = j_transform(underline_prelimit_window(4, px))
-    with pytest.raises(ValueError):
-        gauge_transform(K, lambda t: 0.0 if t == H(1) else 1.0)
-
-
 def test_weighted_blocks_structure():
     px = XiParams(PRINCIPAL, 0.5)
     K = j_transform(underline_prelimit_window(12, px))
@@ -415,13 +426,6 @@ def test_weighted_blocks_requires_k_kind():
 # Reflection symmetry under parameter negation
 # ---------------------------------------------------------------------------
 
-def test_reflection_sign_values():
-    assert reflection_sign(H(1), H(3)) == 1.0
-    assert reflection_sign(H(-1), H(-3)) == 1.0
-    assert reflection_sign(H(1), H(-3)) == -1.0
-    assert reflection_sign(H(-1), H(3)) == -1.0
-
-
 @pytest.mark.parametrize("p", [EQUAL, PRINCIPAL, SHIFTED], ids=["equal", "principal", "shifted"])
 def test_reflection_symmetry_prelimit(p):
     xi = 0.7
@@ -429,8 +433,10 @@ def test_reflection_symmetry_prelimit(p):
     Kn = j_transform(underline_prelimit_window(10, XiParams(p.negated(), xi)))
     for x in K.points:
         for y in K.points:
+            # +1 for a same-side pair, -1 for a mixed pair.
+            sign = 1.0 if (x.twice > 0) == (y.twice > 0) else -1.0
             lhs = K.entry(x, y)
-            rhs = reflection_sign(x, y) * Kn.entry(H(-x.twice), H(-y.twice))
+            rhs = sign * Kn.entry(H(-x.twice), H(-y.twice))
             assert abs(lhs - rhs) < 1e-7, (x, y, lhs, rhs)
 
 

@@ -5,7 +5,6 @@ errors (fixed seeds make these deterministic, so the bar just guards against
 implementation bias, not against unlucky draws).
 """
 
-import json
 import math
 import tracemalloc
 
@@ -25,10 +24,9 @@ from gammakernel.fredholm import TestFunction, expectation_det, phi_eval
 import gammakernel.sampler as sampler_module
 from gammakernel.sampler import (
     _sample_chunk,
-    jsonl_lines,
+    point_names,
     sample_underline_then_involute,
     sample_window,
-    write_jsonl,
 )
 
 H = HalfInt
@@ -293,13 +291,10 @@ def test_rejects_asymmetric_or_transformed_kernels():
 # Serialization
 # ---------------------------------------------------------------------------
 
-def test_jsonl_round_trip(tmp_path):
+def test_point_names_match_configs():
     batch = sample_window(K4, 100, seed=21)
-    path = tmp_path / "batch.jsonl"
-    write_jsonl(batch, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 100
-    for line, config in zip(lines, batch.configs):
-        pts = json.loads(line)
+    rows = list(point_names(batch))
+    assert len(rows) == 100
+    for pts, config in zip(rows, batch.configs):
         assert pts == [str(x) for x in config.points]
         assert pts == sorted(pts, key=lambda s: int(s.split("/")[0]))

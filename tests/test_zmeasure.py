@@ -20,7 +20,7 @@ from gammakernel.zmeasure import (
     XiParams,
     correlation_oracle,
     enumerate_weights,
-    weight_config,
+    log_weight_config,
     weight_partition,
 )
 
@@ -113,20 +113,18 @@ def test_weight_row_two_frozen():
 
 def test_weight_config_trivial_cases():
     p = XiParams(PRINCIPAL, 0.4)
-    assert weight_config(FiniteConfig(()), p) == pytest.approx(
-        0.6**PRINCIPAL.zz, rel=1e-13
-    )
+    empty = math.exp(log_weight_config(FiniteConfig(()), p))
+    assert empty == pytest.approx(0.6**PRINCIPAL.zz, rel=1e-13)
     # X = {-1/2, 1/2}: d=1, p=q=1/2, all inner products empty, (p+q)^2 = 1.
     want = 0.6**PRINCIPAL.zz * 0.4 * PRINCIPAL.zz
-    assert weight_config(FiniteConfig.parse("-1/2,1/2"), p) == pytest.approx(
-        want, rel=1e-13
-    )
+    pair = math.exp(log_weight_config(FiniteConfig.parse("-1/2,1/2"), p))
+    assert pair == pytest.approx(want, rel=1e-13)
 
 
 def test_weight_config_rejects_unbalanced():
     p = XiParams(COMPLEMENTARY, 0.3)
     with pytest.raises(ValueError):
-        weight_config(FiniteConfig.parse("1/2"), p)
+        log_weight_config(FiniteConfig.parse("1/2"), p)
 
 
 @pytest.mark.parametrize("base", [PRINCIPAL, COMPLEMENTARY, SHIFTED])
@@ -137,7 +135,7 @@ def test_partition_and_config_formulas_agree(base, xi):
     p = XiParams(base, xi)
     for lam in partitions_up_to(12):
         a = weight_partition(lam, p)
-        b = weight_config(to_balanced_config(lam), p)
+        b = math.exp(log_weight_config(to_balanced_config(lam), p))
         assert b == pytest.approx(a, rel=1e-10)
 
 
