@@ -152,13 +152,8 @@ def _xi_params(args):
 def _quadrature(args):
     from .kernels import QuadratureConfig
 
-    overrides = {}
-    if getattr(args, "nodes", None) is not None:
-        overrides["nodes"] = args.nodes
-    if getattr(args, "tol", None) is not None:
-        overrides["tol"] = args.tol
-    if getattr(args, "max_nodes", None) is not None:
-        overrides["max_nodes"] = args.max_nodes
+    overrides = {key: getattr(args, key) for key in ("nodes", "tol", "max_nodes")
+                 if getattr(args, key, None) is not None}
     if not overrides:
         return None
     try:
@@ -510,13 +505,9 @@ def _cmd_converge(args) -> tuple[RunConfig, list[str], list[list]]:
         n = 16
         while n <= N:
             bl = kr.weighted_blocks(kr.j_transform(kr.underline_limit_window(n, base)))
-            if prev is None:
-                rows.append([n, bl.trace_pp, 0.0, bl.hs_pm, 0.0])
-            else:
-                rows.append([
-                    n, bl.trace_pp, abs(bl.trace_pp - prev.trace_pp),
-                    bl.hs_pm, abs(bl.hs_pm - prev.hs_pm),
-                ])
+            prev = prev or bl  # the first row has zero increments
+            rows.append([n, bl.trace_pp, abs(bl.trace_pp - prev.trace_pp),
+                         bl.hs_pm, abs(bl.hs_pm - prev.hs_pm)])
             prev = bl
             n *= 2
     elif args.report == "expectation":

@@ -18,9 +18,11 @@ its xi -> 1 limit (the Gamma kernel).  Four evaluation methods are provided:
     denominator u1+u2+1, and "difference" denominator u1-u2 with rho1 < rho2);
   * underline_prelimit_contour -- double contour integral over origin-centered
     circles, again in "sum" (omega1 omega2 - 1) and "difference"
-    (omega1 - omega2, inner second circle) variants; both contour routes
-    supply only their nodes and factors to one node-doubling trapezoid
-    driver (_contour_value);
+    (omega1 - omega2, inner second circle) variants, whose equispaced
+    trapezoid sums are exact DFT products in O(n log n) (_circle_sum); both
+    contour routes supply only their nodes and factors to one node-doubling
+    trapezoid driver (_contour_value), and the hairpin sums run in
+    cache-sized O(n^2) blocks (_coupled_sum);
   * underline_prelimit_spectral -- direct tridiagonal diagonalization on a
     window; underline_prelimit_window instead takes the center block of
     P+ = (I + sign D)/2 on padded windows [-M, M] from a certified trapezoid
@@ -311,22 +313,38 @@ def _gamma_prefactor(x: float, y: float, p: Params) -> complex:
     return cmath.exp(lg_num - 0.5 * lg_den.real)
 
 
-def _coupled_sum(
-    a: np.ndarray, b: np.ndarray, u1: np.ndarray, u2: np.ndarray, mode: str
-) -> complex:
-    """sum_{i,j} a_i b_j / denom(u1_i, u2_j), chunked to bound memory."""
+def _coupled_sum(a: np.ndarray, b: np.ndarray, u1: np.ndarray, u2: np.ndarray,
+                 mode: str) -> complex:
+    """sum_{i,j} a_i b_j / denom(u1_i, u2_j) over hairpin nodes, with denom
+    u1 + u2 + 1 ('sum') or u1 - u2 ('difference'), in cache-sized blocks of
+    about 2^18 entries as a_blk @ (1/denom_blk @ b)."""
     total = 0.0 + 0.0j
-    chunk = max(1, 2**22 // max(len(u2), 1))
+    chunk = max(1, 2**18 // max(len(u2), 1))
+    v2 = u2 + 1.0 if mode == "sum" else -u2
     for s in range(0, len(u1), chunk):
-        u1c = u1[s : s + chunk, None]
-        if mode == "sum":
-            denom = u1c + u2[None, :] + 1.0
-        elif mode == "sum_circle":
-            denom = u1c * u2[None, :] - 1.0
-        else:
-            denom = u1c - u2[None, :]
-        total += np.sum(a[s : s + chunk, None] * b[None, :] / denom)
+        denom = u1[s : s + chunk, None] + v2
+        total += a[s : s + chunk] @ (np.reciprocal(denom, out=denom) @ b)
     return complex(total)
+
+
+def _circle_sum(a: np.ndarray, b: np.ndarray, u1: np.ndarray, u2: np.ndarray,
+                mode: str) -> complex:
+    """The same sum over n equispaced nodes u = r e^(2 pi i k/n) per circle
+    (as _circle_contour makes them), exactly in O(n log n): expanding 1/denom
+    in powers of the node ratio gives DFT products whose aliased geometric
+    tails sum in closed form.  With A = fft(a), B = fft(b), B' = n ifft(b):
+      'sum_circle' (u1 u2 - 1, one radius r, t = r^2 > 1):
+          sum_m A_m B_m t^(-m') / (1 - t^(-n)),  m' = m for m >= 1, m' = n for m = 0;
+      'difference_circle' (u1 - u2, radii r2 < r1, rho = r2/r1):
+          sum_m A_((m+1) mod n) B'_m rho^m / (r1 (1 - rho^n))."""
+    n, r1, r2 = len(a), u1[0].real, u2[0].real
+    fa = np.fft.fft(a)
+    if mode == "sum_circle":
+        t = r1 * r2
+        return complex(np.sum(fa * np.fft.fft(b) * t ** -np.r_[n, 1:n]) / (1.0 - t**-n))
+    rho = r2 / r1
+    total = np.sum(np.roll(fa, -1) * np.fft.ifft(b) * rho ** np.arange(n)) * n
+    return complex(total / (r1 * (1.0 - rho**n)))
 
 
 def _contour_setup(x, y, variant: str, p) -> tuple[HalfInt, HalfInt, str, tuple]:
@@ -347,26 +365,23 @@ def _contour_setup(x, y, variant: str, p) -> tuple[HalfInt, HalfInt, str, tuple]
     return x, y, variant, (zp + xv - 0.5, -z - xv - 0.5, a2, b2)
 
 
-def _contour_value(
-    op: str,
-    q: QuadratureConfig,
-    pref: complex,
-    mode: str,
-    contours: Callable[[int], tuple],
-) -> tuple[float, int, float]:
+def _contour_value(op: str, q: QuadratureConfig, pref: complex, mode: str,
+                   contours: Callable[[int], tuple]) -> tuple[float, int, float]:
     """pref times the coupled trapezoid sum over two contours, divided by
     (2 pi i)^2.  contours(n) returns (u1, f1, u2, f2): the nodes of each
-    contour at n nodes per ray / circle and the weighted factors there.  n
-    doubles from q.nodes until successive values agree within q.tol (past
-    q.max_nodes NonConvergenceError carries the last increment); the value
-    must then be real within max(1e-9, 50 tol).  Returns the real value, the
-    nodes per contour and the last increment."""
+    contour at n nodes per ray / circle and the weighted factors there; mode
+    names the denominator, and the '_circle' modes sum by FFT.  n doubles
+    from q.nodes until successive values agree within q.tol (past q.max_nodes
+    NonConvergenceError carries the last increment); the value must then be
+    real within max(1e-9, 50 tol).  Returns the real value, the nodes per
+    contour and the last increment."""
     n = q.nodes
     prev = None
     achieved = math.inf
+    coupled = _circle_sum if mode.endswith("_circle") else _coupled_sum
     while True:
         u1, f1, u2, f2 = contours(n)
-        val = pref * _coupled_sum(f1, f2, u1, u2, mode) / (2j * math.pi) ** 2
+        val = pref * coupled(f1, f2, u1, u2, mode) / (2j * math.pi) ** 2
         if prev is not None:
             achieved = abs(val - prev)
             if achieved <= q.tol * max(1.0, abs(val)):
@@ -506,24 +521,17 @@ def underline_limit_contour(
 # Route 3: pre-limit kernel via circle contour integrals
 # ---------------------------------------------------------------------------
 
-def _circle_nodes(radius: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Trapezoid nodes and weights (including d omega) on a positively
-    oriented origin-centered circle."""
-    theta = 2.0 * math.pi * np.arange(n) / n
-    om = radius * np.exp(1j * theta)
-    w = (2j * math.pi / n) * om
-    return om, w
-
-
-def _circle_factor(
-    om: np.ndarray, sq: float, alpha: complex, beta: complex, power: int
-) -> np.ndarray:
-    """(1 - sq*om)^alpha (1 - sq/om)^beta om^power on a legal circle, where
-    both bases have positive real part so principal logarithms implement the
-    required branches."""
-    return np.exp(
-        alpha * np.log1p(-sq * om) + beta * np.log1p(-sq / om)
-    ) * om ** float(power)
+def _circle_contour(
+    radius: float, n: int, sq: float, alpha: complex, beta: complex, power: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """n trapezoid nodes omega on the positively oriented origin-centered
+    circle, starting at omega = radius, and there the weighted factor
+    (1 - sq*omega)^alpha (1 - sq/omega)^beta omega^power (2 pi i/n) omega.
+    On a legal circle both bases have positive real part, so principal
+    logarithms implement the required branches."""
+    om = radius * np.exp(2j * math.pi * np.arange(n) / n)
+    f = np.exp(alpha * np.log1p(-sq * om) + beta * np.log1p(-sq / om)) * om ** float(power)
+    return om, f * ((2j * math.pi / n) * om)
 
 
 def underline_prelimit_contour(
@@ -539,13 +547,13 @@ def underline_prelimit_contour(
     variant='sum' integrates over two circles of the same radius with
     denominator omega1*omega2 - 1; variant='difference' uses denominator
     omega1 - omega2 with the second circle strictly inside the first.
-    Trapezoid rule is spectrally accurate here; node counts double from
-    q.nodes until stabilization within q.tol.
+    Trapezoid rule is spectrally accurate here, and each node count costs
+    O(n log n) (_circle_sum); node counts double from q.nodes until
+    stabilization within q.tol.
     """
     q = q or QuadratureConfig()
     x, y, variant, (a1, b1, a2, b2) = _contour_setup(x, y, variant, p)
-    xi = p.xi
-    sq = math.sqrt(xi)
+    xi, sq = p.xi, math.sqrt(p.xi)
     r1 = q.circle_radius(xi)
 
     # omega powers are integers: single-valued, no branch issues.
@@ -553,18 +561,17 @@ def underline_prelimit_contour(
     if variant == "sum":
         r2, pow2, mode = r1, -(y.twice + 1) // 2, "sum_circle"
     else:
-        r2, pow2, mode = q.circle_radius_inner(xi), (y.twice - 1) // 2, "difference"
+        r2, pow2, mode = q.circle_radius_inner(xi), (y.twice - 1) // 2, "difference_circle"
 
     def contours(n):
-        om1, w1 = _circle_nodes(r1, n)
-        om2, w2 = _circle_nodes(r2, n)
-        f1 = _circle_factor(om1, sq, a1, b1, pow1) * w1
-        return om1, f1, om2, _circle_factor(om2, sq, a2, b2, pow2) * w2
+        inner = _circle_contour(r2, n, sq, a2, b2, pow2)
+        return (*_circle_contour(r1, n, sq, a1, b1, pow1), *inner)
 
     pref = _gamma_prefactor(float(x), float(y), p.base) * (1.0 - xi)
     result, n, achieved = _contour_value("underline_prelimit_contour", q, pref, mode, contours)
     if full_output:
-        info = {"nodes_per_circle": n, "variant": mode, "last_increment": achieved}
+        variant = "sum_circle" if variant == "sum" else variant
+        info = {"nodes_per_circle": n, "variant": variant, "last_increment": achieved}
         return result, info
     return result
 

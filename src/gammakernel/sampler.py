@@ -77,11 +77,13 @@ class SampleBatch:
 
     @cached_property
     def configs(self) -> tuple[FiniteConfig, ...]:
-        """The sampled configurations as point sets, one per occupancy row."""
-        return tuple(
-            FiniteConfig(self.points[i] for i in np.flatnonzero(row))
-            for row in self.occupancy
-        )
+        """The sampled configurations as point sets, one per occupancy row,
+        each taking its row's valid, ascending points as they are (no sort)."""
+        pts = np.array(self.points, dtype=object)
+        out = [object.__new__(FiniteConfig) for _ in self.occupancy]
+        for config, row in zip(out, self.occupancy):
+            config.points = tuple(pts[row])
+        return tuple(out)
 
     def _hits(self, pts, present: bool) -> Estimate:
         """Frequency of samples holding every point of pts (present) or none

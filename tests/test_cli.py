@@ -129,6 +129,20 @@ def test_kernel_prelimit_contour_vs_spectral():
     assert va == pytest.approx(vb, abs=1e-8)
 
 
+def test_kernel_prelimit_contour_window_vs_spectral():
+    # The spectral method at --window=6 is underline_prelimit_window(6) with
+    # the requested residual; the contour route must match it on every row.
+    common = ("--xi", "0.9", "--window", "6")
+    a = run_cli("kernel", "--method", "contour-prelimit", *common)
+    b = run_cli("kernel", "--method", "spectral", "--tol", "1e-12", *common)
+    assert a.returncode == 0 and b.returncode == 0, a.stderr + b.stderr
+    rows_a, rows_b = parse_csv(a.stdout)[1], parse_csv(b.stdout)[1]
+    assert len(rows_a) == len(rows_b) == 144
+    for ra, rb in zip(rows_a, rows_b):
+        assert (ra["x"], ra["y"]) == (rb["x"], rb["y"])
+        assert float(ra["value"]) == pytest.approx(float(rb["value"]), abs=1e-9), ra
+
+
 def test_kernel_xi_flag_validation():
     res = run_cli("kernel", "--method", "integrable", "--x", "1/2", "--xi", "0.5")
     assert res.returncode == 2

@@ -37,6 +37,7 @@ from gammakernel.kernels import (
     window_points,
 )
 from gammakernel.kernels import (
+    _circle_sum,
     _contour_value,
     _difference_operator,
     _gamma_prefactor,
@@ -219,6 +220,42 @@ def test_prelimit_contour_matches_spectral(p, xi):
         spec = wk.entry(H(tx), H(ty))
         cont = underline_prelimit_contour(H(tx), H(ty), px)
         assert abs(spec - cont) <= 1e-6 * max(1.0, abs(spec)), (tx, ty, spec, cont)
+
+
+def _explicit_circle_sum(a, b, r1, r2, mode):
+    """The O(n^2) double sum over n equispaced nodes on circles of radii r1
+    and r2.  Each denominator is written without cancellation in the reduced
+    phase s = 2 pi k/n, |k| <= n/2, of the node product (sum) or ratio
+    (difference): t e^(is) - 1 = (t - 1) e^(is) + (e^(is) - 1) and
+    r1 e^(ip) - r2 e^(iq) = e^(ip) ((r1 - r2) - r2 (e^(is) - 1)), with
+    e^(is) - 1 = 2i sin(s/2) e^(is/2).  The plain u1 u2 - 1 loses up to 2e-13
+    relative at xi = 0.99, where the circles nearly meet the poles."""
+    n = len(a)
+    i, j = np.ogrid[:n, :n]
+    k = i + j if mode == "sum_circle" else j - i
+    s = 2 * math.pi * ((k + n // 2) % n - n // 2) / n
+    em1 = 2j * np.sin(s / 2) * np.exp(0.5j * s)
+    if mode == "sum_circle":
+        denom = (r1 * r2 - 1.0) * np.exp(1j * s) + em1
+    else:
+        denom = np.exp(2j * math.pi * i / n) * ((r1 - r2) - r2 * em1)
+    return np.sum(a[:, None] * b[None, :] / denom)
+
+
+@pytest.mark.parametrize("xi", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize("n", [8, 64, 512])
+def test_circle_sums_match_explicit_double_sum(n, xi):
+    # Both FFT circle sums against the double sum they replace, on the radii
+    # QuadratureConfig picks at this xi, with seeded random factors.
+    q = QuadratureConfig()
+    r1, r2 = q.circle_radius(xi), q.circle_radius_inner(xi)
+    rng = np.random.default_rng([n, round(1000 * xi)])
+    a, b = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    ring = np.exp(2j * math.pi * np.arange(n) / n)
+    for mode, rb in (("sum_circle", r1), ("difference_circle", r2)):
+        want = _explicit_circle_sum(a, b, r1, rb, mode)
+        got = _circle_sum(a, b, r1 * ring, rb * ring, mode)
+        assert abs(got - want) <= 1e-13 * abs(want), (mode, got, want)
 
 
 def test_prelimit_contour_variants_agree():
@@ -521,3 +558,25 @@ def test_xi_to_one_pointwise():
         gaps.append(abs(wk.entry(H(1), H(1)) - limit))
     assert gaps[0] > gaps[1] > gaps[2], gaps
     assert gaps[-1] < 0.05
+
+
+@pytest.mark.parametrize("p", [EQUAL, PRINCIPAL, DISTINCT], ids=["equal", "principal", "distinct"])
+def test_prelimit_contour_matches_ladder_near_one(p):
+    # Near xi = 1 the circle contours (up to 32768 nodes per circle) are an
+    # independent check of the padding ladder, on every entry of [-2, 2].
+    px = XiParams(p, 0.99)
+    wk = underline_prelimit_window(2, px, tol=1e-12, max_pad=1 << 18)
+    for x in wk.points:
+        for y in wk.points:
+            cont = underline_prelimit_contour(x, y, px)
+            assert abs(wk.entry(x, y) - cont) <= 1e-10, (x, y, wk.entry(x, y), cont)
+
+
+def test_prelimit_contour_matches_ladder_at_xi_0999():
+    # At xi = 0.999 the contours need up to 2^18 nodes per circle, the default cap.
+    px = XiParams(DISTINCT, 0.999)
+    wk = underline_prelimit_window(1, px, tol=1e-12, max_pad=1 << 18)
+    for x in wk.points:
+        for y in wk.points:
+            cont, info = underline_prelimit_contour(x, y, px, full_output=True)
+            assert abs(wk.entry(x, y) - cont) <= 1e-10, (x, y, wk.entry(x, y), cont, info)
