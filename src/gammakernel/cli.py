@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 __all__ = ["CliError", "main"]
 
@@ -48,6 +50,23 @@ def _fmt(v) -> str:
     if isinstance(v, complex):
         return f"{v.real:.17g}{v.imag:+.17g}j"
     return str(v)
+
+
+def _csv_rows(rows: list[list]) -> str:
+    """The rows as CSV lines: one %-format call when every column is all float
+    (_fmt's ".17g") or all str needing no quoting, else _fmt and csv.writer."""
+    specs = []
+    for col in zip(*rows):
+        kinds = set(map(type, col))
+        if kinds != {float} and (kinds != {str} or not set(',"\r\n').isdisjoint("".join(col))):
+            break
+        specs.append("%.17g" if kinds == {float} else "%s")
+    else:
+        if len({len(row) for row in rows}) == 1:
+            return ((",".join(specs) + "\n") * len(rows)) % tuple(chain.from_iterable(rows))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([_fmt(v) for v in row] for row in rows)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +212,8 @@ def _write_stream(cfg, header, rows, fh, version) -> None:
     if cfg.fmt == "csv":
         fh.write(f"# gammakernel {version}\n")
         fh.write(f"# config: {json.dumps(cfg.echo(), sort_keys=True)}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.write(_csv_rows(rows))
     else:
         fh.write(
             json.dumps({"gammakernel": version, "config": cfg.echo()}, sort_keys=True)
@@ -277,7 +294,7 @@ def _cmd_kernel(args) -> tuple[RunConfig, list[str], list[list]]:
     if not needs_xi and xi is not None:
         raise CliError("xi_forbidden", f"--xi does not apply to method {args.method}")
 
-    rows: list[list] = []
+    sx, sy = [str(t) for t in xs], [str(t) for t in ys]  # labels once per point
     if args.method == "spectral":
         # The fixed-window diagonalization is interior-accurate only, so pad
         # until the requested entries stabilize (--tol sets the residual).
@@ -286,25 +303,19 @@ def _cmd_kernel(args) -> tuple[RunConfig, list[str], list[list]]:
         wk = kr.underline_prelimit_window(
             N, XiParams(base, xi), tol=args.tol if args.tol is not None else 1e-9
         )
-        for x in xs:
-            for y in ys:
-                rows.append([str(x), str(y), wk.entry(x, y)])
+        grid = [[wk.entry(x, y) for y in ys] for x in xs]
     elif args.method == "integrable":
         xv, yv = (np.array([float(t) for t in ts]) for ts in (xs, ys))
         grid = kr._limit_closed_form(xv, yv, base).tolist()
-        sx, sy = [str(t) for t in xs], [str(t) for t in ys]
-        rows = [[a, b, v] for a, row in zip(sx, grid) for b, v in zip(sy, row)]
+    elif args.method == "contour-limit":
+        grid = [[kr.underline_limit_contour(x, y, base, q) for y in ys] for x in xs]
     else:
-        for x in xs:
-            for y in ys:
-                if args.method == "contour-limit":
-                    v = kr.underline_limit_contour(x, y, base, q)
-                else:
-                    v = kr.underline_prelimit_contour(x, y, XiParams(base, xi), q)
-                rows.append([str(x), str(y), v])
+        p = XiParams(base, xi)
+        grid = [[kr.underline_prelimit_contour(x, y, p, q) for y in ys] for x in xs]
+    rows = [[a, b, v] for a, row in zip(sx, grid) for b, v in zip(sy, row)]
     cfg = _run_config(args, {
         "method": args.method, "z": _fmt(base.z), "zp": _fmt(base.z_prime),
-        "xi": xi, "x": [str(t) for t in xs], "y": [str(t) for t in ys],
+        "xi": xi, "x": sx, "y": sy,
         "nodes": getattr(args, "nodes", None), "tol": getattr(args, "tol", None),
         "max_nodes": getattr(args, "max_nodes", None),
     })

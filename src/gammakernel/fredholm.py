@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -293,15 +293,11 @@ def _doubling_windows(N: int) -> list[int]:
     return ns
 
 
-def _nested_operators(fv: np.ndarray, kernel: WindowKernel) -> Iterator[tuple[int, np.ndarray]]:
-    """(n, A_g A_h K A_h on [-n, n]) along _doubling_windows(kernel.N), lazily,
-    for f with values fv on the kernel window; the weighted operator has
-    entries f(x) sqrt(|x|/|y|) K(x, y)."""
-    absx = np.abs(np.arange(1 - 2 * kernel.N, 2 * kernel.N, 2)) / 2.0
-    weighted = (fv * np.sqrt(absx))[:, None] * kernel.values / np.sqrt(absx)[None, :]
-    for n in _doubling_windows(kernel.N):
-        idx = np.flatnonzero(absx <= n)
-        yield n, weighted[np.ix_(idx, idx)]
+def _weighted_kernel(kernel: WindowKernel, fv=1.0) -> np.ndarray:
+    """D_f K_w on the kernel window, entries f(x) sqrt(|x|/|y|) K(x, y): the
+    weighted operator A_g A_h K A_h of f = g h^2 (K_w itself for fv = 1)."""
+    s = np.sqrt(np.abs(np.arange(1 - 2 * kernel.N, 2 * kernel.N, 2)) / 2.0)
+    return (fv * s)[:, None] * kernel.values / s[None, :]
 
 
 def expectation_det(
@@ -334,7 +330,9 @@ def expectation_det(
     windows: list[int] = []
     dets: list[float] = []
     increments: list[float] = []
-    for n, block in _nested_operators(f.on_window(kernel.N), kernel):
+    weighted, K = _weighted_kernel(kernel, f.on_window(kernel.N)), kernel.N
+    for n in _doubling_windows(K):
+        block = weighted[K - n:K + n, K - n:K + n]  # the window [-n, n]
         windows.append(n)
         dets.append(_det_one_plus(block))
         if len(dets) >= 2:

@@ -118,7 +118,7 @@ class QuadratureConfig:
     rho2: float = 0.4
     u_max: float | None = None
     tol: float = 1e-10
-    max_nodes: int = 2**18
+    max_nodes: int = 2**19
 
     def __post_init__(self) -> None:
         if self.nodes < 8:

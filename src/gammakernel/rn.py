@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 
 from .lattice import (
     FiniteConfig,
@@ -40,11 +41,9 @@ from .fredholm import (
     InverseDecay,
     SparseConfig,
     TestFunction,
-    _det_one_plus,
     _doubling_windows,
-    _nested_operators,
+    _weighted_kernel,
     expectation_det,
-    multiply_functionals,
     phi_eval,
 )
 from .kernels import WindowKernel, j_transform, underline_limit_window, window_points
@@ -187,12 +186,63 @@ def rn_limit(expr: RnExpression, X) -> RnLimitValue:
     return RnLimitValue(value, abs(value) * v.relative_bound)
 
 
-def _outside_grid(N: int, radius: int) -> list[HalfInt]:
-    return [x for x in window_points(radius) if abs(x.twice) > 2 * N]
+def _step(n: int, W: FiniteConfig, p: Params, N: int, grid: np.ndarray):
+    """Generator n on window restriction W as (a, k, f on grid, c), with
+    |f(x)| <= c/|x| beyond the window; f is None for the unit term."""
+    if n < 0:  # reflect the lattice and negate both parameters
+        a, k, fv, c = _step(-n, FiniteConfig(-x for x in W), p.negated(), N, grid)
+        return a, k, None if fv is None else fv[::-1], c
+    x_min = N + 0.5  # nearest lattice point beyond the window
+
+    if n == 0:
+        lo, hi = HalfInt(-1), HalfInt(1)
+        if (lo in W) != (hi in W):
+            return 1.0, 0, None, 0.0
+        sign = -1 if lo in W else 1  # both present -> remove; neither -> add
+        a = p.zz ** sign
+        for t in (abs(float(x)) for x in W.points if x != lo and x != hi):
+            a *= ((t - 0.5) / (t + 0.5)) ** (2 * sign)
+        vals = [((2.0 * t - 1.0) / (2.0 * t + 1.0)) ** (2 * sign) - 1.0
+                for t in np.abs(grid).tolist()]
+        c = 2.0 if sign == 1 else 2.0 * ((2.0 * x_min) / (2.0 * x_min - 1.0)) ** 2
+        return a, sign, np.array(vals), c
+
+    lo, hi = HalfInt(2 * n - 1), HalfInt(2 * n + 1)
+    if (lo in W) == (hi in W):
+        return 1.0, 0, None, 0.0
+    sign = 1 if lo in W else -1  # particle at n - 1/2 moves up, or back down
+    moved = lo if sign == 1 else hi
+    pv = float(moved)
+    a = (pair_product(p.z, p.z_prime, n) / n**2) ** sign
+    for pj in (float(x) for x in W.positives if x != moved):
+        a *= ((pj - pv - sign) / (pj - pv)) ** 2
+    for qj in (-float(x) for x in W.negatives):
+        a /= ((qj + pv + sign) / (qj + pv)) ** 2
+    vals = [(1.0 - sign / (t - pv)) ** 2 - 1.0 if t > 0 else (1.0 + sign / (-t + pv)) ** (-2) - 1.0
+            for t in grid.tolist()]
+    # |f(x)| <= c/|x| beyond the window: the sup of |f(x) x| is controlled by
+    # the nearest admissible point on each side (right, left).
+    if sign == 1:
+        c = max(2.0 * x_min / (x_min - pv), 2.0)
+    else:
+        c = max((2.0 + 1.0 / (x_min - pv)) * x_min / (x_min - pv),
+                2.0 / (1.0 - 1.0 / (x_min + pv)) ** 2)
+    return a, sign, np.array(vals), c
 
 
-def _identity_expression(N: int, W: FiniteConfig, radius: int) -> RnExpression:
-    return RnExpression(1.0, 0, TestFunction(()), N, W, radius)
+def _compose(perm: FinitaryPermutation, W: FiniteConfig, p: Params, N: int, grid: np.ndarray):
+    """The word's density on window restriction W as (a, k, f on grid, c),
+    folding the steps' tails by (1 + f)(1 + g) = 1 + (f + g + fg) in the
+    arithmetic order of multiply_functionals."""
+    w = max(0.5, float(grid[-1])) if grid.size else 0.5
+    a, k, f, c = 1.0, 0, None, 0.0
+    for m in perm.word:  # leftmost factor first; the trajectory tracks the rest
+        sa, sk, g, cg = _step(m, W, p, N, grid)
+        a, k = a * sa, k + sk
+        if g is not None:
+            f, c = (g, cg) if f is None else (f + g + f * g, c + cg + c * cg / w)
+        W = _sigma_modified_once(m, W)
+    return a, k, f, c
 
 
 def rn_closed_form(
@@ -203,7 +253,7 @@ def rn_closed_form(
     radius: int | None = None,
 ) -> RnExpression:
     """Single-generator density as one term a * xi^k * Phi_f, conditioned on
-    the configuration inside [-N, N].
+    the configuration inside [-N, N] (N > |n|, by default |n| + 1).
 
     The generator either fixes the window pattern (term (1, 0, 0)), shifts
     one coordinate by 1 (k = +-1; a collects the shifted weight factors over
@@ -211,86 +261,9 @@ def rn_closed_form(
     produce at out-of-window coordinates), or adds/removes the central pair
     {-1/2, 1/2} (n = 0, with a = (zz')^(+-1) times the in-window products).
     Negative n reduces to -n by reflecting the lattice and negating both
-    parameters.
+    parameters.  This is rn_compose of the one-letter word (n,).
     """
-    n = int(n)
-    W = _as_config(window_config)
-    if N is None:
-        N = abs(n) + 1
-    if N <= abs(n):
-        raise ValueError(f"window too small: need N > |n| = {abs(n)}, got {N}")
-    if radius is None:
-        radius = max(2 * N, 16)
-    if W.outside(N).points:
-        raise ValueError(
-            f"window restriction {W} has points outside [-{N}, {N}]"
-        )
-
-    if n < 0:
-        mirror = rn_closed_form(
-            -n, FiniteConfig(-x for x in W), p.negated(), N=N, radius=radius
-        )
-        f = TestFunction(tuple((-x, v) for x, v in mirror.f.values), mirror.f.tail)
-        return RnExpression(mirror.a, mirror.k, f, N, W, radius)
-
-    x_min = N + 0.5  # nearest lattice point beyond the window
-    grid = _outside_grid(N, radius)
-
-    if n == 0:
-        lo, hi = HalfInt(-1), HalfInt(1)
-        if (lo in W) != (hi in W):
-            return _identity_expression(N, W, radius)
-        sign = -1 if lo in W else 1  # both present -> remove; neither -> add
-        a = p.zz ** sign
-        for x in W.points:
-            if x == lo or x == hi:
-                continue
-            t = abs(float(x))
-            a *= ((t - 0.5) / (t + 0.5)) ** (2 * sign)
-        vals = []
-        for x in grid:
-            t = abs(float(x))
-            vals.append((x, ((2.0 * t - 1.0) / (2.0 * t + 1.0)) ** (2 * sign) - 1.0))
-        if sign == 1:
-            c = 2.0
-        else:
-            c = 2.0 * ((2.0 * x_min) / (2.0 * x_min - 1.0)) ** 2
-        f = TestFunction(tuple(vals), InverseDecay(c))
-        return RnExpression(a, sign, f, N, W, radius)
-
-    lo, hi = HalfInt(2 * n - 1), HalfInt(2 * n + 1)
-    if (lo in W) == (hi in W):
-        return _identity_expression(N, W, radius)
-    sign = 1 if lo in W else -1  # particle at n - 1/2 moves up, or back down
-    moved = lo if sign == 1 else hi
-    pv = float(moved)
-    a = (pair_product(p.z, p.z_prime, n) / n**2) ** sign
-    for x in W.positives:
-        if x == moved:
-            continue
-        pj = float(x)
-        a *= ((pj - pv - sign) / (pj - pv)) ** 2
-    for x in W.negatives:
-        qj = -float(x)
-        a /= ((qj + pv + sign) / (qj + pv)) ** 2
-    vals = []
-    for x in grid:
-        t = float(x)
-        if t > 0:
-            vals.append((x, (1.0 - sign / (t - pv)) ** 2 - 1.0))
-        else:
-            vals.append((x, (1.0 + sign / (-t + pv)) ** (-2) - 1.0))
-    # |f(x)| <= c/|x| beyond the window: the sup of |f(x) x| is controlled by
-    # the nearest admissible point on each side.
-    if sign == 1:
-        c_right = 2.0 * x_min / (x_min - pv)
-        c_left = 2.0
-    else:
-        u_max = 1.0 / (x_min - pv)
-        c_right = (2.0 + u_max) * x_min / (x_min - pv)
-        c_left = 2.0 / (1.0 - 1.0 / (x_min + pv)) ** 2
-    f = TestFunction(tuple(vals), InverseDecay(max(c_right, c_left)))
-    return RnExpression(a, sign, f, N, W, radius)
+    return rn_compose((int(n),), window_config, p, N=N, radius=radius)
 
 
 def rn_compose(
@@ -306,7 +279,7 @@ def rn_compose(
     The cocycle rule turns the word into a product of single-generator
     factors evaluated along the trajectory of the window configuration;
     constants multiply, xi exponents add, and the tail functionals combine
-    through (1 + f)(1 + g) = 1 + (f + g + fg).
+    through (1 + f)(1 + g) = 1 + (f + g + fg), as arrays on the outside grid.
     """
     perm = _as_permutation(sigma)
     min_N = perm.max_index + 1
@@ -319,15 +292,11 @@ def rn_compose(
     W = _as_config(window_config)
     if W.outside(N).points:
         raise ValueError(f"window restriction {W} has points outside [-{N}, {N}]")
-    a, k = 1.0, 0
-    f = TestFunction(())
-    cur = W
-    for m in perm.word:  # leftmost factor first; the trajectory tracks the rest
-        step = rn_closed_form(m, cur, p, N=N, radius=radius)
-        a *= step.a
-        k += step.k
-        f = multiply_functionals(f, step.f)
-        cur = _sigma_modified_once(m, cur)
+    t = np.arange(1 - 2 * radius, 2 * radius, 2) / 2.0  # [-radius, radius]
+    a, k, fv, c = _compose(perm, W, p, N, t[np.abs(t) > N])
+    grid = [x for x in window_points(radius) if abs(x.twice) > 2 * N]
+    f = TestFunction(()) if fv is None else TestFunction(tuple(zip(grid, fv.tolist())),
+                                                         InverseDecay(c))
     return RnExpression(a, k, f, N, W, radius)
 
 
@@ -417,13 +386,10 @@ def expand_cylinder(F: CylinderFunction) -> tuple[tuple[float, TestFunction], ..
     pts = F.points
     m = len(pts)
     full = (1 << m) - 1
-    values = [
-        F(frozenset(pts[i] for i in range(m) if bits >> i & 1))
-        for bits in range(1 << m)
-    ]
+    values = [F(W) for W in _subsets(pts)]
     scale = max(1.0, max(abs(v) for v in values))
     out = []
-    for t_mask in range(1 << m):
+    for t_mask, avoided in enumerate(_subsets(pts)):
         parts = []
         s = t_mask
         while True:
@@ -434,10 +400,7 @@ def expand_cylinder(F: CylinderFunction) -> tuple[tuple[float, TestFunction], ..
             s = (s - 1) & t_mask
         beta = math.fsum(parts)
         if abs(beta) > 1e-13 * scale:
-            f = TestFunction(
-                tuple((pts[i], -1.0) for i in range(m) if t_mask >> i & 1)
-            )
-            out.append((beta, f))
+            out.append((beta, TestFunction(tuple((x, -1.0) for x in pts if x in avoided))))
     return tuple(out)
 
 
@@ -477,12 +440,64 @@ def verify_transport(sigma, F: CylinderFunction, p: XiParams, max_size: int = 16
     return TransportReport(lhs, rhs, diff, bound, tail, diff <= bound)
 
 
+def _limit_groups(perm: FinitaryPermutation, F: CylinderFunction, p: Params, K: int):
+    """The right side's determinant jobs c Phi_h, h = f + g (1 + f), grouped
+    by the density's tail functional f: a list of (f, the jobs' c, the jobs'
+    g), functions as values on [-K, K]; each g is -1 on a finite set of
+    points and 0 elsewhere."""
+    N = word_window(perm)
+    t = np.arange(1 - 2 * K, 2 * K, 2) / 2.0
+    outside = np.abs(t) > N
+    wpts = tuple(window_points(N))
+    groups: dict = {}
+    for W in _subsets(wpts):
+        a, _, fv, c = _compose(perm, FiniteConfig(W), p, N, t[outside])
+        key = None if fv is None else (fv.tobytes(), c)
+        groups.setdefault(key, (fv, {}))[1][W] = a
+    out = []
+    for fv, amap in groups.values():
+        fw = np.zeros(2 * K)
+        fw[outside] = 0.0 if fv is None else fv
+        coeff = CylinderFunction(wpts, {W: amap.get(W, 0.0) for W in _subsets(wpts)})
+        jobs = expand_cylinder(coeff.times(F))
+        if jobs:
+            out.append((fw, np.array([c for c, _ in jobs]), [g.on_window(K) for _, g in jobs]))
+    return out
+
+
+def _group_dets(fw: np.ndarray, gvs, kw: np.ndarray, ns) -> np.ndarray:
+    """det(I + D_h K_w) on every window [-n, n] of ns for each h = f + g (1 + f),
+    g in gvs, as a (len(gvs), len(ns)) array; K_w = s K s^-1 (_weighted_kernel).
+    With A = I + D_f K_w and u = g (1 + f) supported on S, the determinant
+    lemma gives det(I + D_h K_w) = det(A) det(I_S + D_u K_w[S, :] A^-1 E_S):
+    one LU of A per window serves the group; each job costs an |S| x |S| det."""
+    K = len(fw) // 2
+    us = np.array(gvs) * (1.0 + fw)
+    support = np.flatnonzero(np.any(us != 0.0, axis=0))
+    out = np.empty((len(gvs), len(ns)))
+    for i, n in enumerate(ns):
+        sl = slice(K - n, K + n)  # the window [-n, n] is a central slice
+        a = fw[sl, None] * kw[sl, sl]
+        a.flat[:: 2 * n + 1] += 1.0
+        lu, piv = lu_factor(a, overwrite_a=True, check_finite=False)
+        diag = np.diag(lu)
+        flips = np.count_nonzero(piv != np.arange(2 * n)) + np.count_nonzero(diag < 0)
+        det_a = (-1.0) ** flips * math.exp(np.sum(np.log(np.abs(diag))))
+        s = support[(support >= K - n) & (support < K + n)]
+        e_s = np.zeros((2 * n, len(s)))
+        e_s[s - (K - n), np.arange(len(s))] = 1.0
+        m = kw[s, sl] @ lu_solve((lu, piv), e_s, check_finite=False)
+        out[:, i] = det_a * np.linalg.det(np.eye(len(s)) + us[:, s, None] * m)
+    return out
+
+
 class LimitTransportReport(NamedTuple):
     """Both sides of the transport identity for the limit measure.
 
-    The right side is a sum of Fredholm determinants evaluated on shared
-    nested windows: the individual terms' truncation tails decay like 1/n
-    but cancel in the sum, so the residual tracks the summed sequence."""
+    The right side is a sum of n_terms Fredholm determinants evaluated on
+    shared nested windows, by one LU per tail group and window: the terms'
+    truncation tails decay like 1/n but cancel in the sum, so the residual
+    tracks the summed sequence (rhs_by_window, before Richardson)."""
 
     lhs: float
     rhs: float
@@ -508,48 +523,34 @@ def verify_limit_transport(
     The left side expands F o sigma~ into avoidance functionals, whose
     expectations are exact finite determinants of the limit kernel.  The
     right side groups the density's cylinder pieces by their shared tail
-    functional, expands each grouped coefficient times F into avoidance
-    functionals, and sums the resulting Fredholm determinants over nested
-    windows of the same kernel; the last per-doubling increment of the sum
-    is the reported residual.
+    functional f, expands each grouped coefficient times F into avoidance
+    functionals g, and sums the Fredholm determinants of h = f + g (1 + f)
+    over nested central windows of the weighted kernel K_w, built once: one
+    LU of I + D_f K_w per group and window serves every job through the
+    determinant lemma (_group_dets).  The last per-doubling increment of the
+    Richardson-accelerated sum is the reported residual.
     """
     perm = _as_permutation(sigma)
     if kernel is None:
         kernel = j_transform(underline_limit_window(kernel_window, p))
     if not kernel.kind.startswith("k_"):
-        raise ValueError(
-            f"transport check requires a finitary-process kernel, got {kernel.kind!r}"
-        )
+        raise ValueError(f"transport check requires a finitary-process kernel, "
+                         f"got {kernel.kind!r}")
     N = word_window(perm)
     if N > kernel.N:
-        raise ValueError(
-            f"kernel window [-{kernel.N}, {kernel.N}] too small for the word "
-            f"(needs N >= {N})"
-        )
+        raise ValueError(f"kernel window [-{kernel.N}, {kernel.N}] too small for the "
+                         f"word (needs N >= {N})")
 
     lhs_terms = expand_cylinder(F.transform(perm))
     lhs = math.fsum(c * expectation_det(g, kernel) for c, g in lhs_terms)
 
-    # Group the per-window-configuration expressions by tail functional.
-    wpts = tuple(window_points(N))
-    groups: dict[TestFunction, dict[frozenset, float]] = {}
-    for W in _subsets(wpts):
-        expr = rn_compose(perm, FiniteConfig(W), p, N=N, radius=kernel.N)
-        groups.setdefault(expr.f, {})[W] = expr.a
-    # Each job is c Phi_h, h = g + f + g f as in multiply_functionals(g, f).
-    jobs: list[tuple[float, np.ndarray]] = []
-    for f, amap in groups.items():
-        coeff = CylinderFunction(wpts, {W: amap.get(W, 0.0) for W in _subsets(wpts)})
-        fv = f.on_window(kernel.N)
-        for c, g in expand_cylinder(coeff.times(F)):
-            gv = g.on_window(kernel.N)
-            jobs.append((c, gv + fv + gv * fv))
-
     ns = _doubling_windows(kernel.N)
+    kw = _weighted_kernel(kernel)
     totals = np.zeros(len(ns))
-    for c, hv in jobs:
-        for i, (_, block) in enumerate(_nested_operators(hv, kernel)):
-            totals[i] += c * _det_one_plus(block)
+    n_terms = 0
+    for fw, cs, gvs in _limit_groups(perm, F, p, kernel.N):
+        totals += cs @ _group_dets(fw, gvs, kw, ns)
+        n_terms += len(cs)
     # The truncation error of the raw sums decays like a power series in 1/n
     # on the doubling chain (the 1/|x| tails of the density functionals meet
     # the 1/|x| decay of the kernel diagonal), so two Richardson levels in
@@ -558,22 +559,12 @@ def verify_limit_transport(
     for factor in (2.0, 4.0):
         if len(seq) < 2:
             break
-        seq = [
-            (factor * seq[i] - seq[i - 1]) / (factor - 1.0)
-            for i in range(1, len(seq))
-        ]
+        seq = [(factor * b - a) / (factor - 1.0) for a, b in zip(seq, seq[1:])]
     rhs = seq[-1]
     residual = abs(seq[-1] - seq[-2]) if len(seq) >= 2 else 0.0
     tolerance = max(atol, 10.0 * residual)
     diff = abs(lhs - rhs)
     return LimitTransportReport(
-        lhs=lhs,
-        rhs=rhs,
-        difference=diff,
-        tolerance=tolerance,
-        windows=tuple(ns),
-        rhs_by_window=tuple(float(v) for v in totals),
-        residual=residual,
-        n_terms=len(jobs),
-        passed=diff <= tolerance,
-    )
+        lhs=lhs, rhs=rhs, difference=diff, tolerance=tolerance, windows=tuple(ns),
+        rhs_by_window=tuple(float(v) for v in totals), residual=residual,
+        n_terms=n_terms, passed=diff <= tolerance)

@@ -210,7 +210,7 @@ def log_weight_config(config: FiniteConfig, p: XiParams) -> float:
 # Enumeration oracle
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=2)
 def _enumerate_cached(
     p: XiParams, max_size: int
 ) -> tuple[tuple[tuple[Partition, float], ...], np.ndarray, float]:
@@ -233,7 +233,7 @@ def enumerate_weights(
 ) -> tuple[list[tuple[Partition, float]], float]:
     """All (lambda, M(lambda)) with |lambda| <= max_size, plus the tail mass
     1 - sum of listed weights (nonnegative; shrinks as max_size grows).
-    Recent enumerations are cached, keyed by (parameters, max_size)."""
+    The two most recent enumerations are cached, keyed by (parameters, max_size)."""
     items, _, tail = _enumerate_cached(p, max_size)
     return list(items), tail
 

@@ -345,3 +345,26 @@ def test_invalid_params_exit_2():
     assert res.returncode == 2
     assert stderr_error(res)["name"] == "params_admissible"
 
+
+
+@pytest.mark.parametrize("rows", [
+    [["-1/2", "3/2", 0.1], ["1/2", "-3/2", -2.5e-300], ["5/2", "1/2", float("inf")]],
+    [["1/2", 1.0 / 3.0], ["-1/2,1/2", 2.0]],  # a label with a comma is quoted
+    [["a", 1, True], ["b", 2, False]],  # int and bool columns
+    [["a", 1.5], ["b", 2]],  # a column mixing float and int
+    [["z", 0.5 + 0.25j], ["w", 1.0 - 1.0j]],
+    [["x"], ["y", 1.0]],  # ragged
+    [],
+])
+def test_csv_rows_match_cell_by_cell_writer(rows):
+    # The one-format fast path of the CSV writer must reproduce, byte for
+    # byte, what formatting each cell with _fmt through csv.writer gives.
+    import io
+
+    from gammakernel.cli import _csv_rows, _fmt
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+    assert _csv_rows(rows) == buf.getvalue()

@@ -573,10 +573,23 @@ def test_prelimit_contour_matches_ladder_near_one(p):
 
 
 def test_prelimit_contour_matches_ladder_at_xi_0999():
-    # At xi = 0.999 the contours need up to 2^18 nodes per circle, the default cap.
+    # At xi = 0.999 the contours need up to 2^18 nodes per circle near the origin.
     px = XiParams(DISTINCT, 0.999)
     wk = underline_prelimit_window(1, px, tol=1e-12, max_pad=1 << 18)
     for x in wk.points:
         for y in wk.points:
             cont, info = underline_prelimit_contour(x, y, px, full_output=True)
             assert abs(wk.entry(x, y) - cont) <= 1e-10, (x, y, wk.entry(x, y), cont, info)
+
+
+def test_prelimit_contour_far_entry_at_xi_0999_within_default_cap():
+    # Away from the origin at xi = 0.999 the doubling needs 2^19 nodes per
+    # circle (at 2^18 the increment is still about 2e-8): the default cap
+    # must admit it, and the value must match the certified padding ladder.
+    px = XiParams(DISTINCT, 0.999)
+    x, y = H(-11), H(-7)
+    cont, info = underline_prelimit_contour(x, y, px, full_output=True)
+    assert info["nodes_per_circle"] == 2**19, info
+    assert info["last_increment"] < QuadratureConfig().tol
+    wk = underline_prelimit_window(6, px, tol=1e-12, max_pad=1 << 18)
+    assert abs(wk.entry(x, y) - cont) <= 1e-10, (wk.entry(x, y), cont, info)

@@ -7,6 +7,7 @@ pre-limit measure (exhaustive enumeration) and for the limit measure
 (determinant sums over nested windows).
 """
 
+import itertools
 import math
 
 import pytest
@@ -16,16 +17,28 @@ from gammakernel.lattice import (
     FiniteConfig,
     HalfInt,
     Partition,
+    _sigma_modified_once,
     apply_sigma_modified,
     partitions_up_to,
     to_balanced_config,
 )
 from gammakernel.zmeasure import Params, XiParams, enumerate_weights
-from gammakernel.fredholm import InverseDecay, SparseConfig, TestFunction, ZeroTail
-from gammakernel.kernels import j_transform, underline_limit_window
+from gammakernel.fredholm import (
+    InverseDecay,
+    SparseConfig,
+    TestFunction,
+    ZeroTail,
+    _det_one_plus,
+    _doubling_windows,
+    _weighted_kernel,
+    multiply_functionals,
+)
+from gammakernel.kernels import j_transform, underline_limit_window, window_points
 from gammakernel.rn import (
     CylinderFunction,
     RnExpression,
+    _group_dets,
+    _limit_groups,
     expand_cylinder,
     rn_closed_form,
     rn_compose,
@@ -265,6 +278,31 @@ def test_compose_involution_is_unit():
             assert expr.evaluate(X, xi=0.6) == pytest.approx(1.0, rel=1e-11)
 
 
+def test_compose_bit_identical_to_closed_form_fold():
+    # rn_compose multiplies tail arrays.  The reference folds rn_closed_form
+    # steps through multiply_functionals along the modified-action
+    # trajectory of W, one word prefix at a time.  Values, tail constant, a
+    # and k must agree bit for bit on every word of length <= 3 over
+    # generators -2..2 and every window configuration at N = 3.
+    N = 3
+    pts = window_points(N)
+    configs = [FiniteConfig(c) for r in range(len(pts) + 1)
+               for c in itertools.combinations(pts, r)]
+    words = [w for length in range(1, 4) for w in itertools.product(range(-2, 3), repeat=length)]
+    for W in configs:
+        folds = {(): (1.0, 0, TestFunction(()), W)}
+        for word in words:  # every prefix comes before its extensions
+            a, k, f, cur = folds[word[:-1]]
+            step = rn_closed_form(word[-1], cur, PRINCIPAL, N=N)
+            a, k, f = a * step.a, k + step.k, multiply_functionals(f, step.f)
+            folds[word] = (a, k, f, _sigma_modified_once(word[-1], cur))
+        for word, (a, k, f, _) in folds.items():
+            expr = rn_compose(word, W, PRINCIPAL, N=N)
+            assert (expr.a, expr.k) == (a, k), (word, W)
+            assert expr.f.values == f.values, (word, W)
+            assert expr.f.tail == f.tail, (word, W)
+
+
 def test_compose_window_too_small():
     with pytest.raises(ValueError):
         rn_compose((2, 0), FiniteConfig(()), EQUAL, N=1)
@@ -469,3 +507,33 @@ def test_verify_limit_transport_word_exceeds_kernel():
     F = CylinderFunction.contains(H(1))
     with pytest.raises(ValueError):
         verify_limit_transport((4,), F, EQUAL, kernel=small)
+
+
+F_HALF = CylinderFunction.contains(H(1))
+F_THREE = CylinderFunction.from_callable(  # the three-point F of acceptance criterion 7
+    (H(-1), H(1), H(3)), lambda s: 0.5 + 0.25 * len(s) - 1.0 * (H(1) in s)
+)
+
+
+@pytest.mark.parametrize("word", [(1, 0), (-1, 0), (0,)])
+def test_grouped_determinants_match_full_operators(word):
+    # One LU per tail group plus the determinant lemma must reproduce each
+    # job's own det(I + D_h K_w) on every chain window, including windows
+    # that hold only part of the group's support S.
+    K = K64.N
+    ns = _doubling_windows(K)
+    kw = _weighted_kernel(K64)
+    worst, partial = 0.0, 0
+    for F in (F_HALF, F_THREE):
+        for fw, cs, gvs in _limit_groups(FinitaryPermutation(word), F, EQUAL, K):
+            assert len(cs) == len(gvs) > 0
+            dets = _group_dets(fw, gvs, kw, ns)
+            support = {j for gv in gvs for j in gv.nonzero()[0]}
+            for i, n in enumerate(ns):
+                partial += not all(K - n <= j < K + n for j in support)
+                for gv, got in zip(gvs, dets[:, i]):
+                    full = _weighted_kernel(K64, gv + fw + gv * fw)
+                    want = _det_one_plus(full[K - n:K + n, K - n:K + n])
+                    worst = max(worst, abs(got - want) / abs(want))
+    assert partial > 0
+    assert worst < 1e-13, worst
