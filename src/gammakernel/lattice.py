@@ -8,8 +8,8 @@ transpositions sigma_n of the pair (n - 1/2, n + 1/2).
 
 An ensemble of configurations inside a window [-N, N] is stored as a boolean
 occupancy matrix: one row per configuration, one column per window point in
-ascending order (``window_index``).  The particle/hole involution acts on it
-as one XOR with the negative half (``involute_occupancy``).
+ascending order (``window_index``).  The particle/hole involution is one XOR
+with its negative half, and the modified action sigma~ swaps or flips columns.
 
 All arithmetic in this module is exact: half-integers store twice their value
 as a Python int and dimension ratios are Fractions.
@@ -116,10 +116,6 @@ class HalfInt:
         return self.twice / 2.0
 
 
-def _half(twice: int) -> HalfInt:
-    return HalfInt(twice)
-
-
 class Partition:
     """A Young diagram: weakly decreasing positive row lengths.
 
@@ -195,8 +191,8 @@ class Partition:
             d = self.diagonal_length
             pairs = []
             for i in range(d, 0, -1):  # reverse so p ascends
-                p = _half(2 * (self[i] - i) + 1)
-                q = _half(2 * (t[i] - i) + 1)
+                p = HalfInt(2 * (self[i] - i) + 1)
+                q = HalfInt(2 * (t[i] - i) + 1)
                 pairs.append((p, q))
             self._frobenius = tuple(pairs)
         return self._frobenius
@@ -350,37 +346,18 @@ def to_balanced_config(lam: Partition) -> FiniteConfig:
 def from_balanced_config(config: FiniteConfig) -> Partition:
     """Inverse of to_balanced_config; rejects non-balanced input.
 
-    Reads the Maya diagram inv(X) in descending order: if x_1 > x_2 > ... are
-    its occupied points then lambda_i = x_i + i - 1/2, which vanishes once the
-    unperturbed tail x_i = -i + 1/2 is reached.
+    With the arms p_i - 1/2 and legs q_i - 1/2 in descending order, row i of
+    lambda (i <= d) has arm + i boxes and column j (j <= d) has leg + j; each
+    row below the diagonal counts the columns that reach it.
     """
     if not config.is_balanced():
         raise ValueError(f"configuration {config} is not balanced")
-    extra = sorted((p for p in config.points if p.twice > 0), reverse=True)
-    holes = {p for p in config.points if p.twice < 0}
-    rows: list[int] = []
-    i = 0
-    neg_twice = -1  # next candidate negative point, descending: -1/2, -3/2, ...
-    pending = list(extra)
-    while True:
-        if pending:
-            x = pending[0]
-        else:
-            while HalfInt(neg_twice) in holes:
-                neg_twice -= 2
-            x = HalfInt(neg_twice)
-        i += 1
-        row = (x.twice - 1) // 2 + i  # x + i - 1/2 as an int
-        if row == 0:
-            break
-        if row < 0:
-            raise ValueError(f"configuration {config} does not encode a partition")
-        rows.append(row)
-        if pending:
-            pending.pop(0)
-        else:
-            neg_twice -= 2
-    return Partition(rows)
+    arms = sorted(((x.twice - 1) // 2 for x in config.positives), reverse=True)
+    legs = sorted(((-x.twice - 1) // 2 for x in config.negatives), reverse=True)
+    rows = [a + i for i, a in enumerate(arms, start=1)]
+    cols = [b + j for j, b in enumerate(legs, start=1)]
+    below = range(len(rows) + 1, max(cols, default=0) + 1)
+    return Partition(rows + [sum(c >= i for c in cols) for i in below])
 
 
 def particle_hole_involution(obj):
@@ -404,6 +381,24 @@ def involute_occupancy(occupancy: np.ndarray, points: Sequence[HalfInt]) -> np.n
     return occupancy ^ np.array([x.twice < 0 for x in points], dtype=bool)
 
 
+def _modified_occupancy(sigma: FinitaryPermutation, occupancy: np.ndarray,
+                        points: Sequence[HalfInt]) -> np.ndarray:
+    """sigma~ on every row of an occupancy matrix with the given ascending
+    points as columns: sigma~_n swaps the columns of n -+ 1/2 for n != 0; for
+    n = 0 it flips both central columns in the rows where they agree."""
+    col = {x.twice: i for i, x in enumerate(points)}
+    out = occupancy.copy()
+    for n in sigma.generators_in_order():
+        if 2 * n - 1 not in col or 2 * n + 1 not in col:
+            raise ValueError(f"sigma_{n} moves a point with no column")
+        i, j = col[2 * n - 1], col[2 * n + 1]
+        if n != 0:
+            out[:, [i, j]] = out[:, [j, i]]
+        else:
+            out[:, [i, j]] ^= (out[:, i] == out[:, j])[:, None]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Permutation actions
 # ---------------------------------------------------------------------------
@@ -411,8 +406,8 @@ def involute_occupancy(occupancy: np.ndarray, points: Sequence[HalfInt]) -> np.n
 def _sigma_on_maya(n: int, maya: MayaDiagram) -> MayaDiagram:
     """Natural action of sigma_n on a Maya diagram: swap occupation of the
     points n - 1/2 and n + 1/2 (a no-op when both or neither are occupied)."""
-    lo = _half(2 * n - 1)
-    hi = _half(2 * n + 1)
+    lo = HalfInt(2 * n - 1)
+    hi = HalfInt(2 * n + 1)
     if (lo in maya) == (hi in maya):
         return maya
     return MayaDiagram(set(maya.diff.points) ^ {lo, hi})
@@ -437,25 +432,11 @@ def _sigma_modified_once(n: int, config: FiniteConfig) -> FiniteConfig:
     it switches between both of {-1/2, 1/2} absent and both present, leaving
     the mixed patterns fixed.
     """
-    lo = _half(2 * n - 1)
-    hi = _half(2 * n + 1)
+    lo, hi = HalfInt(2 * n - 1), HalfInt(2 * n + 1)
     pts = set(config.points)
-    if n == 0:
-        if lo in pts and hi in pts:
-            pts.remove(lo)
-            pts.remove(hi)
-        elif lo not in pts and hi not in pts:
-            pts.add(lo)
-            pts.add(hi)
-        return FiniteConfig(pts)
-    if (lo in pts) != (hi in pts):
-        if lo in pts:
-            pts.remove(lo)
-            pts.add(hi)
-        else:
-            pts.remove(hi)
-            pts.add(lo)
-    return FiniteConfig(pts)
+    if ((lo in pts) == (hi in pts)) == (n == 0):
+        return FiniteConfig(pts ^ {lo, hi})
+    return config
 
 
 def _apply_modified(sigma: FinitaryPermutation, config: FiniteConfig) -> FiniteConfig:

@@ -32,11 +32,11 @@ from .lattice import (
     FinitaryPermutation,
     HalfInt,
     _apply_modified,
+    _modified_occupancy,
     _sigma_modified_once,
-    apply_sigma_modified,
-    to_balanced_config,
+    window_index,
 )
-from .zmeasure import Params, XiParams, enumerate_weights, log_weight_config, pair_product
+from .zmeasure import Params, XiParams, _log_weight_form, pair_product, partition_ensemble
 from .fredholm import (
     InverseDecay,
     SparseConfig,
@@ -87,17 +87,28 @@ def word_window(sigma) -> int:
 # Exact weight-ratio route
 # ---------------------------------------------------------------------------
 
-def rn_exact(sigma, X, p: XiParams) -> float:
-    """mu(sigma, X) = P(sigma~^(-1) X) / P(X) as an exact weight ratio.
+def _mu_rows(perm: FinitaryPermutation, occupancy: np.ndarray, points, p: XiParams) -> np.ndarray:
+    """mu(sigma, X) = P(sigma~^(-1) X) / P(X) for every balanced row X of an
+    occupancy matrix whose ascending columns hold the points the word moves.
+    With log P = c + o^T H o, log mu = (o' - o)^T H (o' + o), o' the moved
+    row: the constant c cancels exactly, and mu = 1 exactly on a fixed row."""
+    moved = _modified_occupancy(perm.inverse(), occupancy, points).astype(float)
+    o = occupancy.astype(float)
+    return np.exp((((moved - o) @ _log_weight_form(tuple(points), p)) * (moved + o)).sum(axis=1))
 
-    Both log-weights carry the identical zz' * log(1 - xi) prefactor, which
-    cancels exactly in the difference, so the ratio is free of the
-    cancellation error that plagues the prefactor near xi = 1.
-    """
+
+def rn_exact(sigma, X, p: XiParams) -> float:
+    """mu(sigma, X) = P(sigma~^(-1) X) / P(X) as an exact weight ratio: the
+    one-row case of _mu_rows, on X's points and the points the word moves.
+    The zz' log(1 - xi) prefactor cancels exactly, so near xi = 1 the ratio
+    is free of the cancellation error that plagues it."""
     perm = _as_permutation(sigma)
     config = _as_config(X)
-    moved = apply_sigma_modified(perm.inverse(), config)
-    return math.exp(log_weight_config(moved, p) - log_weight_config(config, p))
+    if not config.is_balanced():
+        raise ValueError(f"modified action requires a balanced configuration, got {config}")
+    held = set(config.points)
+    pts = sorted(held | {HalfInt(2 * n + s) for n in perm.word for s in (-1, 1)})
+    return float(_mu_rows(perm, np.array([[x in held for x in pts]]), pts, p)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -422,21 +433,22 @@ class TransportReport(NamedTuple):
 
 def verify_transport(sigma, F: CylinderFunction, p: XiParams, max_size: int = 16) -> TransportReport:
     """Check the transport identity for a pre-limit measure by enumerating
-    every partition up to max_size and comparing both pairings."""
+    every partition up to max_size and comparing both pairings, over the
+    ensemble's occupancy padded to the word's and F's points (F reads each
+    row's bit pattern on its points)."""
     perm = _as_permutation(sigma)
-    items, tail = enumerate_weights(p, max_size)
-    lhs_parts, rhs_parts = [], []
-    max_mu = 1.0
-    for lam, w in items:
-        X = to_balanced_config(lam)
-        lhs_parts.append(w * F(apply_sigma_modified(perm, X)))
-        mu = rn_exact(perm, X, p)
-        max_mu = max(max_mu, mu)
-        rhs_parts.append(w * mu * F(X))
-    lhs = math.fsum(lhs_parts)
-    rhs = math.fsum(rhs_parts)
+    occ, weights, tail = partition_ensemble(p, max_size)
+    W = occ.shape[1] // 2
+    N = max([W, word_window(perm)] + [abs(x.twice) // 2 + 1 for x in F.points])
+    occ, pts = np.pad(occ, ((0, 0), (N - W, N - W))), window_points(N)
+    fcols = [window_index(x, N) for x in F.points]
+    table = np.array([F.table[sub] for sub in _subsets(F.points)])
+    bits = 1 << np.arange(len(fcols))
+    mu = _mu_rows(perm, occ, pts, p)
+    lhs = math.fsum(weights * table[_modified_occupancy(perm, occ, pts)[:, fcols] @ bits])
+    rhs = math.fsum(weights * mu * table[occ[:, fcols] @ bits])
     diff = abs(lhs - rhs)
-    bound = tail * F.sup_norm * max_mu + 1e-9
+    bound = tail * F.sup_norm * max(1.0, float(mu.max())) + 1e-9
     return TransportReport(lhs, rhs, diff, bound, tail, diff <= bound)
 
 

@@ -168,6 +168,25 @@ def weight_partition(lam: Partition, p: XiParams) -> float:
     return math.exp(log_weight_partition(lam, p))
 
 
+@lru_cache(maxsize=256)
+def _log_weight_form(points: tuple[HalfInt, ...], p: XiParams) -> np.ndarray:
+    """H, read-only, with log P(X) = zz' log(1 - xi) + o^T H o for every
+    balanced X inside the ascending points, o its 0/1 occupancy vector on
+    them: log_weight_config's form, G/2 off the diagonal and l on it."""
+    twice = np.array([x.twice for x in points], dtype=int)
+    A = max((abs(x.twice) for x in points), default=1) // 2  # l on -A-1/2, ..., A+1/2
+    m = np.arange(1, A + 1)
+    shift = m * np.array([[-1], [1]])  # rows: the negative side, the positive side
+    cum = np.cumsum(np.log(p.xi * ((p.z + shift) * (p.z_prime + shift)).real / m**2), axis=1)
+    ell = np.concatenate([cum[0, ::-1], [0.0, 0.0], cum[1]])[(twice + 2 * A + 1) // 2]
+    dist = np.abs(twice[:, None] - twice) / 2.0
+    np.fill_diagonal(dist, 1.0)
+    H = np.sign(twice[:, None] * twice) * np.log(dist)
+    np.fill_diagonal(H, 0.5 * math.log(p.xi * p.base.zz) + ell)
+    H.flags.writeable = False
+    return H
+
+
 def log_weight_config(config: FiniteConfig, p: XiParams) -> float:
     """log of the configuration weight, direct in Frobenius coordinates.
 
@@ -178,32 +197,18 @@ def log_weight_config(config: FiniteConfig, p: XiParams) -> float:
                         (-z+1)_(q_i-1/2) (-z'+1)_(q_i-1/2)
                         / ((p_i-1/2)!)^2 ((q_i-1/2)!)^2
                * prod_(i<j) (p_j-p_i)^2 (q_j-q_i)^2 / prod_(i,j) (p_i+q_j)^2.
+
+    Its log is a quadratic form in X's 0/1 occupancy vector o on any
+    ascending points that hold X, evaluated here on X's own points (o = 1):
+
+        log P(X) = zz' log(1-xi) + o . l + 1/2 o^T G o,
+
+    G(x, y) = 2 s(x) s(y) log|x - y| (s the sign; 0 when x = y) and
+    l(x) = 1/2 log(xi zz') + sum_(m=1)^(|x|-1/2) log[xi (z+s m)(z'+s m) / m^2].
     """
     if not config.is_balanced():
         raise ValueError(f"configuration {config} is not balanced")
-    z, zp, xi = p.z, p.z_prime, p.xi
-    ps = sorted((x.twice - 1) // 2 for x in config.positives)   # p_i - 1/2 as ints
-    qs = sorted((abs(x).twice - 1) // 2 for x in config.negatives)
-    d = len(ps)
-    zz = p.base.zz
-    out = zz * math.log1p(-xi)
-    out += (sum(ps) + sum(qs) + d) * math.log(xi)  # sum(p_i + q_i) = sum ints + d
-    out += d * math.log(zz)
-    for a in ps:
-        for m in range(a):  # (z+1)_(p-1/2) has p-1/2 = a factors
-            out += math.log(pair_product(z, zp, 1 + m))
-        out -= 2.0 * math.lgamma(a + 1)
-    for b in qs:
-        for m in range(b):
-            out += math.log(pair_product(-z, -zp, 1 + m))
-        out -= 2.0 * math.lgamma(b + 1)
-    for i in range(d):
-        for j in range(i + 1, d):
-            out += 2.0 * (math.log(ps[j] - ps[i]) + math.log(qs[j] - qs[i]))
-    for a in ps:
-        for b in qs:
-            out -= 2.0 * math.log(a + b + 1)  # p_i + q_j = a + b + 1
-    return out
+    return p.base.zz * math.log1p(-p.xi) + float(_log_weight_form(config.points, p).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -300,7 +300,7 @@ def test_criterion_6_prelimit_transport_identity():
             rep = verify_transport(word, func, xp, max_size=16)
             assert rep.passed, (
                 f"transport identity failed for word {word} ({p}): "
-                f"lhs {rep.lhs} vs rhs {rep.rhs}, diff {rep.difference} > {rep.tolerance}"
+                f"lhs {rep.lhs} vs rhs {rep.rhs}, diff {rep.difference} > {rep.bound}"
             )
             worst = max(worst, rep.difference)
     print(

@@ -2,9 +2,11 @@
 coordinates, Maya diagrams, the particle/hole involution, permutation actions,
 and the dimension ratio (checked against the hook-length formula)."""
 
+import itertools
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 
 from gammakernel.lattice import (
@@ -13,6 +15,8 @@ from gammakernel.lattice import (
     HalfInt,
     MayaDiagram,
     Partition,
+    _apply_modified,
+    _modified_occupancy,
     apply_sigma,
     apply_sigma_modified,
     dim_ratio,
@@ -23,6 +27,8 @@ from gammakernel.lattice import (
     to_balanced_config,
     to_maya,
 )
+from gammakernel.kernels import window_points
+from gammakernel.zmeasure import Params, XiParams, partition_ensemble
 
 
 def hook_dim(lam: Partition) -> Fraction:
@@ -218,6 +224,32 @@ def test_generators_are_involutions(lam, n):
     assert apply_sigma(sigma, lam) == lam
     cfg = to_balanced_config(lam)
     assert apply_sigma_modified(sigma, cfg) == cfg
+
+
+def test_modified_occupancy_matches_set_action():
+    # sigma~ on the rows of the |lambda| <= 10 ensemble, against the set
+    # action on each row's configuration, for every word of length <= 2.
+    occ, _, _ = partition_ensemble(XiParams(Params(0.5, 0.5), 0.3), 10)
+    pts = window_points(10)
+
+    def as_config(row):
+        return FiniteConfig(x for x, b in zip(pts, row) if b)
+
+    configs = [as_config(row) for row in occ]
+    for length in range(3):
+        for word in itertools.product(range(-3, 4), repeat=length):
+            sigma = FinitaryPermutation(word)
+            moved = _modified_occupancy(sigma, occ, pts)
+            assert [as_config(row) for row in moved] == [_apply_modified(sigma, X) for X in configs]
+
+
+def test_modified_occupancy_rejects_missing_columns():
+    occ = np.zeros((1, 4), dtype=bool)
+    with pytest.raises(ValueError):
+        _modified_occupancy(FinitaryPermutation([2]), occ, window_points(2))  # no 5/2
+    no_center = [x for x in window_points(2) if x != HalfInt(-1)]
+    with pytest.raises(ValueError):
+        _modified_occupancy(FinitaryPermutation([1, 0]), occ[:, 1:], no_center)  # no -1/2
 
 
 def test_sigma_changes_size_by_at_most_one():

@@ -461,6 +461,48 @@ def test_verify_transport_identity_word_exact():
     assert report.lhs == report.rhs
 
 
+F_HALF = CylinderFunction.contains(H(1))
+F_PAIR = CylinderFunction.from_callable(
+    (H(-1), H(1)), lambda s: 1.0 + 0.5 * len(s) - 2.0 * (H(-1) in s)
+)
+F_WIDE = CylinderFunction.from_callable(
+    (H(-3), H(1), H(5)), lambda s: math.cos(float(len(s)))
+)
+F_FAR = CylinderFunction.from_callable(
+    (H(1), H(41)), lambda s: 1.0 + 2.0 * (H(1) in s) - 3.0 * (H(41) in s)
+)
+# Criterion 6's pairs at max_size 12, then a word reaching past the
+# ensemble's window [-2, 2] and functions reading points past [-16, 16].
+TRANSPORT_CASES = [(w, F, 12) for w, F in [
+    ((0,), F_HALF), ((1,), F_HALF), ((-1,), F_PAIR), ((2,), F_WIDE), ((-2,), F_HALF),
+    ((1, 0), F_PAIR), ((0, 1), F_HALF), ((1, -1), F_WIDE), ((2, 1, 0), F_PAIR),
+    ((-1, 0, 1), F_WIDE),
+]] + [
+    ((5,), F_HALF, 2),
+    ((3, 2, 1, 0), CylinderFunction.contains(H(7)), 2),
+    ((1, 0), CylinderFunction.contains(H(41)), 16),
+    ((1, 0), F_FAR, 16),
+]
+
+
+@pytest.mark.parametrize("base", [EQUAL, PRINCIPAL])
+@pytest.mark.parametrize("word,F,max_size", TRANSPORT_CASES)
+def test_verify_transport_matches_per_partition_sums(base, word, F, max_size):
+    """Both pairings against sums written one partition at a time."""
+    p = xi_params(base, 0.2)
+    sigma = FinitaryPermutation(word)
+    items, tail = enumerate_weights(p, max_size)
+    configs = [(to_balanced_config(lam), w) for lam, w in items]
+    lhs = math.fsum(w * F(apply_sigma_modified(sigma, X)) for X, w in configs)
+    mus = [rn_exact(sigma, X, p) for X, _ in configs]
+    rhs = math.fsum(w * mu * F(X) for (X, w), mu in zip(configs, mus))
+    report = verify_transport(word, F, p, max_size=max_size)
+    assert report.lhs == pytest.approx(lhs, rel=1e-13)
+    assert report.rhs == pytest.approx(rhs, rel=1e-13)
+    assert report.tail_mass == tail
+    assert report.bound == pytest.approx(tail * F.sup_norm * max(1.0, *mus) + 1e-9, rel=1e-13)
+
+
 def test_verify_transport_mass():
     report = verify_transport(
         (1, 0), CylinderFunction.constant(1.0), xi_params(EQUAL, 0.2), max_size=14

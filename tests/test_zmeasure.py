@@ -15,12 +15,16 @@ from gammakernel.lattice import (
     to_balanced_config,
     to_maya,
 )
+from gammakernel.kernels import window_points
 from gammakernel.zmeasure import (
     Params,
     XiParams,
+    _log_weight_form,
     correlation_oracle,
     enumerate_weights,
     log_weight_config,
+    log_weight_partition,
+    partition_ensemble,
     weight_partition,
 )
 
@@ -137,6 +141,13 @@ def test_partition_and_config_formulas_agree(base, xi):
         a = weight_partition(lam, p)
         b = math.exp(log_weight_config(to_balanced_config(lam), p))
         assert b == pytest.approx(a, rel=1e-10)
+    # The same quadratic form over every occupancy row of the ensemble at once.
+    occ, _, _ = partition_ensemble(p, 16)
+    o = occ.astype(float)
+    H = _log_weight_form(window_points(16), p)
+    rows = base.zz * math.log1p(-xi) + ((o @ H) * o).sum(axis=1)
+    want = [log_weight_partition(lam, p) for lam in partitions_up_to(16)]
+    assert rows == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
