@@ -382,11 +382,11 @@ def involute_occupancy(occupancy: np.ndarray, points: Sequence[HalfInt]) -> np.n
 
 
 def _modified_occupancy(sigma: FinitaryPermutation, occupancy: np.ndarray,
-                        points: Sequence[HalfInt]) -> np.ndarray:
-    """sigma~ on every row of an occupancy matrix with the given ascending
-    points as columns: sigma~_n swaps the columns of n -+ 1/2 for n != 0; for
-    n = 0 it flips both central columns in the rows where they agree."""
-    col = {x.twice: i for i, x in enumerate(points)}
+                        twice: Sequence[int]) -> np.ndarray:
+    """sigma~ on every row of an occupancy matrix on the ascending points
+    twice / 2: sigma~_n swaps the columns of n -+ 1/2 for n != 0; sigma~_0
+    flips both central columns in the rows where they agree."""
+    col = {t: i for i, t in enumerate(twice)}
     out = occupancy.copy()
     for n in sigma.generators_in_order():
         if 2 * n - 1 not in col or 2 * n + 1 not in col:

@@ -87,28 +87,30 @@ def word_window(sigma) -> int:
 # Exact weight-ratio route
 # ---------------------------------------------------------------------------
 
-def _mu_rows(perm: FinitaryPermutation, occupancy: np.ndarray, points, p: XiParams) -> np.ndarray:
+def _mu_rows(perm: FinitaryPermutation, occupancy: np.ndarray, twice, p: XiParams) -> np.ndarray:
     """mu(sigma, X) = P(sigma~^(-1) X) / P(X) for every balanced row X of an
-    occupancy matrix whose ascending columns hold the points the word moves.
-    With log P = c + o^T H o, log mu = (o' - o)^T H (o' + o), o' the moved
-    row: the constant c cancels exactly, and mu = 1 exactly on a fixed row."""
-    moved = _modified_occupancy(perm.inverse(), occupancy, points).astype(float)
-    o = occupancy.astype(float)
-    return np.exp((((moved - o) @ _log_weight_form(tuple(points), p)) * (moved + o)).sum(axis=1))
+    occupancy matrix on the ascending points twice / 2, which hold the points
+    the word moves.  With log P = c + o^T H o and o' the moved row, log mu =
+    (o' - o)^T H (o' + o) reads only the rows S of H the word moves, c cancels
+    exactly, and a fixed row gets mu = 1 exactly."""
+    moved = _modified_occupancy(perm.inverse(), occupancy, twice)
+    S = [twice.index(t) for t in sorted({2 * n + s for n in perm.word for s in (-1, 1)})]
+    d = moved[:, S].astype(float) - occupancy[:, S]
+    cols = np.array(twice, dtype=int)
+    return np.exp(((d @ _log_weight_form(cols[S], cols, p)) * (moved + 1.0 * occupancy)).sum(1))
 
 
 def rn_exact(sigma, X, p: XiParams) -> float:
-    """mu(sigma, X) = P(sigma~^(-1) X) / P(X) as an exact weight ratio: the
-    one-row case of _mu_rows, on X's points and the points the word moves.
-    The zz' log(1 - xi) prefactor cancels exactly, so near xi = 1 the ratio
-    is free of the cancellation error that plagues it."""
+    """mu(sigma, X) = P(sigma~^(-1) X) / P(X) as an exact weight ratio, the
+    one-row case of _mu_rows on X's points and the word's: the zz' log(1 - xi)
+    prefactor cancels exactly, so the ratio stays accurate near xi = 1."""
     perm = _as_permutation(sigma)
     config = _as_config(X)
     if not config.is_balanced():
         raise ValueError(f"modified action requires a balanced configuration, got {config}")
-    held = set(config.points)
-    pts = sorted(held | {HalfInt(2 * n + s) for n in perm.word for s in (-1, 1)})
-    return float(_mu_rows(perm, np.array([[x in held for x in pts]]), pts, p)[0])
+    held = {x.twice for x in config.points}
+    twice = sorted(held | {2 * n + s for n in perm.word for s in (-1, 1)})
+    return float(_mu_rows(perm, np.array([[t in held for t in twice]]), twice, p)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -432,20 +434,19 @@ class TransportReport(NamedTuple):
 
 
 def verify_transport(sigma, F: CylinderFunction, p: XiParams, max_size: int = 16) -> TransportReport:
-    """Check the transport identity for a pre-limit measure by enumerating
-    every partition up to max_size and comparing both pairings, over the
-    ensemble's occupancy padded to the word's and F's points (F reads each
-    row's bit pattern on its points)."""
+    """Check the transport identity for a pre-limit measure: both pairings over
+    every partition up to max_size, on the ensemble's occupancy padded to the
+    word's and F's points, with F read off each row's bits on its points."""
     perm = _as_permutation(sigma)
     occ, weights, tail = partition_ensemble(p, max_size)
     W = occ.shape[1] // 2
     N = max([W, word_window(perm)] + [abs(x.twice) // 2 + 1 for x in F.points])
-    occ, pts = np.pad(occ, ((0, 0), (N - W, N - W))), window_points(N)
+    occ, twice = np.pad(occ, ((0, 0), (N - W, N - W))), list(range(1 - 2 * N, 2 * N, 2))
     fcols = [window_index(x, N) for x in F.points]
     table = np.array([F.table[sub] for sub in _subsets(F.points)])
     bits = 1 << np.arange(len(fcols))
-    mu = _mu_rows(perm, occ, pts, p)
-    lhs = math.fsum(weights * table[_modified_occupancy(perm, occ, pts)[:, fcols] @ bits])
+    mu = _mu_rows(perm, occ, twice, p)
+    lhs = math.fsum(weights * table[_modified_occupancy(perm, occ, twice)[:, fcols] @ bits])
     rhs = math.fsum(weights * mu * table[occ[:, fcols] @ bits])
     diff = abs(lhs - rhs)
     bound = tail * F.sup_norm * max(1.0, float(mu.max())) + 1e-9

@@ -168,23 +168,20 @@ def weight_partition(lam: Partition, p: XiParams) -> float:
     return math.exp(log_weight_partition(lam, p))
 
 
-@lru_cache(maxsize=256)
-def _log_weight_form(points: tuple[HalfInt, ...], p: XiParams) -> np.ndarray:
-    """H, read-only, with log P(X) = zz' log(1 - xi) + o^T H o for every
-    balanced X inside the ascending points, o its 0/1 occupancy vector on
-    them: log_weight_config's form, G/2 off the diagonal and l on it."""
-    twice = np.array([x.twice for x in points], dtype=int)
-    A = max((abs(x.twice) for x in points), default=1) // 2  # l on -A-1/2, ..., A+1/2
-    m = np.arange(1, A + 1)
-    shift = m * np.array([[-1], [1]])  # rows: the negative side, the positive side
-    cum = np.cumsum(np.log(p.xi * ((p.z + shift) * (p.z_prime + shift)).real / m**2), axis=1)
-    ell = np.concatenate([cum[0, ::-1], [0.0, 0.0], cum[1]])[(twice + 2 * A + 1) // 2]
-    dist = np.abs(twice[:, None] - twice) / 2.0
-    np.fill_diagonal(dist, 1.0)
-    H = np.sign(twice[:, None] * twice) * np.log(dist)
-    np.fill_diagonal(H, 0.5 * math.log(p.xi * p.base.zz) + ell)
-    H.flags.writeable = False
-    return H
+def _log_weight_form(rows: np.ndarray, cols: np.ndarray, p: XiParams) -> np.ndarray:
+    """The block H[rows, cols] of log P(X) = zz' log(1 - xi) + o^T H o, which
+    holds for every balanced X on ascending points (given as twice their
+    values), o its 0/1 occupancy vector: G/2 off the diagonal and l on it
+    (log_weight_config), l summed from separate logs so that it stays finite."""
+    k = np.abs(rows) // 2  # the factors of l(x): |x| - 1/2
+    shift = np.arange(int(k.max(initial=0)) + 1) * np.array([[-1], [1]])  # negative, positive side
+    pair = ((p.z + shift) * (p.z_prime + shift)).real  # zz' in column 0
+    steps = np.log(pair) + (math.log(p.xi) - 2.0 * np.log(np.maximum(shift[1], 1)))
+    steps[:, 0] *= 0.5  # l(-+1/2) = 1/2 log(xi zz')
+    ell = steps.cumsum(axis=1)[(rows > 0).astype(int), k]
+    same = rows[:, None] == cols  # the diagonal, which l replaces below
+    off = np.copysign(np.log(np.abs(rows[:, None] - cols + same) / 2.0), rows[:, None] * cols)
+    return np.where(same, ell[:, None], off)  # off it, log|x - y| >= 0 takes the sign of xy
 
 
 def log_weight_config(config: FiniteConfig, p: XiParams) -> float:
@@ -208,7 +205,8 @@ def log_weight_config(config: FiniteConfig, p: XiParams) -> float:
     """
     if not config.is_balanced():
         raise ValueError(f"configuration {config} is not balanced")
-    return p.base.zz * math.log1p(-p.xi) + float(_log_weight_form(config.points, p).sum())
+    twice = np.array([x.twice for x in config.points], dtype=int)
+    return p.base.zz * math.log1p(-p.xi) + float(_log_weight_form(twice, twice, p).sum())
 
 
 # ---------------------------------------------------------------------------

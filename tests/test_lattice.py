@@ -239,17 +239,16 @@ def test_modified_occupancy_matches_set_action():
     for length in range(3):
         for word in itertools.product(range(-3, 4), repeat=length):
             sigma = FinitaryPermutation(word)
-            moved = _modified_occupancy(sigma, occ, pts)
+            moved = _modified_occupancy(sigma, occ, [x.twice for x in pts])
             assert [as_config(row) for row in moved] == [_apply_modified(sigma, X) for X in configs]
 
 
 def test_modified_occupancy_rejects_missing_columns():
     occ = np.zeros((1, 4), dtype=bool)
     with pytest.raises(ValueError):
-        _modified_occupancy(FinitaryPermutation([2]), occ, window_points(2))  # no 5/2
-    no_center = [x for x in window_points(2) if x != HalfInt(-1)]
+        _modified_occupancy(FinitaryPermutation([2]), occ, [-3, -1, 1, 3])  # no 5/2
     with pytest.raises(ValueError):
-        _modified_occupancy(FinitaryPermutation([1, 0]), occ[:, 1:], no_center)  # no -1/2
+        _modified_occupancy(FinitaryPermutation([1, 0]), occ[:, 1:], [-3, 1, 3])  # no -1/2
 
 
 def test_sigma_changes_size_by_at_most_one():

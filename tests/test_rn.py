@@ -22,7 +22,13 @@ from gammakernel.lattice import (
     partitions_up_to,
     to_balanced_config,
 )
-from gammakernel.zmeasure import Params, XiParams, enumerate_weights
+from gammakernel.zmeasure import (
+    Params,
+    XiParams,
+    enumerate_weights,
+    log_weight_config,
+    log_weight_partition,
+)
 from gammakernel.fredholm import (
     InverseDecay,
     SparseConfig,
@@ -510,6 +516,20 @@ def test_verify_transport_mass():
     assert report.passed
     assert report.lhs == pytest.approx(1.0, abs=1e-4)
     assert report.rhs == pytest.approx(1.0, abs=1e-4)
+
+
+def test_near_underflow_pair_keeps_weights_and_transport_finite():
+    """(z+3)(z'+3) = 1e-320 is subnormal but admissible: at xi = 1e-3 the
+    weights on 7/2 still agree with the box formula, and verify_transport,
+    whose padded window holds 7/2, stays finite on words that do not move it."""
+    p = XiParams(Params(-3 + 1e-160j, -3 - 1e-160j), 1e-3)
+    for lam in partitions_up_to(10):
+        want = log_weight_partition(lam, p)
+        assert log_weight_config(to_balanced_config(lam), p) == pytest.approx(want, rel=1e-12)
+    for word in [(0,), (1, 0), (2,)]:
+        report = verify_transport(word, F_HALF, p, max_size=12)
+        assert math.isfinite(report.lhs) and math.isfinite(report.rhs), report
+        assert report.passed, report
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ reflection symmetries, normalization, and the enumeration oracle."""
 import math
 import random
 
+import numpy as np
+
 import pytest
 
 from gammakernel.lattice import (
@@ -144,7 +146,8 @@ def test_partition_and_config_formulas_agree(base, xi):
     # The same quadratic form over every occupancy row of the ensemble at once.
     occ, _, _ = partition_ensemble(p, 16)
     o = occ.astype(float)
-    H = _log_weight_form(window_points(16), p)
+    twice = np.array([x.twice for x in window_points(16)])
+    H = _log_weight_form(twice, twice, p)
     rows = base.zz * math.log1p(-xi) + ((o @ H) * o).sum(axis=1)
     want = [log_weight_partition(lam, p) for lam in partitions_up_to(16)]
     assert rows == pytest.approx(want, rel=1e-12)
