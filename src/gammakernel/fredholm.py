@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 
 from .kernels import NonConvergenceError, WindowKernel, window_points
 from .lattice import FiniteConfig, HalfInt, window_index
@@ -279,9 +280,8 @@ class ExpectationDet(NamedTuple):
 
 
 def _det_one_plus(a: np.ndarray) -> float:
+    """det(I + a) by slogdet, the reference the tests hold _window_dets to."""
     sign, logmag = np.linalg.slogdet(np.eye(a.shape[0]) + a)
-    if sign == 0.0:
-        return 0.0
     return float(sign * math.exp(logmag))
 
 
@@ -293,11 +293,38 @@ def _doubling_windows(N: int) -> list[int]:
     return ns
 
 
-def _weighted_kernel(kernel: WindowKernel, fv=1.0) -> np.ndarray:
-    """D_f K_w on the kernel window, entries f(x) sqrt(|x|/|y|) K(x, y): the
-    weighted operator A_g A_h K A_h of f = g h^2 (K_w itself for fv = 1)."""
+def _weighted_kernel(kernel: WindowKernel) -> np.ndarray:
+    """K_w = s K s^-1 on the kernel window, entries sqrt(|x|/|y|) K(x, y), so
+    that D_f K_w is the weighted operator A_g A_h K A_h of f = g h^2."""
     s = np.sqrt(np.abs(np.arange(1 - 2 * kernel.N, 2 * kernel.N, 2)) / 2.0)
-    return (fv * s)[:, None] * kernel.values / s[None, :]
+    return s[:, None] * kernel.values / s[None, :]
+
+
+def _window_dets(fw: np.ndarray, us: np.ndarray, kw: np.ndarray, ns) -> np.ndarray:
+    """det(I + D_(f+u) K_w) on each central window [-n, n] of ns (columns) for
+    each row u of us, all given on [-K, K].  With A = I + D_f K_w and S the
+    rows' joint support, det(I + D_(f+u) K_w) = det(A) det(I_S + D_u K_w[S, :]
+    A^-1 E_S): one LU of A per window, none where f vanishes there (A = I)."""
+    K = len(fw) // 2
+    support = np.flatnonzero(np.any(us != 0.0, axis=0))
+    out = np.empty((len(us), len(ns)))
+    for i, n in enumerate(ns):
+        sl = slice(K - n, K + n)  # the window [-n, n] is a central slice
+        s = support[(support >= K - n) & (support < K + n)]
+        if not fw[sl].any():
+            det_a, m = 1.0, kw[np.ix_(s, s)]
+        else:
+            a = fw[sl, None] * kw[sl, sl]
+            a.flat[:: 2 * n + 1] += 1.0
+            lu, piv = lu_factor(a, overwrite_a=True, check_finite=False)
+            diag = np.diag(lu)
+            flips = np.count_nonzero(piv != np.arange(2 * n)) + np.count_nonzero(diag < 0)
+            det_a = (-1.0) ** flips * math.exp(np.sum(np.log(np.abs(diag))))
+            e_s = np.zeros((2 * n, len(s)))
+            e_s[s - (K - n), np.arange(len(s))] = 1.0
+            m = kw[s, sl] @ lu_solve((lu, piv), e_s, check_finite=False)
+        out[:, i] = det_a * np.linalg.det(np.eye(len(s)) + us[:, s, None] * m)
+    return out
 
 
 def expectation_det(
@@ -309,11 +336,11 @@ def expectation_det(
     """E[Phi_f] = det(1 + A_g A_h K A_h) on nested windows until stabilization.
 
     kernel must be of a finitary-process kind (k_prelimit or k_limit).  The
-    weighted operator has entries f(x) sqrt(|x|/|y|) K(x, y); determinants are
-    evaluated by pivoted LU on the ascending window chain 1, 2, 4, ....  A
-    zero-tail f is exact once the chain covers its support (the operator stops
-    changing); a decaying f must stabilize below tol on two consecutive
-    doublings before the kernel window is exhausted.
+    weighted operator D_f K_w has entries f(x) sqrt(|x|/|y|) K(x, y), and
+    _window_dets evaluates it on the window chain 1, 2, 4, ....  A zero-tail f
+    enters as a row on its support, with no LU, and is exact once the chain
+    covers that support; a decaying f is LU-factored on each window and must
+    stabilize below tol on two consecutive doublings within the kernel window.
     """
     if not kernel.kind.startswith("k_"):
         raise ValueError(
@@ -327,14 +354,12 @@ def expectation_det(
             f"radius {f.support_radius}"
         )
 
-    windows: list[int] = []
-    dets: list[float] = []
-    increments: list[float] = []
-    weighted, K = _weighted_kernel(kernel, f.on_window(kernel.N)), kernel.N
+    windows, dets, increments = [], [], []
+    fv, kw, K = f.on_window(kernel.N), _weighted_kernel(kernel), kernel.N
+    fw, us = (0.0 * fv, fv[None]) if zero_tail else (fv, 0.0 * fv[None])
     for n in _doubling_windows(K):
-        block = weighted[K - n:K + n, K - n:K + n]  # the window [-n, n]
         windows.append(n)
-        dets.append(_det_one_plus(block))
+        dets.append(float(_window_dets(fw, us, kw, [n])[0, 0]))
         if len(dets) >= 2:
             increments.append(abs(dets[-1] - dets[-2]) / max(1.0, abs(dets[-1])))
         done_exact = zero_tail and n >= cover
@@ -350,7 +375,8 @@ def expectation_det(
             cap="window half-width",
         )
 
-    cond = float(np.linalg.cond(np.eye(len(block)) + block))
+    sl = slice(K - n, K + n)
+    cond = float(np.linalg.cond(np.eye(2 * n) + fv[sl, None] * kw[sl, sl]))
     result = ExpectationDet(
         value=dets[-1],
         windows=tuple(windows),

@@ -91,32 +91,22 @@ class NonConvergenceError(RuntimeError):
 # Configuration and window containers
 # ---------------------------------------------------------------------------
 
+RHO1, RHO2 = 0.2, 0.4  # imaginary offsets of the limit hairpin contours
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Contour-quadrature parameters.
 
     nodes: starting node count per ray / per circle (doubled adaptively).
-    radius: outer circle radius for pre-limit contours; None selects
-        xi**(-1/4), the geometric midpoint of the legal band
-        (max(1, sqrt(xi)), 1/sqrt(xi)).
-    radius_inner: inner circle radius for the pre-limit "difference" variant;
-        None selects (1 + sqrt(xi))/2, inside (sqrt(xi), 1).
-    rho1, rho2: imaginary offsets of the limit hairpin contours; rho1 is used
-        for single-contour variants, rho1 < rho2 < 1/2 for the "difference"
-        variant.
-    u_max: truncation of the unbounded hairpin rays.  None picks the smallest
-        cutoff whose analytic tail envelope is below tol/10.
     tol: stabilization tolerance for adaptive node doubling.
     max_nodes: hard cap on nodes per ray / per circle; at least 2 * nodes,
         since stabilization compares two successive node counts.
+    The contours are fixed: the circle radii below, hairpins at the offsets
+    RHO1 < RHO2 < 1/2 with rays cut by _auto_u_max.
     """
 
     nodes: int = 64
-    radius: float | None = None
-    radius_inner: float | None = None
-    rho1: float = 0.2
-    rho2: float = 0.4
-    u_max: float | None = None
     tol: float = 1e-10
     max_nodes: int = 2**19
 
@@ -128,34 +118,16 @@ class QuadratureConfig:
                 f"max_nodes must be at least 2 * nodes = {2 * self.nodes} so that two "
                 f"refinements can be compared, got {self.max_nodes}"
             )
-        if not (0.0 < self.rho1 < self.rho2 < 0.5):
-            raise ValueError(
-                f"need 0 < rho1 < rho2 < 1/2, got rho1={self.rho1}, rho2={self.rho2}"
-            )
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.u_max is not None and self.u_max <= 1:
-            raise ValueError("u_max must exceed 1")
 
     def circle_radius(self, xi: float) -> float:
-        r = self.radius if self.radius is not None else xi ** (-0.25)
-        lo, hi = max(1.0, math.sqrt(xi)), 1.0 / math.sqrt(xi)
-        if not (lo < r < hi):
-            raise ValueError(
-                f"circle radius {r:.6g} outside the legal band ({lo:.6g}, {hi:.6g})"
-            )
-        return r
+        """The midpoint of the legal band (max(1, sqrt(xi)), 1/sqrt(xi))."""
+        return xi ** (-0.25)
 
     def circle_radius_inner(self, xi: float) -> float:
-        r2 = self.radius_inner if self.radius_inner is not None else (1 + math.sqrt(xi)) / 2
-        r1 = self.circle_radius(xi)
-        lo = math.sqrt(xi)
-        hi = min(r1, 1.0 / math.sqrt(xi))
-        if not (lo < r2 < hi):
-            raise ValueError(
-                f"inner circle radius {r2:.6g} outside the legal band ({lo:.6g}, {hi:.6g})"
-            )
-        return r2
+        """The "difference" variant's inner radius, inside (sqrt(xi), 1)."""
+        return (1 + math.sqrt(xi)) / 2
 
 
 def window_points(N: int) -> tuple[HalfInt, ...]:
@@ -478,8 +450,8 @@ def underline_limit_contour(
     """The limit kernel via the double hairpin-contour integral.
 
     variant='sum' uses the representation with denominator u1+u2+1 (equal
-    contour offsets rho1); variant='difference' uses the denominator u1-u2
-    with offsets rho1 < rho2; 'auto' picks 'difference' for mixed-sign
+    contour offsets RHO1); variant='difference' uses the denominator u1-u2
+    with offsets RHO1 < RHO2; 'auto' picks 'difference' for mixed-sign
     (positive, negative) pairs and 'sum' otherwise.  Node counts double from
     q.nodes until the value stabilizes within q.tol.
     """
@@ -488,14 +460,13 @@ def underline_limit_contour(
     mu = (p.z_prime - p.z).real
     decay1 = mu - 1.0
     if mode == "sum":
-        rho_2, decay2, slope2 = q.rho1, mu - 1.0, 0.0
+        rho_2, decay2, slope2 = RHO1, mu - 1.0, 0.0
     else:
-        rho_2, decay2, slope2 = q.rho2, -mu - 1.0, 0.5
-    umax1 = q.u_max if q.u_max is not None else _auto_u_max(decay1, q.tol)
-    umax2 = q.u_max if q.u_max is not None else _auto_u_max(decay2, q.tol)
+        rho_2, decay2, slope2 = RHO2, -mu - 1.0, 0.5
+    umax1, umax2 = _auto_u_max(decay1, q.tol), _auto_u_max(decay2, q.tol)
 
     def contours(n):
-        u1, w1 = _hairpin_nodes(q.rho1, n, umax1)
+        u1, w1 = _hairpin_nodes(RHO1, n, umax1)
         u2, w2 = _hairpin_nodes(rho_2, n, umax2, slope=slope2)
         return u1, _log_factor(u1, a1, b1) * w1, u2, _log_factor(u2, a2, b2) * w2
 

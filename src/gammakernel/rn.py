@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .lattice import (
     FiniteConfig,
@@ -36,14 +35,16 @@ from .lattice import (
     _sigma_modified_once,
     window_index,
 )
-from .zmeasure import Params, XiParams, _log_weight_form, pair_product, partition_ensemble
+from .zmeasure import (
+    Params, XiParams, _log_weight_form, _log_weights, pair_product, partition_ensemble,
+)
 from .fredholm import (
     InverseDecay,
     SparseConfig,
     TestFunction,
     _doubling_windows,
     _weighted_kernel,
-    expectation_det,
+    _window_dets,
     phi_eval,
 )
 from .kernels import WindowKernel, j_transform, underline_limit_window, window_points
@@ -87,22 +88,23 @@ def word_window(sigma) -> int:
 # Exact weight-ratio route
 # ---------------------------------------------------------------------------
 
-def _mu_rows(perm: FinitaryPermutation, occupancy: np.ndarray, twice, p: XiParams) -> np.ndarray:
-    """mu(sigma, X) = P(sigma~^(-1) X) / P(X) for every balanced row X of an
-    occupancy matrix on the ascending points twice / 2, which hold the points
-    the word moves.  With log P = c + o^T H o and o' the moved row, log mu =
-    (o' - o)^T H (o' + o) reads only the rows S of H the word moves, c cancels
-    exactly, and a fixed row gets mu = 1 exactly."""
+def _log_mu_rows(perm: FinitaryPermutation, occupancy: np.ndarray, twice,
+                 p: XiParams) -> np.ndarray:
+    """log mu(sigma, X) = log P(sigma~^(-1) X) - log P(X) for every balanced
+    row X of an occupancy matrix on the ascending points twice / 2, which hold
+    the points the word moves.  With log P = c + o^T H o and o' the moved row,
+    log mu = (o' - o)^T H (o' + o) reads only the rows S of H the word moves,
+    c cancels exactly, and a fixed row gets log mu = 0 exactly."""
     moved = _modified_occupancy(perm.inverse(), occupancy, twice)
     S = [twice.index(t) for t in sorted({2 * n + s for n in perm.word for s in (-1, 1)})]
     d = moved[:, S].astype(float) - occupancy[:, S]
     cols = np.array(twice, dtype=int)
-    return np.exp(((d @ _log_weight_form(cols[S], cols, p)) * (moved + 1.0 * occupancy)).sum(1))
+    return ((d @ _log_weight_form(cols[S], cols, p)) * (moved + 1.0 * occupancy)).sum(1)
 
 
 def rn_exact(sigma, X, p: XiParams) -> float:
     """mu(sigma, X) = P(sigma~^(-1) X) / P(X) as an exact weight ratio, the
-    one-row case of _mu_rows on X's points and the word's: the zz' log(1 - xi)
+    one-row case of _log_mu_rows on X's points and the word's: the zz' log(1 - xi)
     prefactor cancels exactly, so the ratio stays accurate near xi = 1."""
     perm = _as_permutation(sigma)
     config = _as_config(X)
@@ -110,7 +112,7 @@ def rn_exact(sigma, X, p: XiParams) -> float:
         raise ValueError(f"modified action requires a balanced configuration, got {config}")
     held = {x.twice for x in config.points}
     twice = sorted(held | {2 * n + s for n in perm.word for s in (-1, 1)})
-    return float(_mu_rows(perm, np.array([[t in held for t in twice]]), twice, p)[0])
+    return math.exp(_log_mu_rows(perm, np.array([[t in held for t in twice]]), twice, p)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +438,9 @@ class TransportReport(NamedTuple):
 def verify_transport(sigma, F: CylinderFunction, p: XiParams, max_size: int = 16) -> TransportReport:
     """Check the transport identity for a pre-limit measure: both pairings over
     every partition up to max_size, on the ensemble's occupancy padded to the
-    word's and F's points, with F read off each row's bits on its points."""
+    word's and F's points, with F read off each row's bits on its points.  The
+    right side sums w mu as exp(log w + log mu), which stays finite where mu
+    overflows on rows whose weight underflows."""
     perm = _as_permutation(sigma)
     occ, weights, tail = partition_ensemble(p, max_size)
     W = occ.shape[1] // 2
@@ -445,19 +449,21 @@ def verify_transport(sigma, F: CylinderFunction, p: XiParams, max_size: int = 16
     fcols = [window_index(x, N) for x in F.points]
     table = np.array([F.table[sub] for sub in _subsets(F.points)])
     bits = 1 << np.arange(len(fcols))
-    mu = _mu_rows(perm, occ, twice, p)
+    log_mu = _log_mu_rows(perm, occ, twice, p)
     lhs = math.fsum(weights * table[_modified_occupancy(perm, occ, twice)[:, fcols] @ bits])
-    rhs = math.fsum(weights * mu * table[occ[:, fcols] @ bits])
+    rhs = math.fsum(np.exp(_log_weights(p, max_size) + log_mu) * table[occ[:, fcols] @ bits])
     diff = abs(lhs - rhs)
-    bound = tail * F.sup_norm * max(1.0, float(mu.max())) + 1e-9
+    # tail sup|F| max(1, max mu), which is 0 at tail 0 even where mu overflows
+    top, scale = max(0.0, float(log_mu.max())), tail * F.sup_norm
+    bound = 1e-9 + (0.0 if not scale else scale * math.exp(top) if top < 709.0 else math.inf)
     return TransportReport(lhs, rhs, diff, bound, tail, diff <= bound)
 
 
 def _limit_groups(perm: FinitaryPermutation, F: CylinderFunction, p: Params, K: int):
-    """The right side's determinant jobs c Phi_h, h = f + g (1 + f), grouped
-    by the density's tail functional f: a list of (f, the jobs' c, the jobs'
-    g), functions as values on [-K, K]; each g is -1 on a finite set of
-    points and 0 elsewhere."""
+    """The right side's determinant jobs c Phi_h, h = f + u, grouped by the
+    density's tail functional f: a list of (f, the jobs' c, the jobs' u as
+    rows), functions as values on [-K, K]; u = g (1 + f), where each g is -1
+    on a finite set of points and 0 elsewhere."""
     N = word_window(perm)
     t = np.arange(1 - 2 * K, 2 * K, 2) / 2.0
     outside = np.abs(t) > N
@@ -474,33 +480,8 @@ def _limit_groups(perm: FinitaryPermutation, F: CylinderFunction, p: Params, K: 
         coeff = CylinderFunction(wpts, {W: amap.get(W, 0.0) for W in _subsets(wpts)})
         jobs = expand_cylinder(coeff.times(F))
         if jobs:
-            out.append((fw, np.array([c for c, _ in jobs]), [g.on_window(K) for _, g in jobs]))
-    return out
-
-
-def _group_dets(fw: np.ndarray, gvs, kw: np.ndarray, ns) -> np.ndarray:
-    """det(I + D_h K_w) on every window [-n, n] of ns for each h = f + g (1 + f),
-    g in gvs, as a (len(gvs), len(ns)) array; K_w = s K s^-1 (_weighted_kernel).
-    With A = I + D_f K_w and u = g (1 + f) supported on S, the determinant
-    lemma gives det(I + D_h K_w) = det(A) det(I_S + D_u K_w[S, :] A^-1 E_S):
-    one LU of A per window serves the group; each job costs an |S| x |S| det."""
-    K = len(fw) // 2
-    us = np.array(gvs) * (1.0 + fw)
-    support = np.flatnonzero(np.any(us != 0.0, axis=0))
-    out = np.empty((len(gvs), len(ns)))
-    for i, n in enumerate(ns):
-        sl = slice(K - n, K + n)  # the window [-n, n] is a central slice
-        a = fw[sl, None] * kw[sl, sl]
-        a.flat[:: 2 * n + 1] += 1.0
-        lu, piv = lu_factor(a, overwrite_a=True, check_finite=False)
-        diag = np.diag(lu)
-        flips = np.count_nonzero(piv != np.arange(2 * n)) + np.count_nonzero(diag < 0)
-        det_a = (-1.0) ** flips * math.exp(np.sum(np.log(np.abs(diag))))
-        s = support[(support >= K - n) & (support < K + n)]
-        e_s = np.zeros((2 * n, len(s)))
-        e_s[s - (K - n), np.arange(len(s))] = 1.0
-        m = kw[s, sl] @ lu_solve((lu, piv), e_s, check_finite=False)
-        out[:, i] = det_a * np.linalg.det(np.eye(len(s)) + us[:, s, None] * m)
+            us = np.array([g.on_window(K) for _, g in jobs]) * (1.0 + fw)
+            out.append((fw, np.array([c for c, _ in jobs]), us))
     return out
 
 
@@ -508,9 +489,9 @@ class LimitTransportReport(NamedTuple):
     """Both sides of the transport identity for the limit measure.
 
     The right side is a sum of n_terms Fredholm determinants evaluated on
-    shared nested windows, by one LU per tail group and window: the terms'
-    truncation tails decay like 1/n but cancel in the sum, so the residual
-    tracks the summed sequence (rhs_by_window, before Richardson)."""
+    shared nested windows, by at most one LU per tail group and window: the
+    terms' truncation tails decay like 1/n but cancel in the sum, so the
+    residual tracks the summed sequence (rhs_by_window, before Richardson)."""
 
     lhs: float
     rhs: float
@@ -533,15 +514,15 @@ def verify_limit_transport(
 ) -> LimitTransportReport:
     """Check the transport identity for the limit measure.
 
-    The left side expands F o sigma~ into avoidance functionals, whose
-    expectations are exact finite determinants of the limit kernel.  The
-    right side groups the density's cylinder pieces by their shared tail
-    functional f, expands each grouped coefficient times F into avoidance
-    functionals g, and sums the Fredholm determinants of h = f + g (1 + f)
-    over nested central windows of the weighted kernel K_w, built once: one
-    LU of I + D_f K_w per group and window serves every job through the
-    determinant lemma (_group_dets).  The last per-doubling increment of the
-    Richardson-accelerated sum is the reported residual.
+    Both sides sum determinants det(I + D_h K_w) of the weighted kernel K_w,
+    built once, by one routine (fredholm._window_dets).  The left side expands
+    F o sigma~ into avoidance functionals u, exact finite determinants on
+    their supports (f = 0, no LU).  The right side groups the density's
+    cylinder pieces by their shared tail functional f, expands each grouped
+    coefficient times F into avoidance functionals g, and sums h = f + g (1 + f)
+    over nested central windows: one LU of I + D_f K_w per group and window
+    where f does not vanish serves every job.  The last per-doubling increment
+    of the Richardson-accelerated sum is the reported residual.
     """
     perm = _as_permutation(sigma)
     if kernel is None:
@@ -549,20 +530,23 @@ def verify_limit_transport(
     if not kernel.kind.startswith("k_"):
         raise ValueError(f"transport check requires a finitary-process kernel, "
                          f"got {kernel.kind!r}")
-    N = word_window(perm)
-    if N > kernel.N:
-        raise ValueError(f"kernel window [-{kernel.N}, {kernel.N}] too small for the "
-                         f"word (needs N >= {N})")
+    K = kernel.N
+    need = max([word_window(perm)] + [abs(x.twice) // 2 + 1 for x in F.points])
+    if need > K:
+        raise ValueError(f"kernel window [-{K}, {K}] too small for the word and F "
+                         f"(needs N >= {need})")
 
-    lhs_terms = expand_cylinder(F.transform(perm))
-    lhs = math.fsum(c * expectation_det(g, kernel) for c, g in lhs_terms)
-
-    ns = _doubling_windows(kernel.N)
     kw = _weighted_kernel(kernel)
+    lhs_terms = expand_cylinder(F.transform(perm))
+    us = np.array([g.on_window(K) for _, g in lhs_terms]).reshape(-1, 2 * K)
+    lhs_dets = _window_dets(np.zeros(2 * K), us, kw, [K])[:, 0]
+    lhs = math.fsum(c * d for (c, _), d in zip(lhs_terms, lhs_dets))
+
+    ns = _doubling_windows(K)
     totals = np.zeros(len(ns))
     n_terms = 0
-    for fw, cs, gvs in _limit_groups(perm, F, p, kernel.N):
-        totals += cs @ _group_dets(fw, gvs, kw, ns)
+    for fw, cs, us in _limit_groups(perm, F, p, K):
+        totals += cs @ _window_dets(fw, us, kw, ns)
         n_terms += len(cs)
     # The truncation error of the raw sums decays like a power series in 1/n
     # on the doubling chain (the 1/|x| tails of the density functionals meet

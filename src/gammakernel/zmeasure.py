@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -141,26 +141,39 @@ class XiParams:
 # Weights
 # ---------------------------------------------------------------------------
 
-def _log_pair_pochhammer_boxes(z: complex, zp: complex, lam: Partition) -> float:
-    """log[(z)_lambda (z')_lambda] via the box products (z+c)(z'+c), c = j-i."""
-    total = 0.0
-    for i, r in enumerate(lam.rows, start=1):
-        for j in range(1, r + 1):
-            v = pair_product(z, zp, j - i)
-            if v <= 0.0:
-                raise ValueError(f"non-positive pair factor at content {j - i}: {v}")
-            total += math.log(v)
-    return total
+def _box_rows(parts: Sequence[Partition]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The parameter-free part of log M(lambda) for each partition: the
+    contents c = j - i of the boxes (i, j), a range that holds 0, each
+    partition's number of boxes of each content, and log (dim/|lambda|!)^2."""
+    lo = 1 - max([len(lam) for lam in parts] + [1])
+    contents = np.arange(lo, max([lam[1] for lam in parts] + [1]))
+    counts = np.zeros((len(parts), len(contents)))
+    logdim = np.empty(len(parts))
+    for row, lam in enumerate(parts):
+        for i, j in lam.boxes():
+            counts[row, j - i - lo] += 1.0
+        fr = dim_ratio(lam)
+        logdim[row] = 2.0 * (math.log(fr.numerator) - math.log(fr.denominator))
+    return contents, counts, logdim
+
+
+def _box_log_weights(contents: np.ndarray, counts: np.ndarray, logdim: np.ndarray,
+                     p: XiParams) -> np.ndarray:
+    """log M(lambda) of _box_rows' rows by the box formula zz' log(1 - xi) +
+    sum_c counts_c log[xi (z + c)(z' + c)] + log (dim lambda / |lambda|!)^2,
+    the logs of xi and of each pair summed apart so that a subnormal pair stays finite."""
+    pair = ((p.z + contents) * (p.z_prime + contents)).real
+    if not (pair > 0.0).all():
+        k = int(np.argmin(pair > 0.0))
+        raise ValueError(f"non-positive pair factor at content {contents[k]}: {pair[k]}")
+    logs = np.log(pair) + math.log(p.xi)
+    return p.base.zz * math.log1p(-p.xi) + counts @ logs + logdim
 
 
 def log_weight_partition(lam: Partition, p: XiParams) -> float:
-    """log M(lambda), accumulated in log space to survive |lambda| ~ 30."""
-    zz = p.base.zz
-    out = zz * math.log1p(-p.xi) + lam.size * math.log(p.xi)
-    out += _log_pair_pochhammer_boxes(p.z, p.z_prime, lam)
-    fr = dim_ratio(lam)
-    out += 2.0 * (math.log(fr.numerator) - math.log(fr.denominator))
-    return out
+    """log M(lambda), accumulated in log space to survive |lambda| ~ 30: the
+    one-row case of the ensemble's box formula."""
+    return float(_box_log_weights(*_box_rows([lam]), p)[0])
 
 
 def weight_partition(lam: Partition, p: XiParams) -> float:
@@ -213,22 +226,36 @@ def log_weight_config(config: FiniteConfig, p: XiParams) -> float:
 # Enumeration oracle
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _ensemble_table(max_size: int) -> tuple[tuple[Partition, ...], np.ndarray, tuple]:
+    """Every |lambda| <= max_size in enumeration order, with the occupancy of
+    X(lambda) on the window of half-width max(max_size, 1), which holds every
+    Frobenius coordinate (p_1, q_1 <= max_size - 1/2), and _box_rows."""
+    if not 0 <= max_size <= 30:
+        raise ValueError(f"max_size must lie in [0, 30], got {max_size}")
+    parts = tuple(partitions_up_to(max_size))
+    W = max(max_size, 1)
+    occ = np.zeros((len(parts), 2 * W), dtype=bool)
+    for row, lam in enumerate(parts):
+        occ[row, [window_index(x, W) for x in to_balanced_config(lam)]] = True
+    occ.flags.writeable = False
+    return parts, occ, _box_rows(parts)
+
+
+def _log_weights(p: XiParams, max_size: int) -> np.ndarray:
+    """log M(lambda) for every row of the ensemble table."""
+    return _box_log_weights(*_ensemble_table(max_size)[2], p)
+
+
 @lru_cache(maxsize=2)
-def _enumerate_cached(
-    p: XiParams, max_size: int
-) -> tuple[tuple[tuple[Partition, float], ...], np.ndarray, float]:
-    if max_size > 30:
-        raise ValueError(f"max_size must be <= 30, got {max_size}")
-    if max_size < 0:
-        raise ValueError(f"max_size must be >= 0, got {max_size}")
-    items = tuple((lam, weight_partition(lam, p)) for lam in partitions_up_to(max_size))
-    weights = np.array([w for _, w in items])
+def _enumerate_cached(p: XiParams, max_size: int) -> tuple[np.ndarray, float]:
+    weights = np.exp(_log_weights(p, max_size))
     weights.flags.writeable = False
     total = math.fsum(weights)
     tail = 1.0 - total
     if tail < -1e-9:
         raise AssertionError(f"weights sum to {total} > 1; parameter or formula error")
-    return items, weights, max(tail, 0.0)
+    return weights, max(tail, 0.0)
 
 
 def enumerate_weights(
@@ -236,31 +263,17 @@ def enumerate_weights(
 ) -> tuple[list[tuple[Partition, float]], float]:
     """All (lambda, M(lambda)) with |lambda| <= max_size, plus the tail mass
     1 - sum of listed weights (nonnegative; shrinks as max_size grows).
-    The two most recent enumerations are cached, keyed by (parameters, max_size)."""
-    items, _, tail = _enumerate_cached(p, max_size)
-    return list(items), tail
-
-
-@lru_cache(maxsize=None)
-def _partition_occupancy(max_size: int) -> np.ndarray:
-    """Occupancy of X(lambda) for every |lambda| <= max_size, rows in
-    enumeration order, on the window of half-width max(max_size, 1), which
-    holds every Frobenius coordinate (p_1, q_1 <= max_size - 1/2)."""
-    W = max(max_size, 1)
-    parts = list(partitions_up_to(max_size))
-    occ = np.zeros((len(parts), 2 * W), dtype=bool)
-    for row, lam in enumerate(parts):
-        occ[row, [window_index(x, W) for x in to_balanced_config(lam)]] = True
-    occ.flags.writeable = False
-    return occ
+    The two most recent weight vectors are cached, keyed by (parameters, max_size)."""
+    weights, tail = _enumerate_cached(p, max_size)
+    return list(zip(_ensemble_table(max_size)[0], weights.tolist())), tail
 
 
 def partition_ensemble(p: XiParams, max_size: int) -> tuple[np.ndarray, np.ndarray, float]:
     """The z-measure ensemble of all |lambda| <= max_size as (occupancy of the
     balanced configurations X(lambda) on [-W, W], W = max(max_size, 1),
     weights M(lambda), tail mass), rows in enumeration order."""
-    _, weights, tail = _enumerate_cached(p, max_size)
-    return _partition_occupancy(max_size), weights, tail
+    weights, tail = _enumerate_cached(p, max_size)
+    return _ensemble_table(max_size)[1], weights, tail
 
 
 class OracleValue(NamedTuple):

@@ -24,6 +24,7 @@ from gammakernel.fredholm import (
     SparseConfig,
     TestFunction,
     ZeroTail,
+    _det_one_plus,
     expectation_det,
     expectation_sum,
     multiply_functionals,
@@ -240,6 +241,12 @@ def test_expectation_det_increments_decrease():
     # Recorded nonzero increments shrink as the window doubles.
     incs = [i for i in out.increments if i > 0.0]
     assert all(a > b for a, b in zip(incs, incs[1:])), out.increments
+    # Each window's determinant is det(1 + A_g A_h K A_h) of that window.
+    s = np.sqrt([abs(float(x)) for x in K.points])
+    weighted = (f.on_window(K.N) * s)[:, None] * K.values / s[None, :]
+    for n, got in zip(out.windows, out.determinants):
+        block = weighted[K.N - n:K.N + n, K.N - n:K.N + n]
+        assert got == pytest.approx(_det_one_plus(block), rel=1e-13), n
 
 
 # ---------------------------------------------------------------------------

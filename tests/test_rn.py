@@ -9,7 +9,9 @@ pre-limit measure (exhaustive enumeration) and for the limit measure
 
 import itertools
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from gammakernel.lattice import (
@@ -37,13 +39,13 @@ from gammakernel.fredholm import (
     _det_one_plus,
     _doubling_windows,
     _weighted_kernel,
+    _window_dets,
     multiply_functionals,
 )
 from gammakernel.kernels import j_transform, underline_limit_window, window_points
 from gammakernel.rn import (
     CylinderFunction,
     RnExpression,
-    _group_dets,
     _limit_groups,
     expand_cylinder,
     rn_closed_form,
@@ -521,13 +523,16 @@ def test_verify_transport_mass():
 def test_near_underflow_pair_keeps_weights_and_transport_finite():
     """(z+3)(z'+3) = 1e-320 is subnormal but admissible: at xi = 1e-3 the
     weights on 7/2 still agree with the box formula, and verify_transport,
-    whose padded window holds 7/2, stays finite on words that do not move it."""
+    whose padded window holds 7/2, stays finite without a warning, also on
+    words that move 7/2, where mu overflows on rows whose weight underflows."""
     p = XiParams(Params(-3 + 1e-160j, -3 - 1e-160j), 1e-3)
     for lam in partitions_up_to(10):
         want = log_weight_partition(lam, p)
         assert log_weight_config(to_balanced_config(lam), p) == pytest.approx(want, rel=1e-12)
-    for word in [(0,), (1, 0), (2,)]:
-        report = verify_transport(word, F_HALF, p, max_size=12)
+    for word in [(0,), (1, 0), (2,), (3,), (-3,), (3, 2)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = verify_transport(word, F_HALF, p, max_size=12)
         assert math.isfinite(report.lhs) and math.isfinite(report.rhs), report
         assert report.passed, report
 
@@ -571,6 +576,14 @@ def test_verify_limit_transport_word_exceeds_kernel():
         verify_limit_transport((4,), F, EQUAL, kernel=small)
 
 
+def test_verify_limit_transport_f_exceeds_kernel():
+    # A point of F beyond the kernel window would drop out of every
+    # determinant and leave lhs = rhs = 0.
+    small = j_transform(underline_limit_window(8, EQUAL))
+    with pytest.raises(ValueError, match="too small"):
+        verify_limit_transport((0,), CylinderFunction.contains(H(21)), EQUAL, kernel=small)
+
+
 F_HALF = CylinderFunction.contains(H(1))
 F_THREE = CylinderFunction.from_callable(  # the three-point F of acceptance criterion 7
     (H(-1), H(1), H(3)), lambda s: 0.5 + 0.25 * len(s) - 1.0 * (H(1) in s)
@@ -579,22 +592,27 @@ F_THREE = CylinderFunction.from_callable(  # the three-point F of acceptance cri
 
 @pytest.mark.parametrize("word", [(1, 0), (-1, 0), (0,)])
 def test_grouped_determinants_match_full_operators(word):
-    # One LU per tail group plus the determinant lemma must reproduce each
-    # job's own det(I + D_h K_w) on every chain window, including windows
-    # that hold only part of the group's support S.
+    # One LU per tail group (none where f vanishes) plus the determinant lemma
+    # must reproduce each job's own det(I + D_h K_w), h = f + u, on every
+    # chain window, including windows that hold only part of the rows'
+    # support; the left side's avoidance jobs enter as one more f = 0 group.
     K = K64.N
     ns = _doubling_windows(K)
     kw = _weighted_kernel(K64)
+    perm = FinitaryPermutation(word)
     worst, partial = 0.0, 0
     for F in (F_HALF, F_THREE):
-        for fw, cs, gvs in _limit_groups(FinitaryPermutation(word), F, EQUAL, K):
-            assert len(cs) == len(gvs) > 0
-            dets = _group_dets(fw, gvs, kw, ns)
-            support = {j for gv in gvs for j in gv.nonzero()[0]}
+        lhs_jobs = expand_cylinder(F.transform(perm))
+        groups = _limit_groups(perm, F, EQUAL, K) + [
+            (np.zeros(2 * K), None, np.array([g.on_window(K) for _, g in lhs_jobs]))]
+        for fw, cs, us in groups:
+            assert len(us) > 0
+            dets = _window_dets(fw, us, kw, ns)
+            support = set(np.flatnonzero(us.any(axis=0)))
             for i, n in enumerate(ns):
                 partial += not all(K - n <= j < K + n for j in support)
-                for gv, got in zip(gvs, dets[:, i]):
-                    full = _weighted_kernel(K64, gv + fw + gv * fw)
+                for u, got in zip(us, dets[:, i]):
+                    full = (fw + u)[:, None] * kw
                     want = _det_one_plus(full[K - n:K + n, K - n:K + n])
                     worst = max(worst, abs(got - want) / abs(want))
     assert partial > 0
