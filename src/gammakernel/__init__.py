@@ -58,7 +58,6 @@ from .fredholm import (
     ZeroTail,
     expectation_det,
     expectation_sum,
-    multiply_functionals,
     phi_eval,
     sparseness_certificate,
 )

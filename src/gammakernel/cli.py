@@ -219,11 +219,17 @@ def _write_stream(cfg, header, rows, fh, version) -> None:
             json.dumps({"gammakernel": version, "config": cfg.echo()}, sort_keys=True)
             + "\n"
         )
+        # Each row as json.dumps of its dict writes it, the keys encoded once.
+        keys = [json.dumps(key) + ": " for key in header or ()]
         for row in rows:
-            obj = row if header is None else {
-                key: (_fmt(v) if isinstance(v, (float, complex)) else v)
-                for key, v in zip(header, row)}
-            fh.write(json.dumps(obj) + "\n")
+            body = ", ".join(k + _json_value(v) for k, v in zip(keys, row))
+            fh.write((json.dumps(row) if header is None else "{" + body + "}") + "\n")
+
+
+def _json_value(v) -> str:
+    if isinstance(v, (float, complex)):
+        v = _fmt(v)
+    return json.encoder.encode_basestring_ascii(v) if isinstance(v, str) else json.dumps(v)
 
 
 def _emit_error(name: str, code: int, message: str) -> None:
@@ -295,6 +301,7 @@ def _cmd_kernel(args) -> tuple[RunConfig, list[str], list[list]]:
         raise CliError("xi_forbidden", f"--xi does not apply to method {args.method}")
 
     sx, sy = [str(t) for t in xs], [str(t) for t in ys]  # labels once per point
+    xv, yv = (np.array([float(t) for t in ts]) for ts in (xs, ys))
     if args.method == "spectral":
         # The fixed-window diagonalization is interior-accurate only, so pad
         # until the requested entries stabilize (--tol sets the residual).
@@ -305,10 +312,9 @@ def _cmd_kernel(args) -> tuple[RunConfig, list[str], list[list]]:
         )
         grid = [[wk.entry(x, y) for y in ys] for x in xs]
     elif args.method == "integrable":
-        xv, yv = (np.array([float(t) for t in ts]) for ts in (xs, ys))
         grid = kr._limit_closed_form(xv, yv, base).tolist()
     elif args.method == "contour-limit":
-        grid = [[kr.underline_limit_contour(x, y, base, q) for y in ys] for x in xs]
+        grid = kr._limit_contour_grid(xv, yv, base, q)["value"].tolist()
     else:
         p = XiParams(base, xi)
         grid = [[kr.underline_prelimit_contour(x, y, p, q) for y in ys] for x in xs]

@@ -34,7 +34,6 @@ __all__ = [
     "PhiValue",
     "phi_eval",
     "phi_rows",
-    "multiply_functionals",
     "ExpectationSum",
     "expectation_sum",
     "ExpectationDet",
@@ -133,22 +132,6 @@ class TestFunction:
     def support_radius(self) -> float:
         sup = self.support
         return max(abs(float(x)) for x in sup) if sup else 0.0
-
-
-def multiply_functionals(f: TestFunction, g: TestFunction) -> TestFunction:
-    """The function h with 1 + h = (1 + f)(1 + g) pointwise, so that
-    Phi_h = Phi_f Phi_g on every configuration; h = f + g + f*g."""
-    pts = sorted({x for x, _ in f.values} | {x for x, _ in g.values})
-    vals = tuple((x, f(x) + g(x) + f(x) * g(x)) for x in pts)
-    if isinstance(f.tail, ZeroTail) and isinstance(g.tail, ZeroTail):
-        tail: TailModel = ZeroTail()
-    else:
-        cf = f.tail.c if isinstance(f.tail, InverseDecay) else 0.0
-        cg = g.tail.c if isinstance(g.tail, InverseDecay) else 0.0
-        w = max(0.5, f.window_radius, g.window_radius)
-        # |f+g+fg| <= (cf+cg)/|x| + cf*cg/x^2 and 1/|x| < 1/w beyond the window.
-        tail = InverseDecay(cf + cg + cf * cg / w)
-    return TestFunction(vals, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +262,6 @@ class ExpectationDet(NamedTuple):
     condition_number: float
 
 
-def _det_one_plus(a: np.ndarray) -> float:
-    """det(I + a) by slogdet, the reference the tests hold _window_dets to."""
-    sign, logmag = np.linalg.slogdet(np.eye(a.shape[0]) + a)
-    return float(sign * math.exp(logmag))
-
-
 def _doubling_windows(N: int) -> list[int]:
     """The nested window chain 1, 2, 4, ..., its last step capped at N."""
     ns = [1]
@@ -293,11 +270,13 @@ def _doubling_windows(N: int) -> list[int]:
     return ns
 
 
-def _weighted_kernel(kernel: WindowKernel) -> np.ndarray:
-    """K_w = s K s^-1 on the kernel window, entries sqrt(|x|/|y|) K(x, y), so
-    that D_f K_w is the weighted operator A_g A_h K A_h of f = g h^2."""
-    s = np.sqrt(np.abs(np.arange(1 - 2 * kernel.N, 2 * kernel.N, 2)) / 2.0)
-    return s[:, None] * kernel.values / s[None, :]
+def _weighted_kernel(kernel: WindowKernel, n: int | None = None) -> np.ndarray:
+    """K_w = s K s^-1 on the central window [-n, n] of the kernel (by default
+    all of it), entries sqrt(|x|/|y|) K(x, y), so that D_f K_w is the
+    weighted operator A_g A_h K A_h of f = g h^2."""
+    n, K = n or kernel.N, kernel.N
+    s = np.sqrt(np.abs(np.arange(1 - 2 * n, 2 * n, 2)) / 2.0)
+    return s[:, None] * kernel.values[K - n : K + n, K - n : K + n] / s[None, :]
 
 
 def _window_dets(fw: np.ndarray, us: np.ndarray, kw: np.ndarray, ns) -> np.ndarray:
@@ -327,17 +306,14 @@ def _window_dets(fw: np.ndarray, us: np.ndarray, kw: np.ndarray, ns) -> np.ndarr
     return out
 
 
-def expectation_det(
-    f: TestFunction,
-    kernel: WindowKernel,
-    tol: float = 1e-8,
-    full_output: bool = False,
-):
+def expectation_det(f: TestFunction, kernel: WindowKernel, tol: float = 1e-8,
+                    full_output: bool = False):
     """E[Phi_f] = det(1 + A_g A_h K A_h) on nested windows until stabilization.
 
     kernel must be of a finitary-process kind (k_prelimit or k_limit).  The
     weighted operator D_f K_w has entries f(x) sqrt(|x|/|y|) K(x, y), and
-    _window_dets evaluates it on the window chain 1, 2, 4, ....  A zero-tail f
+    _window_dets evaluates it on the window chain 1, 2, 4, ..., weighting
+    each window's block only when the chain reaches it.  A zero-tail f
     enters as a row on its support, with no LU, and is exact once the chain
     covers that support; a decaying f is LU-factored on each window and must
     stabilize below tol on two consecutive doublings within the kernel window.
@@ -355,11 +331,12 @@ def expectation_det(
         )
 
     windows, dets, increments = [], [], []
-    fv, kw, K = f.on_window(kernel.N), _weighted_kernel(kernel), kernel.N
+    fv, K = f.on_window(kernel.N), kernel.N
     fw, us = (0.0 * fv, fv[None]) if zero_tail else (fv, 0.0 * fv[None])
     for n in _doubling_windows(K):
         windows.append(n)
-        dets.append(float(_window_dets(fw, us, kw, [n])[0, 0]))
+        sl, kw = slice(K - n, K + n), _weighted_kernel(kernel, n)  # only the windows reached
+        dets.append(float(_window_dets(fw[sl], us[:, sl], kw, [n])[0, 0]))
         if len(dets) >= 2:
             increments.append(abs(dets[-1] - dets[-2]) / max(1.0, abs(dets[-1])))
         done_exact = zero_tail and n >= cover
@@ -367,16 +344,10 @@ def expectation_det(
         if done_exact or done_stable:
             break
     else:
-        raise NonConvergenceError(
-            "expectation_det",
-            max(increments[-2:]) if increments else math.inf,
-            tol,
-            kernel.N,
-            cap="window half-width",
-        )
+        achieved = max(increments[-2:]) if increments else math.inf
+        raise NonConvergenceError("expectation_det", achieved, tol, K, cap="window half-width")
 
-    sl = slice(K - n, K + n)
-    cond = float(np.linalg.cond(np.eye(2 * n) + fv[sl, None] * kw[sl, sl]))
+    cond = float(np.linalg.cond(np.eye(2 * n) + fv[sl, None] * kw))
     result = ExpectationDet(
         value=dets[-1],
         windows=tuple(windows),

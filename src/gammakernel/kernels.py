@@ -15,14 +15,16 @@ its xi -> 1 limit (the Gamma kernel).  Four evaluation methods are provided:
     entries and for underline_limit_window;
   * underline_limit_contour    -- double contour integral over hairpin
     contours [+inf - i rho, 0-, +inf + i rho], in two variants ("sum"
-    denominator u1+u2+1, and "difference" denominator u1-u2 with rho1 < rho2);
+    denominator u1+u2+1, and "difference" denominator u1-u2 with rho1 < rho2),
+    the 1x1 case of _limit_contour_grid: one block per variant, factor rows
+    times one Cauchy matrix per node doubling, built in row blocks and never
+    kept (_coupled_sum), on arcs whose rule is built once (_gauss_legendre);
   * underline_prelimit_contour -- double contour integral over origin-centered
     circles, again in "sum" (omega1 omega2 - 1) and "difference"
     (omega1 - omega2, inner second circle) variants, whose equispaced
     trapezoid sums are exact DFT products in O(n log n) (_circle_sum); both
     contour routes supply only their nodes and factors to one node-doubling
-    trapezoid driver (_contour_value), and the hairpin sums run in
-    cache-sized O(n^2) blocks (_coupled_sum);
+    trapezoid driver (_contour_value);
   * underline_prelimit_spectral -- direct tridiagonal diagonalization on a
     window; underline_prelimit_window instead takes the center block of
     P+ = (I + sign D)/2 on padded windows [-M, M] from a certified trapezoid
@@ -37,6 +39,7 @@ h(x) = |x|^(-1/2).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import islice
@@ -285,18 +288,18 @@ def _gamma_prefactor(x: float, y: float, p: Params) -> complex:
     return cmath.exp(lg_num - 0.5 * lg_den.real)
 
 
-def _coupled_sum(a: np.ndarray, b: np.ndarray, u1: np.ndarray, u2: np.ndarray,
-                 mode: str) -> complex:
-    """sum_{i,j} a_i b_j / denom(u1_i, u2_j) over hairpin nodes, with denom
-    u1 + u2 + 1 ('sum') or u1 - u2 ('difference'), in cache-sized blocks of
-    about 2^18 entries as a_blk @ (1/denom_blk @ b)."""
+def _coupled_sum(a: np.ndarray, b: np.ndarray, u1: np.ndarray, u2: np.ndarray, mode: str):
+    """sum_{i,j} a_i b_j C_ij over hairpin nodes, C_ij = 1/denom(u1_i, u2_j)
+    with denom u1 + u2 + 1 ('sum') or u1 - u2 ('difference').  Factor rows a
+    (..., n1) and b (..., n2) give the matrix a C b^T.  C is built in row
+    blocks of about 2^18 entries, a_blk @ (C_blk @ b^T), and never kept."""
     total = 0.0 + 0.0j
     chunk = max(1, 2**18 // max(len(u2), 1))
     v2 = u2 + 1.0 if mode == "sum" else -u2
     for s in range(0, len(u1), chunk):
         denom = u1[s : s + chunk, None] + v2
-        total += a[s : s + chunk] @ (np.reciprocal(denom, out=denom) @ b)
-    return complex(total)
+        total += a[..., s : s + chunk] @ (np.reciprocal(denom, out=denom) @ b.T)
+    return total
 
 
 def _circle_sum(a: np.ndarray, b: np.ndarray, u1: np.ndarray, u2: np.ndarray,
@@ -319,54 +322,62 @@ def _circle_sum(a: np.ndarray, b: np.ndarray, u1: np.ndarray, u2: np.ndarray,
     return complex(total / (r1 * (1.0 - rho**n)))
 
 
-def _contour_setup(x, y, variant: str, p) -> tuple[HalfInt, HalfInt, str, tuple]:
-    """Validate the variant.  'auto' picks 'difference' for a mixed-sign pair,
-    ordered (positive, negative) by the kernels' symmetry, and 'sum' otherwise.
-    Also returns the exponents (a1, b1, a2, b2) of the two contour factors,
-    the same for the hairpin and the circle representations."""
-    x, y = HalfInt.make(x), HalfInt.make(y)
-    if variant not in ("auto", "sum", "difference"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if variant == "auto":
-        if float(x) < 0 < float(y):
-            x, y = y, x
-        variant = "difference" if float(x) > 0 > float(y) else "sum"
-    xv, yv, z, zp = float(x), float(y), p.z, p.z_prime
+def _contour_exponents(xv, yv, variant: str, p) -> tuple:
+    """The exponents (a1, b1, a2, b2) of the two contour factors at x = xv and
+    y = yv (floats or arrays), the same for hairpins and circles."""
+    z, zp = p.z, p.z_prime
     pair2 = (z + yv - 0.5, -zp - yv - 0.5)
     a2, b2 = pair2 if variant == "sum" else pair2[::-1]
-    return x, y, variant, (zp + xv - 0.5, -z - xv - 0.5, a2, b2)
+    return zp + xv - 0.5, -z - xv - 0.5, a2, b2
 
 
-def _contour_value(op: str, q: QuadratureConfig, pref: complex, mode: str,
-                   contours: Callable[[int], tuple]) -> tuple[float, int, float]:
+def _contour_setup(xv, yv, variant: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate the variant and resolve it for every pair (xv[i], yv[j]) of
+    half-integers: 'auto' picks 'difference' for a mixed-sign pair, ordered
+    (positive, negative) by the kernels' symmetry, and 'sum' otherwise.
+    Returns the grids of ordered x and y and the variant per pair."""
+    if variant not in ("auto", "sum", "difference"):
+        raise ValueError(f"unknown variant {variant!r}")
+    x, y = np.meshgrid(np.asarray(xv, float), np.asarray(yv, float), indexing="ij")
+    if variant != "auto":
+        return x, y, np.full(x.shape, variant)
+    swap = (x < 0) & (y > 0)
+    x, y = np.where(swap, y, x), np.where(swap, x, y)
+    return x, y, np.where((x > 0) & (y < 0), "difference", "sum")
+
+
+def _contour_value(op: str, q: QuadratureConfig, pref, mode: str,
+                   contours: Callable[[int], tuple]) -> tuple:
     """pref times the coupled trapezoid sum over two contours, divided by
     (2 pi i)^2.  contours(n) returns (u1, f1, u2, f2): the nodes of each
     contour at n nodes per ray / circle and the weighted factors there; mode
-    names the denominator, and the '_circle' modes sum by FFT.  n doubles
-    from q.nodes until successive values agree within q.tol (past q.max_nodes
-    NonConvergenceError carries the last increment); the value must then be
-    real within max(1e-9, 50 tol).  Returns the real value, the nodes per
-    contour and the last increment."""
-    n = q.nodes
-    prev = None
-    achieved = math.inf
+    names the denominator, and the '_circle' modes sum by FFT.  On a hairpin
+    grid block pref is a matrix (0 off the block) and f1, f2 hold one row per
+    grid row and column.  n doubles from q.nodes until successive values
+    agree within q.tol on every entry (past q.max_nodes NonConvergenceError
+    carries the largest last increment); each value must then be real within
+    max(1e-9, 50 tol).  Returns the real values, nodes per contour and last
+    increments."""
+    n, prev = q.nodes, None  # max_nodes >= 2 nodes: an increment precedes the cap
     coupled = _circle_sum if mode.endswith("_circle") else _coupled_sum
     while True:
         u1, f1, u2, f2 = contours(n)
         val = pref * coupled(f1, f2, u1, u2, mode) / (2j * math.pi) ** 2
         if prev is not None:
-            achieved = abs(val - prev)
-            if achieved <= q.tol * max(1.0, abs(val)):
+            achieved = np.abs(val - prev)
+            if np.all(achieved <= q.tol * np.maximum(1.0, np.abs(val))):
                 break
         prev = val
         n *= 2
         if n > q.max_nodes:
-            raise NonConvergenceError(op, achieved, q.tol, n // 2)
-    limit = max(1e-9, 50.0 * q.tol) * max(1.0, abs(val.real))
-    if abs(val.imag) > limit:
+            raise NonConvergenceError(op, float(np.max(achieved)), q.tol, n // 2)
+    limit = max(1e-9, 50.0 * q.tol) * np.maximum(1.0, np.abs(val.real))
+    bad = np.abs(val.imag) > limit
+    if np.any(bad):
+        imag, limit = (float(np.ravel(v)[np.argmax(bad)]) for v in (np.abs(val.imag), limit))
         raise NonConvergenceError(
-            op + " (imaginary residue)", abs(val.imag), limit, len(u1), cap="node count",
-            detail=f"imaginary part {abs(val.imag):.3e} > limit {limit:.3e}",
+            op + " (imaginary residue)", imag, limit, len(u1), cap="node count",
+            detail=f"imaginary part {imag:.3e} > limit {limit:.3e}",
         )
     return val.real, len(u1), achieved
 
@@ -407,8 +418,7 @@ def _hairpin_nodes(
     upper_u = t + 1j * (rho + slope * t)
     upper_w = (1.0 + 1j * slope) * dt
 
-    gl_n = max(16, n_ray // 4)
-    gx, gw = np.polynomial.legendre.leggauss(gl_n)
+    gx, gw = _gauss_legendre(max(16, n_ray // 4))
     # theta from -pi/2 down to -3pi/2 (clockwise through the negative axis)
     a, b = -0.5 * math.pi, -1.5 * math.pi
     theta = 0.5 * (a + b) + 0.5 * (b - a) * gx
@@ -421,11 +431,20 @@ def _hairpin_nodes(
     return u, w
 
 
-def _log_factor(u: np.ndarray, alpha: complex, beta: complex) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1], built once per
+    size and shared read-only: the semicircle rule of every hairpin level."""
+    gx, gw = np.polynomial.legendre.leggauss(n)
+    gx.flags.writeable = gw.flags.writeable = False
+    return gx, gw
+
+
+def _log_factor(u: np.ndarray, alpha, beta) -> np.ndarray:
     """(-u)^alpha (1+u)^beta with the hairpin branch conventions: principal
     logarithms are exact because -u never meets (-inf, 0] and 1+u stays in the
-    right half-plane on the contour."""
-    return np.exp(alpha * np.log(-u) + beta * np.log1p(u))
+    right half-plane on the contour.  Array exponents give one row each."""
+    return np.exp(np.multiply.outer(alpha, np.log(-u)) + np.multiply.outer(beta, np.log1p(u)))
 
 
 def _auto_u_max(tail_exp: float, tol: float) -> float:
@@ -439,80 +458,80 @@ def _auto_u_max(tail_exp: float, tol: float) -> float:
     return u if u < 1e33 else math.inf
 
 
-def underline_limit_contour(
-    x,
-    y,
-    p: Params,
-    q: QuadratureConfig | None = None,
-    variant: str = "auto",
-    full_output: bool = False,
-):
+def _limit_contour_grid(xv, yv, p: Params, q: QuadratureConfig | None = None,
+                        variant: str = "auto") -> dict:
+    """The limit kernel at every pair (xv[i], yv[j]) of half-integers by the
+    hairpin route, one block per variant (_contour_setup): every entry of a
+    block shares the nodes of each doubling level, as the ray cutoffs depend
+    only on the parameters and tol, and the block runs until its last entry
+    stabilizes.  Returns arrays over the grid: value, nodes_per_contour,
+    variant, tail_bound (the analytic ray-tail envelope), last_increment."""
+    q = q or QuadratureConfig()
+    x, y, modes = _contour_setup(xv, yv, variant)
+    out = {"value": np.zeros(x.shape), "nodes_per_contour": np.zeros(x.shape, int),
+           "variant": modes, "tail_bound": np.zeros(x.shape), "last_increment": np.zeros(x.shape)}
+    mu = (p.z_prime - p.z).real
+    for mode in np.unique(modes).tolist():
+        sel = modes == mode
+        rows, ri = np.unique(x[sel], return_inverse=True)
+        cols, ci = np.unique(y[sel], return_inverse=True)
+        pref = np.zeros((len(rows), len(cols)), complex)  # 0 off the requested pairs
+        for i, j in set(zip(ri.tolist(), ci.tolist())):
+            pref[i, j] = _gamma_prefactor(rows[i], cols[j], p)
+        rho_2, decay2, slope2 = (RHO1, mu - 1.0, 0.0) if mode == "sum" else (RHO2, -mu - 1.0, 0.5)
+        decays = (mu - 1.0, decay2)
+        umax1, umax2 = (_auto_u_max(d, q.tol) for d in decays)
+        a1, b1, a2, b2 = _contour_exponents(rows, cols, mode, p)
+
+        def contours(n):
+            u1, w1 = _hairpin_nodes(RHO1, n, umax1)
+            u2, w2 = _hairpin_nodes(rho_2, n, umax2, slope=slope2)
+            return u1, _log_factor(u1, a1, b1) * w1, u2, _log_factor(u2, a2, b2) * w2
+
+        val, nodes, achieved = _contour_value("underline_limit_contour", q, pref, mode, contours)
+        tail = sum(u**d / -d for u, d in zip((umax1, umax2), decays)
+                   if math.isfinite(u) and d < -1e-12)
+        out["value"][sel], out["nodes_per_contour"][sel] = val[ri, ci], nodes
+        out["tail_bound"][sel] = tail * np.abs(pref[ri, ci])
+        out["last_increment"][sel] = achieved[ri, ci]
+    return out
+
+
+def underline_limit_contour(x, y, p: Params, q: QuadratureConfig | None = None,
+                            variant: str = "auto", full_output: bool = False):
     """The limit kernel via the double hairpin-contour integral.
 
     variant='sum' uses the representation with denominator u1+u2+1 (equal
     contour offsets RHO1); variant='difference' uses the denominator u1-u2
     with offsets RHO1 < RHO2; 'auto' picks 'difference' for mixed-sign
     (positive, negative) pairs and 'sum' otherwise.  Node counts double from
-    q.nodes until the value stabilizes within q.tol.
+    q.nodes until the value stabilizes within q.tol.  The 1x1 case of
+    _limit_contour_grid.
     """
-    q = q or QuadratureConfig()
-    x, y, mode, (a1, b1, a2, b2) = _contour_setup(x, y, variant, p)
-    mu = (p.z_prime - p.z).real
-    decay1 = mu - 1.0
-    if mode == "sum":
-        rho_2, decay2, slope2 = RHO1, mu - 1.0, 0.0
-    else:
-        rho_2, decay2, slope2 = RHO2, -mu - 1.0, 0.5
-    umax1, umax2 = _auto_u_max(decay1, q.tol), _auto_u_max(decay2, q.tol)
-
-    def contours(n):
-        u1, w1 = _hairpin_nodes(RHO1, n, umax1)
-        u2, w2 = _hairpin_nodes(rho_2, n, umax2, slope=slope2)
-        return u1, _log_factor(u1, a1, b1) * w1, u2, _log_factor(u2, a2, b2) * w2
-
-    pref = _gamma_prefactor(float(x), float(y), p)
-    result, nodes, achieved = _contour_value("underline_limit_contour", q, pref, mode, contours)
-    # Analytic envelope estimate for the truncated ray tails.
-    tail = 0.0
-    for umax, decay in ((umax1, decay1), (umax2, decay2)):
-        if math.isfinite(umax) and decay < -1e-12:
-            tail += abs(pref) * umax ** decay / (-decay)
-    if full_output:
-        info = {
-            "nodes_per_contour": nodes,
-            "variant": mode,
-            "tail_bound": tail,
-            "last_increment": achieved,
-        }
-        return result, info
-    return result
+    grid = _limit_contour_grid(*([float(HalfInt.make(t))] for t in (x, y)), p, q, variant)
+    info = {key: arr[0, 0].item() for key, arr in grid.items()}
+    value = info.pop("value")
+    return (value, info) if full_output else value
 
 
 # ---------------------------------------------------------------------------
 # Route 3: pre-limit kernel via circle contour integrals
 # ---------------------------------------------------------------------------
 
-def _circle_contour(
-    radius: float, n: int, sq: float, alpha: complex, beta: complex, power: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _circle_contour(radius: float, n: int, sq: float, alpha: complex, beta: complex,
+                    power: float) -> tuple[np.ndarray, np.ndarray]:
     """n trapezoid nodes omega on the positively oriented origin-centered
     circle, starting at omega = radius, and there the weighted factor
     (1 - sq*omega)^alpha (1 - sq/omega)^beta omega^power (2 pi i/n) omega.
     On a legal circle both bases have positive real part, so principal
     logarithms implement the required branches."""
     om = radius * np.exp(2j * math.pi * np.arange(n) / n)
-    f = np.exp(alpha * np.log1p(-sq * om) + beta * np.log1p(-sq / om)) * om ** float(power)
+    f = np.exp(alpha * np.log1p(-sq * om) + beta * np.log1p(-sq / om)) * om**power
     return om, f * ((2j * math.pi / n) * om)
 
 
-def underline_prelimit_contour(
-    x,
-    y,
-    p: XiParams,
-    q: QuadratureConfig | None = None,
-    variant: str = "auto",
-    full_output: bool = False,
-):
+def underline_prelimit_contour(x, y, p: XiParams, q: QuadratureConfig | None = None,
+                               variant: str = "auto", full_output: bool = False):
     """The pre-limit kernel via the double contour integral over circles.
 
     variant='sum' integrates over two circles of the same radius with
@@ -523,26 +542,28 @@ def underline_prelimit_contour(
     stabilization within q.tol.
     """
     q = q or QuadratureConfig()
-    x, y, variant, (a1, b1, a2, b2) = _contour_setup(x, y, variant, p)
+    pair = (np.array([float(HalfInt.make(t))]) for t in (x, y))
+    x, y, variant = (v[0, 0].item() for v in _contour_setup(*pair, variant))
+    a1, b1, a2, b2 = _contour_exponents(x, y, variant, p)
     xi, sq = p.xi, math.sqrt(p.xi)
     r1 = q.circle_radius(xi)
 
     # omega powers are integers: single-valued, no branch issues.
-    pow1 = -(x.twice + 1) // 2
+    pow1 = -x - 0.5
     if variant == "sum":
-        r2, pow2, mode = r1, -(y.twice + 1) // 2, "sum_circle"
+        r2, pow2, mode = r1, -y - 0.5, "sum_circle"
     else:
-        r2, pow2, mode = q.circle_radius_inner(xi), (y.twice - 1) // 2, "difference_circle"
+        r2, pow2, mode = q.circle_radius_inner(xi), y - 0.5, "difference_circle"
 
     def contours(n):
         inner = _circle_contour(r2, n, sq, a2, b2, pow2)
         return (*_circle_contour(r1, n, sq, a1, b1, pow1), *inner)
 
-    pref = _gamma_prefactor(float(x), float(y), p.base) * (1.0 - xi)
+    pref = _gamma_prefactor(x, y, p.base) * (1.0 - xi)
     result, n, achieved = _contour_value("underline_prelimit_contour", q, pref, mode, contours)
     if full_output:
         variant = "sum_circle" if variant == "sum" else variant
-        info = {"nodes_per_circle": n, "variant": variant, "last_increment": achieved}
+        info = {"nodes_per_circle": n, "variant": variant, "last_increment": float(achieved)}
         return result, info
     return result
 

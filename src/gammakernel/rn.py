@@ -247,8 +247,9 @@ def _step(n: int, W: FiniteConfig, p: Params, N: int, grid: np.ndarray):
 
 def _compose(perm: FinitaryPermutation, W: FiniteConfig, p: Params, N: int, grid: np.ndarray):
     """The word's density on window restriction W as (a, k, f on grid, c),
-    folding the steps' tails by (1 + f)(1 + g) = 1 + (f + g + fg) in the
-    arithmetic order of multiply_functionals."""
+    folding the steps' tails by (1 + f)(1 + g) = 1 + (f + g + fg), evaluated
+    as f + g + f*g, and their decay constants by c + c_g + c c_g/w, with w
+    the grid radius (|f g| <= c c_g/(w |x|) beyond it)."""
     w = max(0.5, float(grid[-1])) if grid.size else 0.5
     a, k, f, c = 1.0, 0, None, 0.0
     for m in perm.word:  # leftmost factor first; the trajectory tracks the rest

@@ -118,6 +118,23 @@ def test_kernel_integrable_vs_contour():
     assert va == pytest.approx(vb, abs=1e-8)
 
 
+def test_kernel_contour_limit_grid_matches_entries():
+    # The grid is one call over all pairs, one block per contour variant;
+    # each value must match its entry evaluated on its own (reference from
+    # the library), in all four sign blocks.
+    from gammakernel import HalfInt, Params, underline_limit_contour
+
+    res = run_cli("kernel", "--method", "contour-limit", "--z", "0.3+0.5j", "--zp", "conj",
+                  "--x=-3/2,1/2", "--y=-1/2,5/2,7/2")
+    assert res.returncode == 0, res.stderr
+    rows = parse_csv(res.stdout)[1]
+    assert len(rows) == 6
+    p = Params(0.3 + 0.5j, 0.3 - 0.5j)
+    for r in rows:
+        want = underline_limit_contour(HalfInt.parse(r["x"]), HalfInt.parse(r["y"]), p)
+        assert float(r["value"]) == pytest.approx(want, abs=1e-10), r
+
+
 def test_kernel_prelimit_contour_vs_spectral():
     # The spectral route pads its diagonalization until the requested
     # entries stabilize, so no explicit --window is needed for accuracy.

@@ -23,11 +23,8 @@ from gammakernel.fredholm import (
     PhiValue,
     SparseConfig,
     TestFunction,
-    ZeroTail,
-    _det_one_plus,
     expectation_det,
     expectation_sum,
-    multiply_functionals,
     phi_eval,
     sparseness_certificate,
 )
@@ -35,6 +32,12 @@ from gammakernel.fredholm import (
 H = HalfInt
 EQUAL = Params(0.5, 0.5)
 PRINCIPAL = Params(0.4 + 0.7j, 0.4 - 0.7j)
+
+
+def _det_one_plus(a):
+    """det(I + a) by slogdet, the reference for _window_dets."""
+    sign, logmag = np.linalg.slogdet(np.eye(a.shape[0]) + a)
+    return float(sign * math.exp(logmag))
 
 
 def k_window(base, xi, N):
@@ -86,22 +89,11 @@ def test_phi_multiplicativity():
     for _ in range(10):
         f = TestFunction(tuple((x, rng.uniform(-1.5, 1.0)) for x in pts[:4]))
         g = TestFunction(tuple((x, rng.uniform(-1.5, 1.0)) for x in pts[2:]))
-        h = multiply_functionals(f, g)
+        # The explicit fold 1 + h = (1 + f)(1 + g), that is h = f + g + fg.
+        h = TestFunction(tuple((x, f(x) + g(x) + f(x) * g(x)) for x in pts))
         idx = rng.choice(len(pts), size=rng.integers(0, 6), replace=False)
         X = FiniteConfig([pts[i] for i in idx])
         assert phi_eval(h, X) == pytest.approx(phi_eval(f, X) * phi_eval(g, X), abs=1e-12)
-
-
-def test_multiply_functionals_tail_models():
-    f = TestFunction.from_callable(lambda t: 1.0 / abs(t), 2, tail=InverseDecay(1.0))
-    g = TestFunction.from_map({H(1): 0.5})
-    both = multiply_functionals(f, g)
-    assert isinstance(both.tail, InverseDecay)
-    assert both.tail.c == pytest.approx(1.0)  # c_f + 0 + 0
-    zz = multiply_functionals(g, g)
-    assert isinstance(zz.tail, ZeroTail)
-    ff = multiply_functionals(f, f)
-    assert ff.tail.c == pytest.approx(2.0 + 1.0 / max(0.5, f.window_radius))
 
 
 def test_phi_sparse_certified():

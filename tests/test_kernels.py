@@ -41,6 +41,8 @@ from gammakernel.kernels import (
     _contour_value,
     _difference_operator,
     _gamma_prefactor,
+    _gauss_legendre,
+    _limit_contour_grid,
     _sign_quadrature,
     _spectral_center,
 )
@@ -166,6 +168,63 @@ def test_limit_window_matches_contour():
         for i, x in enumerate(pts):
             for y in pts[i:]:
                 assert abs(wk.entry(x, y) - underline_limit_contour(x, y, p)) < 1e-8, (p, x, y)
+
+
+def test_gauss_legendre_rule_cached_read_only():
+    for n in (16, 64, 256):
+        gx, gw = _gauss_legendre(n)
+        want_x, want_w = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(gx, want_x) and np.array_equal(gw, want_w)
+        assert not gx.flags.writeable and not gw.flags.writeable
+        assert _gauss_legendre(n)[0] is gx
+        with pytest.raises(ValueError):
+            gw[0] = 0.0
+
+
+def test_gauss_legendre_one_entry_per_size():
+    # The window-5 sweep doubles n = 64, ..., 1024 per ray across its two
+    # blocks, so it needs the arc rules of sizes n/4 = 16, ..., 256 once each.
+    _gauss_legendre.cache_clear()
+    xv = np.arange(-9, 10, 2) / 2.0
+    _limit_contour_grid(xv, xv, EQUAL)
+    info = _gauss_legendre.cache_info()
+    assert info.currsize == info.misses == 5
+    assert info.hits > 0
+
+
+@pytest.mark.parametrize("p", [EQUAL, Params(0.3 + 0.5j, 0.3 - 0.5j), Params(0.3, 0.7)],
+                         ids=["equal", "principal", "distinct"])
+def test_limit_contour_grid_matches_entries(p):
+    # One block per variant over the window [-5, 5] against the entries one
+    # at a time (the 1x1 grids).  An entry and its transpose share one
+    # computation, so the upper triangle covers the window.  Each block runs
+    # to the node count of its slowest entry.
+    pts = window_points(5)
+    xv = np.array([float(t) for t in pts])
+    grid = _limit_contour_grid(xv, xv, p)
+    for i, x in enumerate(pts):
+        for j in range(i, len(pts)):
+            val, info = underline_limit_contour(x, pts[j], p, full_output=True)
+            for a, b in ((i, j), (j, i)):
+                assert abs(grid["value"][a, b] - val) <= 1e-10, (x, pts[j])
+                assert grid["variant"][a, b] == info["variant"]
+                assert grid["nodes_per_contour"][a, b] >= info["nodes_per_contour"]
+    for mode in ("sum", "difference"):
+        assert len(set(grid["nodes_per_contour"][grid["variant"] == mode])) == 1
+
+
+def test_limit_contour_grid_non_square():
+    # Rows and columns of both signs: all four sign blocks, each entry
+    # against its 1x1 grid, under 'auto' and a fixed variant.
+    xs, ys = [H(t) for t in (-7, -1, 3)], [H(t) for t in (-5, 1, 9, 11)]
+    xv, yv = (np.array([float(t) for t in ts]) for ts in (xs, ys))
+    for variant in ("auto", "sum"):
+        grid = _limit_contour_grid(xv, yv, PRINCIPAL, variant=variant)
+        assert grid["value"].shape == (3, 4)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                want = underline_limit_contour(x, y, PRINCIPAL, variant=variant)
+                assert abs(grid["value"][i, j] - want) <= 1e-10, (variant, x, y)
 
 
 def test_limit_diagonal_in_unit_interval():

@@ -36,11 +36,9 @@ from gammakernel.fredholm import (
     SparseConfig,
     TestFunction,
     ZeroTail,
-    _det_one_plus,
     _doubling_windows,
     _weighted_kernel,
     _window_dets,
-    multiply_functionals,
 )
 from gammakernel.kernels import j_transform, underline_limit_window, window_points
 from gammakernel.rn import (
@@ -66,6 +64,12 @@ BALANCED = [to_balanced_config(lam) for lam in partitions_up_to(7)]
 
 def xi_params(base, xi):
     return XiParams(base, xi)
+
+
+def _det_one_plus(a):
+    """det(I + a) by slogdet, the reference for _window_dets."""
+    sign, logmag = np.linalg.slogdet(np.eye(a.shape[0]) + a)
+    return float(sign * math.exp(logmag))
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +290,22 @@ def test_compose_involution_is_unit():
             assert expr.evaluate(X, xi=0.6) == pytest.approx(1.0, rel=1e-11)
 
 
+def _fold(f, g):
+    """The explicit product 1 + h = (1 + f)(1 + g): h = f + g + fg on the
+    union of the tables, and the decay constant c_f + c_g + c_f c_g / w
+    beyond the radius w of both tables (zero if both tails are zero)."""
+    pts = sorted({x for x, _ in f.values} | {x for x, _ in g.values})
+    vals = tuple((x, f(x) + g(x) + f(x) * g(x)) for x in pts)
+    if isinstance(f.tail, ZeroTail) and isinstance(g.tail, ZeroTail):
+        return TestFunction(vals)
+    cf, cg = (t.c if isinstance(t, InverseDecay) else 0.0 for t in (f.tail, g.tail))
+    w = max(0.5, f.window_radius, g.window_radius)
+    return TestFunction(vals, InverseDecay(cf + cg + cf * cg / w))
+
+
 def test_compose_bit_identical_to_closed_form_fold():
     # rn_compose multiplies tail arrays.  The reference folds rn_closed_form
-    # steps through multiply_functionals along the modified-action
+    # steps through the explicit product _fold along the modified-action
     # trajectory of W, one word prefix at a time.  Values, tail constant, a
     # and k must agree bit for bit on every word of length <= 3 over
     # generators -2..2 and every window configuration at N = 3.
@@ -302,7 +319,7 @@ def test_compose_bit_identical_to_closed_form_fold():
         for word in words:  # every prefix comes before its extensions
             a, k, f, cur = folds[word[:-1]]
             step = rn_closed_form(word[-1], cur, PRINCIPAL, N=N)
-            a, k, f = a * step.a, k + step.k, multiply_functionals(f, step.f)
+            a, k, f = a * step.a, k + step.k, _fold(f, step.f)
             folds[word] = (a, k, f, _sigma_modified_once(word[-1], cur))
         for word, (a, k, f, _) in folds.items():
             expr = rn_compose(word, W, PRINCIPAL, N=N)
