@@ -373,7 +373,7 @@ def _parse_test_function(args):
         values[_parse_half(key)] = float(v)
     tail = InverseDecay(args.tail_c) if args.tail_c is not None else None
     try:
-        return TestFunction.from_map(values, tail=tail)
+        return TestFunction.from_map(values, tail=tail), {str(x): v for x, v in values.items()}
     except ValueError as e:
         raise CliError("f_values", str(e))
 
@@ -383,11 +383,11 @@ def _cmd_fredholm(args) -> tuple[RunConfig, list[str], list[list]]:
     from .fredholm import ZeroTail, expectation_det, expectation_sum
 
     p = _xi_params(args)
-    f = _parse_test_function(args)
+    f, f_echo = _parse_test_function(args)
     s = expectation_sum(f, p, max_size=args.max_size)
     wk = kr.j_transform(kr.underline_prelimit_window(args.window, p))
     d = expectation_det(f, wk, tol=args.det_tol, full_output=True)
-    exact = isinstance(f.tail, ZeroTail) and d.windows[-1] >= f.window_radius
+    exact = isinstance(f.tail, ZeroTail) and d.windows[-1] >= f.support_radius
     det_err = 0.0 if exact else (abs(d.increments[-1]) if d.increments else 0.0)
     diff = abs(s.value - d.value)
     combined = s.error + max(args.det_tol, det_err) + 1e-10
@@ -398,7 +398,7 @@ def _cmd_fredholm(args) -> tuple[RunConfig, list[str], list[list]]:
     ]
     cfg = _run_config(args, {
         "z": _fmt(p.base.z), "zp": _fmt(p.base.z_prime), "xi": args.xi,
-        "f": {str(x): v for x, v in f.values}, "tail_c": args.tail_c,
+        "f": f_echo, "tail_c": args.tail_c,
         "window": args.window, "max_size": args.max_size, "det_tol": args.det_tol,
     })
     return cfg, ["route", "value", "error"], rows
@@ -457,9 +457,7 @@ def _cylinder(args):
     pts = _parse_half_list(args.f_contains)
     if not pts:
         raise CliError("transport_f", "--f-contains needs at least one point")
-    F = CylinderFunction.contains(pts[0])
-    for t in pts[1:]:
-        F = F.times(CylinderFunction.contains(t))
+    F = CylinderFunction.from_callable(pts, lambda s: float(s.issuperset(pts)))
     return F, "contains:" + ",".join(str(t) for t in pts)
 
 

@@ -11,18 +11,23 @@ with g = f/h^2 bounded when f decays like 1/|x|.  This module provides the
 function/configuration types, the expectation by exhaustive weight enumeration
 and by nested-window determinants, and the sparseness certificate for
 densities decaying like C/|x|.
+
+A TestFunction is stored as one array, its values on the 2R ascending points
+of a window [-R, R], the column order of the occupancy matrices it is applied
+to: on_window slices or pads the array, and phi_eval is the one-row case of
+phi_rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Mapping, NamedTuple, Union
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .kernels import NonConvergenceError, WindowKernel, window_points
+from .kernels import NonConvergenceError, WindowKernel
 from .lattice import FiniteConfig, HalfInt, window_index
 from .zmeasure import XiParams, partition_ensemble
 
@@ -66,72 +71,75 @@ class InverseDecay:
 TailModel = Union[ZeroTail, InverseDecay]
 
 
-@dataclass(frozen=True)
 class TestFunction:
-    """A real lattice function tabulated on finitely many points.
+    """A real lattice function tabulated on the window [-R, R].
 
-    Evaluation returns 0 outside the tabulation; the tail model declares how
-    large an idealized extension may be out there, which error reports and
-    domain checks consume.
+    table holds its values at the 2R ascending points of the window (R = 0
+    for the zero function), and evaluation returns 0 beyond them; the tail
+    model declares how large an idealized extension may be out there, which
+    error reports and domain checks consume.  The constructor takes that
+    array, or (point, value) pairs on the smallest window holding them all.
     """
 
     __test__ = False  # not a test case despite the name
+    __slots__ = ("table", "tail")
 
-    values: tuple[tuple[HalfInt, float], ...]
-    tail: TailModel = field(default_factory=ZeroTail)
-
-    def __post_init__(self) -> None:
-        cleaned = sorted(
-            (HalfInt.make(x), float(v)) for x, v in self.values
-        )
-        pts = [x for x, _ in cleaned]
-        if len(set(pts)) != len(pts):
-            raise ValueError("duplicate points in test-function table")
-        for _, v in cleaned:
-            if not math.isfinite(v):
-                raise ValueError("test-function values must be finite")
-        object.__setattr__(self, "values", tuple(cleaned))
-        object.__setattr__(self, "_table", dict(cleaned))
+    def __init__(self, values=(), tail: TailModel | None = None):
+        if isinstance(values, np.ndarray):
+            table = values.astype(float)
+            if table.ndim != 1 or len(table) % 2:
+                raise ValueError("a test-function array holds the 2R points of [-R, R]")
+        else:
+            pairs = [(HalfInt.make(x).twice, float(v)) for x, v in values]
+            if len({t for t, _ in pairs}) != len(pairs):
+                raise ValueError("duplicate points in test-function table")
+            R = max(((abs(t) + 1) // 2 for t, _ in pairs), default=0)
+            table = np.zeros(2 * R)
+            table[[(t + 2 * R - 1) // 2 for t, _ in pairs]] = [v for _, v in pairs]
+        if not np.isfinite(table).all():
+            raise ValueError("test-function values must be finite")
+        table.flags.writeable = False  # on_window hands out views
+        self.table, self.tail = table, tail or ZeroTail()
 
     @classmethod
     def from_map(cls, mapping: Mapping, tail: TailModel | None = None) -> "TestFunction":
-        return cls(tuple(mapping.items()), tail or ZeroTail())
+        return cls(tuple(mapping.items()), tail)
 
     @classmethod
     def from_callable(
         cls, fn: Callable[[float], float], N: int, tail: TailModel | None = None
     ) -> "TestFunction":
         """Tabulate fn(float(x)) on the window [-N, N]."""
-        vals = tuple((t, float(fn(float(t)))) for t in window_points(N))
-        return cls(vals, tail or ZeroTail())
+        return cls(np.array([float(fn(t)) for t in (np.arange(1 - 2 * N, 2 * N, 2) / 2).tolist()]), tail)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, TestFunction) and self.tail == other.tail
+                and np.array_equal(self.table, other.table))
+
+    def __hash__(self) -> int:
+        return hash((tuple(self.table.tolist()), self.tail))
 
     def __call__(self, x) -> float:
-        return self._table.get(HalfInt.make(x), 0.0)
+        j = window_index(HalfInt.make(x), len(self.table) // 2)
+        return 0.0 if j is None else float(self.table[j])
 
     @property
     def support(self) -> tuple[HalfInt, ...]:
-        return tuple(x for x, v in self.values if v != 0.0)
+        return tuple(HalfInt(2 * j + 1 - len(self.table)) for j in np.flatnonzero(self.table).tolist())
 
     def on_window(self, N: int) -> np.ndarray:
         """Values at the 2N ascending points of [-N, N], 0 off the table."""
-        out = np.zeros(2 * N)
-        for x, v in self.values:
-            j = window_index(x, N)
-            if j is not None:
-                out[j] = v
-        return out
+        d = len(self.table) // 2 - N
+        return self.table[d : len(self.table) - d] if d >= 0 else np.pad(self.table, -d)
 
     @property
     def window_radius(self) -> float:
         """Smallest W with all tabulated points in [-W, W] (0 if empty)."""
-        if not self.values:
-            return 0.0
-        return max(abs(float(x)) for x, _ in self.values)
+        return max(0.0, len(self.table) / 2 - 0.5)
 
     @property
     def support_radius(self) -> float:
-        sup = self.support
-        return max(abs(float(x)) for x in sup) if sup else 0.0
+        return max((abs(x.twice) / 2 for x in self.support), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -180,42 +188,32 @@ class PhiValue(NamedTuple):
     relative_bound: float
 
 
-def _config_points(X) -> tuple[Sequence[HalfInt], float]:
-    """Materialized points of X plus its certified 1/|x| tail bound."""
-    if isinstance(X, SparseConfig):
-        return X.points, X.tail_sum_bound
-    if isinstance(X, FiniteConfig):
-        return X.points, 0.0
-    return tuple(HalfInt.make(p) for p in X), 0.0
-
-
 def phi_eval(f: TestFunction, X, full_output: bool = False):
     """Phi_f(X) = prod over x in X of (1 + f(x)).
 
     For a SparseConfig with a nonzero tail bound, the unlisted remainder can
     change log Phi_f by at most c * tail_sum_bound when |f| <= c/|x| out
     there (log(1+t) <= t); the certified relative bound is returned with
-    full_output=True.
+    full_output=True.  Any other X is read as a FiniteConfig, a set; this is
+    the one-row case of phi_rows on f's window.
     """
-    pts, tail_sum = _config_points(X)
-    value = 1.0
-    for x in pts:
-        value *= 1.0 + f(x)
-    if isinstance(f.tail, InverseDecay):
-        rel = math.expm1(f.tail.c * tail_sum)
-    else:
-        rel = 0.0
-    if full_output:
-        return PhiValue(value, rel)
-    return value
+    pts = X.points if isinstance(X, (SparseConfig, FiniteConfig)) else FiniteConfig(X).points
+    R = len(f.table) // 2
+    row = np.zeros((1, 2 * R), dtype=bool)
+    row[0, [j for j in (window_index(x, R) for x in pts) if j is not None]] = True
+    value = float(phi_rows(f, row, R)[0])
+    if not full_output:
+        return value
+    tail_sum = X.tail_sum_bound if isinstance(X, SparseConfig) else 0.0
+    return PhiValue(value, math.expm1(f.tail.c * tail_sum) if isinstance(f.tail, InverseDecay) else 0.0)
 
 
 def phi_rows(f: TestFunction, occupancy: np.ndarray, N: int) -> np.ndarray:
     """Phi_f of every row of an occupancy matrix over the window [-N, N],
-    multiplied in ascending point order as phi_eval does."""
+    multiplied in ascending point order; phi_eval is its one-row case."""
     fv = f.on_window(N)
     out = np.ones(occupancy.shape[0])
-    for j in np.flatnonzero(fv):
+    for j in np.flatnonzero((fv != 0.0) & occupancy.any(axis=0)):
         out[occupancy[:, j]] *= 1.0 + fv[j]
     return out
 
@@ -242,9 +240,7 @@ def expectation_sum(f: TestFunction, p: XiParams, max_size: int = 20) -> Expecta
     """
     occ, weights, tail = partition_ensemble(p, max_size)
     total = math.fsum(weights * phi_rows(f, occ, occ.shape[1] // 2))
-    bound = 1.0
-    for _, v in f.values:
-        bound *= max(1.0, abs(1.0 + v))
+    bound = math.prod((max(1.0, abs(1.0 + v)) for v in f.table.tolist()), start=1.0)
     return ExpectationSum(value=total, error=tail * bound, tail_mass=tail)
 
 
@@ -378,34 +374,24 @@ class SparsenessReport(NamedTuple):
 def sparseness_certificate(density) -> SparsenessReport:
     """Check that sum over the window of rho(x)/|x| is Cauchy in window size.
 
-    density maps window points to rho_1 values (mapping or pair iterable).
-    Windows double from 4 up to the tabulated radius; the certificate passes
-    when each doubling adds at most 0.75 of the previous increment, which a
-    density rho ~ C/|x| satisfies (increments ~ C/N) and a non-decaying
-    density does not (increments approach a positive constant).
+    density maps window points to rho_1 values (mapping or pair iterable,
+    read as a TestFunction table).  Windows double from 4 up to the
+    tabulated radius; the certificate passes when each doubling adds at most
+    0.75 of the previous increment, which a density rho ~ C/|x| satisfies
+    (increments ~ C/N) and a non-decaying density does not (increments
+    approach a positive constant).
     """
-    if isinstance(density, Mapping):
-        items = [(HalfInt.make(x), float(v)) for x, v in density.items()]
-    else:
-        items = [(HalfInt.make(x), float(v)) for x, v in density]
-    if not items:
+    rho = TestFunction(density.items() if isinstance(density, Mapping) else density).table
+    if not rho.size:
         raise ValueError("empty density table")
-    for _, v in items:
-        if v < -1e-12:
-            raise ValueError(f"density values must be nonnegative, got {v}")
-    radius = max(abs(float(x)) for x, _ in items)
-    n_max = int(radius + 0.5)
+    if rho.min() < -1e-12:
+        raise ValueError(f"density values must be nonnegative, got {rho.min()}")
+    n_max = len(rho) // 2
     if n_max < 32:
         raise ValueError("need a density window of size at least 32 for a certificate")
-    sizes = [4]
-    while sizes[-1] * 2 <= n_max:
-        sizes.append(sizes[-1] * 2)
-    if sizes[-1] != n_max:
-        sizes.append(n_max)
-    sums = tuple(
-        math.fsum(v / abs(float(x)) for x, v in items if abs(float(x)) <= n)
-        for n in sizes
-    )
+    sizes = _doubling_windows(n_max)[2:]  # 4, 8, ..., n_max
+    terms = rho / np.abs(np.arange(1 - 2 * n_max, 2 * n_max, 2) / 2.0)
+    sums = tuple(math.fsum(terms[n_max - n : n_max + n].tolist()) for n in sizes)
     incs = tuple(b - a for a, b in zip(sums, sums[1:]))
     ratios = tuple(
         b / a if a > 0.0 else 0.0 for a, b in zip(incs, incs[1:])

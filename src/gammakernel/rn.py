@@ -22,6 +22,7 @@ determinants of the limit kernel.
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -30,16 +31,15 @@ from .lattice import (
     FiniteConfig,
     FinitaryPermutation,
     HalfInt,
-    _apply_modified,
     _modified_occupancy,
     _sigma_modified_once,
-    window_index,
 )
 from .zmeasure import (
     Params, XiParams, _log_weight_form, _log_weights, pair_product, partition_ensemble,
 )
 from .fredholm import (
     InverseDecay,
+    PhiValue,
     SparseConfig,
     TestFunction,
     _doubling_windows,
@@ -151,25 +151,27 @@ class RnExpression:
                 f"[-{self.window}, {self.window}]"
             )
 
-    def _check_radius(self, points: Iterable[HalfInt]) -> None:
-        if not isinstance(self.f.tail, InverseDecay):
-            return
-        far = [x for x in points if abs(x.twice) > 2 * self.radius]
-        if far:
+    def _phi(self, X) -> PhiValue | None:
+        """phi_eval of f on a finite or sparse configuration, with its certified
+        bound, or None where the window restriction differs.  With an
+        inverse-decay tail, every listed point must lie within the radius."""
+        listed = FiniteConfig(X.points) if isinstance(X, SparseConfig) else _as_config(X)
+        if listed.restrict(self.window) != self.window_config:
+            return None
+        far = [x for x in listed.points if abs(x.twice) > 2 * self.radius]
+        if far and isinstance(self.f.tail, InverseDecay):
             raise ValueError(
                 f"configuration reaches {far[-1]} beyond the tabulated radius "
                 f"{self.radius}; rebuild the expression with a larger radius"
             )
+        return phi_eval(self.f, X if isinstance(X, SparseConfig) else listed, full_output=True)
 
     def evaluate(self, X, xi: float = 1.0) -> float:
         """Exact value on a finite configuration with all points tabulated."""
         if not (0.0 < xi <= 1.0):
             raise ValueError(f"xi must lie in (0, 1], got {xi}")
-        config = _as_config(X)
-        if config.restrict(self.window) != self.window_config:
-            return 0.0
-        self._check_radius(config.points)
-        return self.a * xi ** self.k * phi_eval(self.f, config)
+        v = self._phi(X)
+        return 0.0 if v is None else self.a * xi ** self.k * v.value
 
 
 class RnLimitValue(NamedTuple):
@@ -188,15 +190,9 @@ def rn_limit(expr: RnExpression, X) -> RnLimitValue:
     bound, via f's inverse-decay constant and the configuration's
     tail sum certificate.
     """
-    if isinstance(X, SparseConfig):
-        sparse = X
-    else:
-        sparse = SparseConfig(_as_config(X).points)
-    listed = FiniteConfig(sparse.points)
-    if listed.restrict(expr.window) != expr.window_config:
+    v = expr._phi(X)
+    if v is None:
         return RnLimitValue(0.0, 0.0)
-    expr._check_radius(listed.points)
-    v = phi_eval(expr.f, sparse, full_output=True)
     value = expr.a * v.value
     return RnLimitValue(value, abs(value) * v.relative_bound)
 
@@ -309,10 +305,11 @@ def rn_compose(
     if W.outside(N).points:
         raise ValueError(f"window restriction {W} has points outside [-{N}, {N}]")
     t = np.arange(1 - 2 * radius, 2 * radius, 2) / 2.0  # [-radius, radius]
-    a, k, fv, c = _compose(perm, W, p, N, t[np.abs(t) > N])
-    grid = [x for x in window_points(radius) if abs(x.twice) > 2 * N]
-    f = TestFunction(()) if fv is None else TestFunction(tuple(zip(grid, fv.tolist())),
-                                                         InverseDecay(c))
+    outside = np.abs(t) > N
+    a, k, fv, c = _compose(perm, W, p, N, t[outside])
+    table = np.zeros(2 * radius)
+    table[outside] = 0.0 if fv is None else fv
+    f = TestFunction() if fv is None else TestFunction(table, InverseDecay(c))
     return RnExpression(a, k, f, N, W, radius)
 
 
@@ -320,104 +317,102 @@ def rn_compose(
 # Cylinder functions
 # ---------------------------------------------------------------------------
 
-def _subsets(pts: tuple[HalfInt, ...]):
-    for bits in range(1 << len(pts)):
-        yield frozenset(p for i, p in enumerate(pts) if bits >> i & 1)
+def _subset_rows(m: int) -> np.ndarray:
+    """Occupancy rows of all 2^m subsets of m points, in bit-pattern order:
+    row b holds point i exactly when bit i of b is set."""
+    return (np.arange(1 << m)[:, None] >> np.arange(m) & 1).astype(bool)
 
 
 class CylinderFunction:
     """A function of configurations that depends only on the intersection
-    with a finite window of points, stored as a table over all subsets."""
+    with a finite window of m points, stored as one array of 2^m values
+    indexed by bit pattern: table[b] is the value on the subset holding
+    points[i] exactly when bit i of b is set.  The constructor takes that
+    array over the sorted points, or a mapping from every subset to its value."""
 
     __slots__ = ("points", "table")
 
-    def __init__(self, points: Iterable, table: Mapping):
+    def __init__(self, points: Iterable, table):
         pts = tuple(sorted({HalfInt.make(x) for x in points}))
-        tab = {
-            frozenset(HalfInt.make(x) for x in key): float(v)
-            for key, v in table.items()
-        }
-        if len(tab) != 1 << len(pts):
+        if isinstance(table, Mapping):
+            bit, tab = {x: 1 << i for i, x in enumerate(pts)}, {}
+            for key, v in table.items():
+                key = {HalfInt.make(x) for x in key}
+                if not key <= bit.keys():
+                    raise ValueError(f"table key {sorted(key)} leaves the window")
+                tab[sum(bit[x] for x in key)] = float(v)
+            table = [tab[b] for b in sorted(tab)]
+        table = np.array(table, dtype=float)
+        if len(table) != 1 << len(pts):
             raise ValueError("table must cover every subset of the window")
-        allowed = set(pts)
-        for key, v in tab.items():
-            if not key <= allowed:
-                raise ValueError(f"table key {sorted(key)} leaves the window")
-            if not math.isfinite(v):
-                raise ValueError("cylinder values must be finite")
-        self.points = pts
-        self.table = tab
+        if not np.isfinite(table).all():
+            raise ValueError("cylinder values must be finite")
+        self.points, self.table = pts, table
 
     @classmethod
     def from_callable(cls, points: Iterable, fn) -> "CylinderFunction":
         pts = tuple(sorted({HalfInt.make(x) for x in points}))
-        return cls(pts, {sub: fn(sub) for sub in _subsets(pts)})
+        return cls(pts, [fn(frozenset(compress(pts, row))) for row in _subset_rows(len(pts)).tolist()])
 
     @classmethod
     def constant(cls, c: float) -> "CylinderFunction":
-        return cls((), {frozenset(): c})
+        return cls((), [c])
 
     @classmethod
     def contains(cls, x) -> "CylinderFunction":
         """Indicator of the event that x belongs to the configuration."""
-        pt = HalfInt.make(x)
-        return cls((pt,), {frozenset(): 0.0, frozenset((pt,)): 1.0})
+        return cls((x,), [0.0, 1.0])
 
     def __call__(self, X) -> float:
-        if isinstance(X, FiniteConfig):
-            pts = X.points
-        else:
-            pts = tuple(HalfInt.make(p) for p in X)
-        return self.table[frozenset(pts) & set(self.points)]
+        held = set(_as_config(X).points)
+        return float(self.table[sum(1 << i for i, x in enumerate(self.points) if x in held)])
+
+    def _gather(self, occupancy: np.ndarray, twice) -> np.ndarray:
+        """self on every row of an occupancy matrix on the points twice / 2,
+        which hold self.points: the table at each row's bit pattern there."""
+        cols = [twice.index(x.twice) for x in self.points]
+        return self.table[occupancy[:, cols] @ (1 << np.arange(len(cols)))]
 
     @property
     def sup_norm(self) -> float:
-        return max(abs(v) for v in self.table.values())
+        return float(np.abs(self.table).max())
 
     def times(self, other: "CylinderFunction") -> "CylinderFunction":
-        pts = set(self.points) | set(other.points)
-        return CylinderFunction.from_callable(pts, lambda W: self(W) * other(W))
+        twice = sorted({x.twice for x in self.points + other.points})
+        rows = _subset_rows(len(twice))
+        return CylinderFunction(map(HalfInt, twice), self._gather(rows, twice) * other._gather(rows, twice))
 
     def transform(self, sigma) -> "CylinderFunction":
         """The composition X -> self(sigma~(X)), a cylinder function on the
-        window enlarged by every point the word touches."""
+        window enlarged by every point the word touches: sigma~ acts on the
+        occupancy rows of all its subsets at once."""
         perm = _as_permutation(sigma)
-        touched = {HalfInt(2 * n + s) for n in perm.word for s in (-1, 1)}
-        pts = set(self.points) | touched
-
-        def fn(W):
-            return self(_apply_modified(perm, FiniteConfig(W)))
-
-        return CylinderFunction.from_callable(pts, fn)
+        twice = sorted({x.twice for x in self.points} | {2 * n + s for n in perm.word for s in (-1, 1)})
+        moved = _modified_occupancy(perm, _subset_rows(len(twice)), twice)
+        return CylinderFunction(map(HalfInt, twice), self._gather(moved, twice))
 
 
 def expand_cylinder(F: CylinderFunction) -> tuple[tuple[float, TestFunction], ...]:
     """Write F as sum_T beta_T Phi_(-1 on T).
 
     Phi with f = -1 on T kills every configuration meeting T, so it is the
-    indicator that X avoids T; those indicators form a basis of the cylinder
-    functions on the window, inverted here by inclusion-exclusion over
-    subsets.  Returns the nonzero (beta_T, TestFunction) pairs.
+    indicator that X avoids T, and F on the complement of S is the sum of
+    beta_T over the subsets T of S.  The subset Moebius transform inverts
+    that, beta_T = sum over S <= T of (-1)^|T - S| F(complement of S), in
+    place on the table read backwards (pattern S then holds F on the
+    complement of S): one pass per point subtracts each pattern without the
+    point from the same pattern with it, m 2^(m - 1) subtractions in all.
+    Returns the (beta_T, TestFunction) pairs with |beta_T| > 1e-13
+    max(1, sup |F|), in bit-pattern order of T.
     """
-    pts = F.points
-    m = len(pts)
-    full = (1 << m) - 1
-    values = [F(W) for W in _subsets(pts)]
-    scale = max(1.0, max(abs(v) for v in values))
-    out = []
-    for t_mask, avoided in enumerate(_subsets(pts)):
-        parts = []
-        s = t_mask
-        while True:
-            sign = -1.0 if (t_mask ^ s).bit_count() & 1 else 1.0
-            parts.append(sign * values[full ^ s])
-            if s == 0:
-                break
-            s = (s - 1) & t_mask
-        beta = math.fsum(parts)
-        if abs(beta) > 1e-13 * scale:
-            out.append((beta, TestFunction(tuple((x, -1.0) for x in pts if x in avoided))))
-    return tuple(out)
+    pts, m = F.points, len(F.points)
+    beta = F.table[::-1].copy()  # pattern full ^ S sits at index S
+    for i in range(m):
+        pairs = beta.reshape(-1, 2, 1 << i)  # axis 1 is bit i
+        pairs[:, 1] -= pairs[:, 0]
+    scale = max(1.0, F.sup_norm)
+    return tuple((b, TestFunction([(x, -1.0) for i, x in enumerate(pts) if t >> i & 1]))
+                 for t, b in enumerate(beta.tolist()) if abs(b) > 1e-13 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +442,9 @@ def verify_transport(sigma, F: CylinderFunction, p: XiParams, max_size: int = 16
     W = occ.shape[1] // 2
     N = max([W, word_window(perm)] + [abs(x.twice) // 2 + 1 for x in F.points])
     occ, twice = np.pad(occ, ((0, 0), (N - W, N - W))), list(range(1 - 2 * N, 2 * N, 2))
-    fcols = [window_index(x, N) for x in F.points]
-    table = np.array([F.table[sub] for sub in _subsets(F.points)])
-    bits = 1 << np.arange(len(fcols))
     log_mu = _log_mu_rows(perm, occ, twice, p)
-    lhs = math.fsum(weights * table[_modified_occupancy(perm, occ, twice)[:, fcols] @ bits])
-    rhs = math.fsum(np.exp(_log_weights(p, max_size) + log_mu) * table[occ[:, fcols] @ bits])
+    lhs = math.fsum(weights * F._gather(_modified_occupancy(perm, occ, twice), twice))
+    rhs = math.fsum(np.exp(_log_weights(p, max_size) + log_mu) * F._gather(occ, twice))
     diff = abs(lhs - rhs)
     # tail sup|F| max(1, max mu), which is 0 at tail 0 even where mu overflows
     top, scale = max(0.0, float(log_mu.max())), tail * F.sup_norm
@@ -470,16 +462,15 @@ def _limit_groups(perm: FinitaryPermutation, F: CylinderFunction, p: Params, K: 
     outside = np.abs(t) > N
     wpts = tuple(window_points(N))
     groups: dict = {}
-    for W in _subsets(wpts):
-        a, _, fv, c = _compose(perm, FiniteConfig(W), p, N, t[outside])
+    for b, row in enumerate(_subset_rows(len(wpts)).tolist()):
+        a, _, fv, c = _compose(perm, FiniteConfig(compress(wpts, row)), p, N, t[outside])
         key = None if fv is None else (fv.tobytes(), c)
-        groups.setdefault(key, (fv, {}))[1][W] = a
+        groups.setdefault(key, (fv, np.zeros(1 << len(wpts))))[1][b] = a
     out = []
-    for fv, amap in groups.values():
+    for fv, coeff in groups.values():
         fw = np.zeros(2 * K)
         fw[outside] = 0.0 if fv is None else fv
-        coeff = CylinderFunction(wpts, {W: amap.get(W, 0.0) for W in _subsets(wpts)})
-        jobs = expand_cylinder(coeff.times(F))
+        jobs = expand_cylinder(CylinderFunction(wpts, coeff).times(F))
         if jobs:
             us = np.array([g.on_window(K) for _, g in jobs]) * (1.0 + fw)
             out.append((fw, np.array([c for c, _ in jobs]), us))

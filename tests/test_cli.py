@@ -224,6 +224,18 @@ def test_fredholm_routes_agree():
     assert float(by_route["det"]["error"]) == 0.0  # finite support, exact det
 
 
+def test_fredholm_trailing_zero_keeps_det_exact():
+    # A tabulated zero beyond the support changes neither the determinant nor
+    # its exactness, and the echo keeps the tabulation as given.
+    base = ["fredholm", "--z=0.5", "--zp=0.5", "--xi=0.3", "--window=8"]
+    runs = [run_cli(*base, "--f", f) for f in ('{"3/2": 0.5}', '{"3/2": 0.5, "9/2": 0}')]
+    assert all(res.returncode == 0 for res in runs), [res.stderr for res in runs]
+    plain, padded = ({r["route"]: r for r in parse_csv(res.stdout)[1]} for res in runs)
+    assert padded == plain
+    assert float(padded["det"]["error"]) == 0.0
+    assert config_echo(runs[1].stdout)["f"] == {"3/2": 0.5, "9/2": 0.0}
+
+
 # ---------------------------------------------------------------------------
 # rn
 # ---------------------------------------------------------------------------

@@ -110,6 +110,42 @@ def test_phi_sparse_certified():
     assert X.inverse_sum_bound == pytest.approx(2.0 + 2.0 / 3.0 + 0.1)
 
 
+def test_phi_raw_iterable_is_a_set():
+    # A raw point list is read as a configuration: a repeated point counts
+    # once, and the factors multiply in ascending point order whatever the
+    # list's order, so every route gives the same bits.
+    f = TestFunction.from_map({H(1): 0.5})
+    assert phi_eval(f, [H(1), H(1)]) == phi_eval(f, FiniteConfig([H(1), H(1)])) == 1.5
+    rng = np.random.default_rng(5)
+    pts = [H(t) for t in range(-11, 12, 2)]
+    for _ in range(20):
+        g = TestFunction(tuple((x, rng.uniform(-0.9, 3.0)) for x in pts))
+        picked = [pts[i] for i in rng.choice(len(pts), size=8)]  # with repeats
+        want = 1.0
+        for x in sorted(set(picked)):
+            want *= 1.0 + g(x)
+        assert phi_eval(g, picked[::-1]) == phi_eval(g, FiniteConfig(picked)) == want
+
+
+def test_test_function_array_form():
+    # The pair constructor tabulates on the smallest window [-R, R]; the array
+    # constructor takes that table directly, and on_window slices or pads it.
+    f = TestFunction.from_map({H(-3): 0.25, H(1): -0.5, H(5): 0.0})
+    assert np.array_equal(f.table, [0.0, 0.25, 0.0, -0.5, 0.0, 0.0])
+    assert f == TestFunction(np.array(f.table))
+    assert f != TestFunction(np.array(f.table), InverseDecay(1.0))
+    assert f.support == (H(-3), H(1))
+    assert (f.window_radius, f.support_radius) == (2.5, 1.5)
+    assert np.array_equal(f.on_window(1), [0.0, -0.5])
+    assert np.array_equal(f.on_window(4), [0.0] + list(f.table) + [0.0])
+    with pytest.raises(ValueError):
+        f.on_window(3)[0] = 1.0  # a view of the stored table
+    assert TestFunction.from_callable(lambda t: t, 2) == TestFunction(
+        tuple((H(t), t / 2) for t in (-3, -1, 1, 3)))
+    with pytest.raises(ValueError):
+        TestFunction(np.zeros(3))
+
+
 # ---------------------------------------------------------------------------
 # Enumeration route
 # ---------------------------------------------------------------------------
@@ -212,7 +248,7 @@ def test_finite_support_routes_agree(base, xi):
         f = TestFunction(tuple((pts[i], rng.uniform(-1.5, 0.8)) for i in sel))
         s = expectation_sum(f, px, max_size=20)
         d = expectation_det(f, K)
-        assert abs(s.value - d) <= s.error + 1e-8, (f.values, s, d)
+        assert abs(s.value - d) <= s.error + 1e-8, (f.table, s, d)
 
 
 def test_decaying_f_routes_agree():

@@ -19,6 +19,7 @@ from gammakernel.lattice import (
     FiniteConfig,
     HalfInt,
     Partition,
+    _apply_modified,
     _sigma_modified_once,
     apply_sigma_modified,
     partitions_up_to,
@@ -208,8 +209,8 @@ def test_closed_form_tail_bound_certified():
             if isinstance(expr.f.tail, ZeroTail):
                 continue
             c = expr.f.tail.c
-            for x, v in expr.f.values:
-                assert abs(v) <= c / abs(float(x)) * (1 + 1e-12)
+            for x in expr.f.support:
+                assert abs(expr.f(x)) <= c / abs(float(x)) * (1 + 1e-12)
 
 
 def test_closed_form_validation():
@@ -285,17 +286,17 @@ def test_compose_involution_is_unit():
             expr = rn_compose((n, n), X.restrict(N), EQUAL, radius=24)
             assert expr.k == 0
             assert expr.a == pytest.approx(1.0, rel=1e-12)
-            for _, v in expr.f.values:
-                assert abs(v) < 1e-12
+            assert np.abs(expr.f.table).max(initial=0.0) < 1e-12
             assert expr.evaluate(X, xi=0.6) == pytest.approx(1.0, rel=1e-11)
 
 
 def _fold(f, g):
-    """The explicit product 1 + h = (1 + f)(1 + g): h = f + g + fg on the
-    union of the tables, and the decay constant c_f + c_g + c_f c_g / w
-    beyond the radius w of both tables (zero if both tails are zero)."""
-    pts = sorted({x for x, _ in f.values} | {x for x, _ in g.values})
-    vals = tuple((x, f(x) + g(x) + f(x) * g(x)) for x in pts)
+    """The explicit product 1 + h = (1 + f)(1 + g): h = f + g + fg point by
+    point on the larger of the two windows, and the decay constant
+    c_f + c_g + c_f c_g / w beyond the radius w of both tables (zero if both
+    tails are zero)."""
+    R = max(len(f.table), len(g.table)) // 2
+    vals = tuple((x, f(x) + g(x) + f(x) * g(x)) for x in map(H, range(1 - 2 * R, 2 * R, 2)))
     if isinstance(f.tail, ZeroTail) and isinstance(g.tail, ZeroTail):
         return TestFunction(vals)
     cf, cg = (t.c if isinstance(t, InverseDecay) else 0.0 for t in (f.tail, g.tail))
@@ -324,7 +325,7 @@ def test_compose_bit_identical_to_closed_form_fold():
         for word, (a, k, f, _) in folds.items():
             expr = rn_compose(word, W, PRINCIPAL, N=N)
             assert (expr.a, expr.k) == (a, k), (word, W)
-            assert expr.f.values == f.values, (word, W)
+            assert np.array_equal(expr.f.table, f.table), (word, W)
             assert expr.f.tail == f.tail, (word, W)
 
 
@@ -460,12 +461,104 @@ def test_expand_cylinder_reconstructs():
 def test_expand_cylinder_indicator():
     # The avoidance expansion of 1{x in X} is Phi_0 - Phi_(-1 at x).
     F = CylinderFunction.contains(H(1))
-    terms = sorted(expand_cylinder(F), key=lambda t: len(t[1].values))
+    terms = sorted(expand_cylinder(F), key=lambda t: len(t[1].support))
     assert len(terms) == 2
     assert terms[0][0] == pytest.approx(1.0)
-    assert terms[0][1].values == ()
+    assert terms[0][1] == TestFunction(())
     assert terms[1][0] == pytest.approx(-1.0)
-    assert terms[1][1].values == ((H(1), -1.0),)
+    assert terms[1][1] == TestFunction.from_map({H(1): -1.0})
+
+
+def test_cylinder_array_matches_mapping():
+    # The array constructor is indexed by bit pattern over the sorted points,
+    # the order the mapping constructor fills it in.
+    pts = (H(5), H(-3), H(1))
+    F = CylinderFunction.from_callable(pts, lambda s: sum(float(x) ** 2 for x in s))
+    table = {frozenset(x for i, x in enumerate(F.points) if b >> i & 1): v
+             for b, v in enumerate(F.table.tolist())}
+    G = CylinderFunction(pts, table)
+    assert G.points == F.points == (H(-3), H(1), H(5))
+    assert np.array_equal(G.table, F.table)
+    assert F(FiniteConfig((H(5), H(-3), H(7)))) == 34.0 / 4
+    with pytest.raises(ValueError):
+        CylinderFunction(pts, np.zeros(7))
+
+
+def test_cylinder_transform_matches_subset_action():
+    # transform acts on all subset rows at once; the reference applies the
+    # modified action to each subset as a FiniteConfig.
+    F = CylinderFunction.from_callable(
+        (H(-3), H(1), H(5)), lambda s: math.cos(float(len(s))) + float(H(1) in s))
+    for word in ((0,), (1,), (1, -1), (2, 1, 0), (-1, 0, 1), (0, 0)):
+        G = F.transform(word)
+        perm = FinitaryPermutation(word)
+        for b in range(1 << len(G.points)):
+            sub = FiniteConfig(x for i, x in enumerate(G.points) if b >> i & 1)
+            assert G.table[b] == F(_apply_modified(perm, sub)), (word, sub)
+        FG = F.times(G)
+        for b in range(1 << len(FG.points)):
+            sub = FiniteConfig(x for i, x in enumerate(FG.points) if b >> i & 1)
+            assert FG.table[b] == F(sub) * G(sub)
+
+
+def _inclusion_exclusion(F):
+    """Every beta_T of F's avoidance expansion by inclusion-exclusion over
+    subset pairs, each an exactly rounded fsum of its 2^|T| signed values
+    F(complement of S), S <= T, with the sum of their magnitudes: the
+    reference for the Moebius transform in expand_cylinder."""
+    m, full = len(F.points), (1 << len(F.points)) - 1
+    values = [F(FiniteConfig(x for i, x in enumerate(F.points) if b >> i & 1))
+              for b in range(1 << m)]
+    betas, sizes = [], []
+    for t in range(1 << m):
+        parts, s = [], t
+        while True:
+            parts.append((-1.0) ** (t ^ s).bit_count() * values[full ^ s])
+            if s == 0:
+                break
+            s = (s - 1) & t
+        betas.append(math.fsum(parts))
+        sizes.append(math.fsum(abs(v) for v in parts))
+    return betas, sizes
+
+
+def _criteria_cylinders():
+    """The F's of acceptance criteria 6 and 7, and their compositions with
+    the criteria's words, which the limit harness expands."""
+    fs = [
+        CylinderFunction.contains(H(1)),
+        CylinderFunction.from_callable(
+            (H(-1), H(1)), lambda s: 1.0 + 0.5 * len(s) - 2.0 * (H(-1) in s)),
+        CylinderFunction.from_callable((H(-3), H(1), H(5)), lambda s: math.cos(float(len(s)))),
+        CylinderFunction.from_callable(
+            (H(-1), H(1), H(3)), lambda s: 0.5 + 0.25 * len(s) - 1.0 * (H(1) in s)),
+    ]
+    words = [(0,), (1,), (-1,), (2,), (-2,), (1, 0), (0, 1), (1, -1), (2, 1, 0), (-1, 0, 1)]
+    return fs + [F.transform(w) for F in fs for w in words]
+
+
+def test_expand_cylinder_moebius_matches_inclusion_exclusion():
+    # The Moebius transform sums in another order than the exactly rounded
+    # reference; its error stays below 1e-15 of the magnitudes summed into
+    # each beta_T, and it keeps the same terms under the 1e-13 drop rule.
+    rng = np.random.default_rng(12)
+    cases = _criteria_cylinders()
+    for m in range(7):
+        pts = [H(2 * i - 5) for i in range(m)]
+        for _ in range(40):
+            table = rng.uniform(-2.0, 2.0, 1 << m) * 10.0 ** rng.uniform(-3.0, 3.0, 1 << m)
+            cases.append(CylinderFunction(pts, table))
+    worst = 0.0
+    for F in cases:
+        betas, sizes = _inclusion_exclusion(F)
+        scale = max(1.0, F.sup_norm)
+        want = {t: b for t, b in enumerate(betas) if abs(b) > 1e-13 * scale}
+        bit = {x: 1 << i for i, x in enumerate(F.points)}
+        got = {sum(bit[x] for x in g.support): beta for beta, g in expand_cylinder(F)}
+        assert got.keys() == want.keys()
+        for t, beta in got.items():
+            worst = max(worst, abs(beta - betas[t]) / sizes[t])
+    assert worst <= 1e-15, worst
 
 
 # ---------------------------------------------------------------------------
