@@ -211,11 +211,7 @@ def phi_eval(f: TestFunction, X, full_output: bool = False):
 def phi_rows(f: TestFunction, occupancy: np.ndarray, N: int) -> np.ndarray:
     """Phi_f of every row of an occupancy matrix over the window [-N, N],
     multiplied in ascending point order; phi_eval is its one-row case."""
-    fv = f.on_window(N)
-    out = np.ones(occupancy.shape[0])
-    for j in np.flatnonzero((fv != 0.0) & occupancy.any(axis=0)):
-        out[occupancy[:, j]] *= 1.0 + fv[j]
-    return out
+    return np.where(occupancy, 1.0 + f.on_window(N), 1.0).prod(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ class HalfInt:
         if isinstance(value, str):
             return cls.parse(value)
         twice = 2 * float(value)
-        if twice != int(twice):
+        if not twice.is_integer():
             raise ValueError(f"{value!r} is not a half-integer")
         return cls(int(twice))
 
@@ -384,8 +384,9 @@ def involute_occupancy(occupancy: np.ndarray, points: Sequence[HalfInt]) -> np.n
 def _modified_occupancy(sigma: FinitaryPermutation, occupancy: np.ndarray,
                         twice: Sequence[int]) -> np.ndarray:
     """sigma~ on every row of an occupancy matrix on the ascending points
-    twice / 2: sigma~_n swaps the columns of n -+ 1/2 for n != 0; sigma~_0
-    flips both central columns in the rows where they agree."""
+    twice / 2, balanced or not (window restrictions too): sigma~_n swaps the
+    columns of n -+ 1/2 for n != 0; sigma~_0 flips both central columns in
+    the rows where they agree.  The one implementation of the modified action."""
     col = {t: i for i, t in enumerate(twice)}
     out = occupancy.copy()
     for n in sigma.generators_in_order():
@@ -425,33 +426,15 @@ def apply_sigma(sigma: FinitaryPermutation, lam: Partition) -> Partition:
     return from_balanced_config(particle_hole_involution(maya))
 
 
-def _sigma_modified_once(n: int, config: FiniteConfig) -> FiniteConfig:
-    """The modified action sigma~_n = inv o sigma_n o inv on balanced configs.
-
-    For n != 0 it coincides with the plain set action of sigma_n.  For n = 0
-    it switches between both of {-1/2, 1/2} absent and both present, leaving
-    the mixed patterns fixed.
-    """
-    lo, hi = HalfInt(2 * n - 1), HalfInt(2 * n + 1)
-    pts = set(config.points)
-    if ((lo in pts) == (hi in pts)) == (n == 0):
-        return FiniteConfig(pts ^ {lo, hi})
-    return config
-
-
-def _apply_modified(sigma: FinitaryPermutation, config: FiniteConfig) -> FiniteConfig:
-    """The modified word action on any finite set, window restrictions too."""
-    out = config
-    for n in sigma.generators_in_order():
-        out = _sigma_modified_once(n, out)
-    return out
-
-
 def apply_sigma_modified(sigma: FinitaryPermutation, config: FiniteConfig) -> FiniteConfig:
-    """sigma~(X) = inv(sigma(inv(X))) for balanced X; preserves balancedness."""
+    """sigma~(X) = inv(sigma(inv(X))) for balanced X, the one-row case of
+    _modified_occupancy on X's points and the word's; preserves balancedness."""
     if not config.is_balanced():
         raise ValueError(f"modified action requires a balanced configuration, got {config}")
-    return _apply_modified(sigma, config)
+    held = {x.twice for x in config.points}
+    twice = sorted(held | {2 * n + s for n in sigma.word for s in (-1, 1)})
+    moved = _modified_occupancy(sigma, np.array([[t in held for t in twice]]), twice)[0]
+    return FiniteConfig(HalfInt(t) for t, b in zip(twice, moved.tolist()) if b)
 
 
 # ---------------------------------------------------------------------------

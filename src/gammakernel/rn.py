@@ -2,11 +2,11 @@
 
 The finitary permutations of Z' are generated by the transpositions sigma_n
 of n - 1/2 and n + 1/2.  Under the modified action on balanced
-configurations, a single generator changes the configuration weight by an
-explicitly computable factor: a constant depending on the configuration
-near the origin, times an integer power of xi, times a multiplicative
-functional Phi_f whose f decays like 1/|x|.  Words of generators compose by
-the cocycle rule
+configurations, a single generator changes the configuration weight by
+one factor const * xi^k * prod (1 + g(x)) over the points x of X off the
+moved pair: inside a window [-N, N] the product is the constant a, beyond
+it the multiplicative functional Phi_f with f = g, which decays like 1/|x|.
+Words of generators compose by the cocycle rule
 
     mu(sigma tau, X) = mu(sigma, X) * mu(tau, sigma~^(-1) X).
 
@@ -17,7 +17,8 @@ harnesses check the transport identity
     < F o sigma~, P > = < mu(sigma, .) F, P >
 
 by exhaustive enumeration for the pre-limit measures and by Fredholm
-determinants of the limit kernel.
+determinants of the limit kernel.  Window configurations are occupancy rows
+on [-N, N], and sigma~ moves them by lattice._modified_occupancy.
 """
 
 import math
@@ -27,13 +28,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .lattice import (
-    FiniteConfig,
-    FinitaryPermutation,
-    HalfInt,
-    _modified_occupancy,
-    _sigma_modified_once,
-)
+from .lattice import FiniteConfig, FinitaryPermutation, HalfInt, _modified_occupancy, window_index
 from .zmeasure import (
     Params, XiParams, _log_weight_form, _log_weights, pair_product, partition_ensemble,
 )
@@ -197,63 +192,59 @@ def rn_limit(expr: RnExpression, X) -> RnLimitValue:
     return RnLimitValue(value, abs(value) * v.relative_bound)
 
 
-def _step(n: int, W: FiniteConfig, p: Params, N: int, grid: np.ndarray):
-    """Generator n on window restriction W as (a, k, f on grid, c), with
-    |f(x)| <= c/|x| beyond the window; f is None for the unit term."""
-    if n < 0:  # reflect the lattice and negate both parameters
-        a, k, fv, c = _step(-n, FiniteConfig(-x for x in W), p.negated(), N, grid)
-        return a, k, None if fv is None else fv[::-1], c
-    x_min = N + 0.5  # nearest lattice point beyond the window
-
-    if n == 0:
-        lo, hi = HalfInt(-1), HalfInt(1)
-        if (lo in W) != (hi in W):
-            return 1.0, 0, None, 0.0
-        sign = -1 if lo in W else 1  # both present -> remove; neither -> add
-        a = p.zz ** sign
-        for t in (abs(float(x)) for x in W.points if x != lo and x != hi):
-            a *= ((t - 0.5) / (t + 0.5)) ** (2 * sign)
-        vals = [((2.0 * t - 1.0) / (2.0 * t + 1.0)) ** (2 * sign) - 1.0
-                for t in np.abs(grid).tolist()]
-        c = 2.0 if sign == 1 else 2.0 * ((2.0 * x_min) / (2.0 * x_min - 1.0)) ** 2
-        return a, sign, np.array(vals), c
-
-    lo, hi = HalfInt(2 * n - 1), HalfInt(2 * n + 1)
-    if (lo in W) == (hi in W):
+def _step(n: int, row: np.ndarray, p: Params, grid: np.ndarray):
+    """Generator n on the window occupancy row W of [-N, N] as (a, k, f on
+    grid, c): a = const * prod of (1 + g) over W's points off the moved pair,
+    f = g on the grid beyond the window, and |f(x)| <= c/|x| there; f is None
+    for the unit term.  For n != 0 the particle at P = n - d/2 moves by
+    d = +-1, k = d sign(n), const = ((z+n)(z'+n)/n^2)^k and 1 + g(t) = r^2
+    with r = (t-P-d)/(t-P) where t has the sign of n, 1/r^2 elsewhere.  For
+    n = 0, k = +1 adds the central pair and k = -1 removes it, const = (zz')^k
+    and 1 + g(t) = ((|t|-1/2)/(|t|+1/2))^(2k)."""
+    occ, N = row.tolist(), len(row) // 2
+    lo, hi = N + n - 1, N + n  # the columns of n - 1/2 and n + 1/2
+    if (occ[lo] == occ[hi]) != (n == 0):
         return 1.0, 0, None, 0.0
-    sign = 1 if lo in W else -1  # particle at n - 1/2 moves up, or back down
-    moved = lo if sign == 1 else hi
-    pv = float(moved)
-    a = (pair_product(p.z, p.z_prime, n) / n**2) ** sign
-    for pj in (float(x) for x in W.positives if x != moved):
-        a *= ((pj - pv - sign) / (pj - pv)) ** 2
-    for qj in (-float(x) for x in W.negatives):
-        a /= ((qj + pv + sign) / (qj + pv)) ** 2
-    vals = [(1.0 - sign / (t - pv)) ** 2 - 1.0 if t > 0 else (1.0 + sign / (-t + pv)) ** (-2) - 1.0
-            for t in grid.tolist()]
-    # |f(x)| <= c/|x| beyond the window: the sup of |f(x) x| is controlled by
-    # the nearest admissible point on each side (right, left).
-    if sign == 1:
-        c = max(2.0 * x_min / (x_min - pv), 2.0)
+    x_min = N + 0.5  # nearest lattice point beyond the window
+    if n == 0:
+        k = -1 if occ[lo] else 1
+        const = p.zz ** k
+        c = 2.0 if k == 1 else 2.0 * ((2.0 * x_min) / (2.0 * x_min - 1.0)) ** 2
+
+        def one_g(t):  # on a point or an array of points
+            return ((abs(t) - 0.5) / (abs(t) + 0.5)) ** (2 * k)
     else:
-        c = max((2.0 + 1.0 / (x_min - pv)) * x_min / (x_min - pv),
-                2.0 / (1.0 - 1.0 / (x_min + pv)) ** 2)
-    return a, sign, np.array(vals), c
+        d = 1 if occ[lo] else -1
+        P, k = n - d / 2, d if n > 0 else -d
+        const, q = (pair_product(p.z, p.z_prime, n) / n**2) ** k, abs(P)
+        # the sup of |f(x) x| beyond the window is controlled by the nearest
+        # point on n's side and on the other, x_min - |P| and x_min + |P| from P
+        c = (max(2.0 * x_min / (x_min - q), 2.0) if k == 1 else
+             max((2.0 + 1.0 / (x_min - q)) * x_min / (x_min - q), 2.0 / (1.0 - 1.0 / (x_min + q)) ** 2))
+
+        def one_g(t):  # r^(2 sign(tn)), on a point or an array of points
+            return ((t - P - d) / (t - P)) ** (2 * t * n / abs(t * n))
+    held = [i - (N - 0.5) for i, b in enumerate(occ) if b and i != lo and i != hi]
+    return math.prod(map(one_g, held), start=const), k, one_g(grid) - 1.0, c
 
 
-def _compose(perm: FinitaryPermutation, W: FiniteConfig, p: Params, N: int, grid: np.ndarray):
-    """The word's density on window restriction W as (a, k, f on grid, c),
-    folding the steps' tails by (1 + f)(1 + g) = 1 + (f + g + fg), evaluated
-    as f + g + f*g, and their decay constants by c + c_g + c c_g/w, with w
-    the grid radius (|f g| <= c c_g/(w |x|) beyond it)."""
+def _compose(perm: FinitaryPermutation, row: np.ndarray, p: Params, grid: np.ndarray):
+    """The word's density on the window occupancy row of [-N, N] as (a, k,
+    f on grid, c), one _step per generator along the row's trajectory under
+    _modified_occupancy, folding the steps' tails by
+    (1 + f)(1 + g) = 1 + (f + g + fg), evaluated as f + g + f*g, and their
+    decay constants by c + c_g + c c_g/w, with w the grid radius
+    (|f g| <= c c_g/(w |x|) beyond it)."""
     w = max(0.5, float(grid[-1])) if grid.size else 0.5
+    twice = range(1 - len(row), len(row), 2)
     a, k, f, c = 1.0, 0, None, 0.0
-    for m in perm.word:  # leftmost factor first; the trajectory tracks the rest
-        sa, sk, g, cg = _step(m, W, p, N, grid)
+    for i, m in enumerate(perm.word, 1):  # leftmost factor first; the trajectory tracks the rest
+        sa, sk, g, cg = _step(m, row, p, grid)
         a, k = a * sa, k + sk
         if g is not None:
             f, c = (g, cg) if f is None else (f + g + f * g, c + cg + c * cg / w)
-        W = _sigma_modified_once(m, W)
+        if i < len(perm.word):
+            row = _modified_occupancy(FinitaryPermutation((m,)), row[None], twice)[0]
     return a, k, f, c
 
 
@@ -267,13 +258,11 @@ def rn_closed_form(
     """Single-generator density as one term a * xi^k * Phi_f, conditioned on
     the configuration inside [-N, N] (N > |n|, by default |n| + 1).
 
-    The generator either fixes the window pattern (term (1, 0, 0)), shifts
-    one coordinate by 1 (k = +-1; a collects the shifted weight factors over
-    in-window coordinates; f is the two-sided rational tail the same factors
-    produce at out-of-window coordinates), or adds/removes the central pair
-    {-1/2, 1/2} (n = 0, with a = (zz')^(+-1) times the in-window products).
-    Negative n reduces to -n by reflecting the lattice and negating both
-    parameters.  This is rn_compose of the one-letter word (n,).
+    The generator either fixes the window pattern (term (1, 0, 0)), moves
+    one particle by 1, or adds/removes the central pair {-1/2, 1/2} (n = 0);
+    then k = +-1, and a and f are one factor const * (1 + g) read inside
+    and beyond the window (see _step).  This is rn_compose of the one-letter
+    word (n,).
     """
     return rn_compose((int(n),), window_config, p, N=N, radius=radius)
 
@@ -304,9 +293,11 @@ def rn_compose(
     W = _as_config(window_config)
     if W.outside(N).points:
         raise ValueError(f"window restriction {W} has points outside [-{N}, {N}]")
+    row = np.zeros(2 * N, dtype=bool)
+    row[[window_index(x, N) for x in W.points]] = True
     t = np.arange(1 - 2 * radius, 2 * radius, 2) / 2.0  # [-radius, radius]
     outside = np.abs(t) > N
-    a, k, fv, c = _compose(perm, W, p, N, t[outside])
+    a, k, fv, c = _compose(perm, row, p, t[outside])
     table = np.zeros(2 * radius)
     table[outside] = 0.0 if fv is None else fv
     f = TestFunction() if fv is None else TestFunction(table, InverseDecay(c))
@@ -462,8 +453,8 @@ def _limit_groups(perm: FinitaryPermutation, F: CylinderFunction, p: Params, K: 
     outside = np.abs(t) > N
     wpts = tuple(window_points(N))
     groups: dict = {}
-    for b, row in enumerate(_subset_rows(len(wpts)).tolist()):
-        a, _, fv, c = _compose(perm, FiniteConfig(compress(wpts, row)), p, N, t[outside])
+    for b, row in enumerate(_subset_rows(len(wpts))):
+        a, _, fv, c = _compose(perm, row, p, t[outside])
         key = None if fv is None else (fv.tobytes(), c)
         groups.setdefault(key, (fv, np.zeros(1 << len(wpts))))[1][b] = a
     out = []

@@ -26,6 +26,7 @@ from gammakernel.fredholm import (
     expectation_det,
     expectation_sum,
     phi_eval,
+    phi_rows,
     sparseness_certificate,
 )
 
@@ -108,6 +109,21 @@ def test_phi_sparse_certified():
     assert phi_eval(g, X, full_output=True).relative_bound == 0.0
     assert X.partial_inverse_sum == pytest.approx(2.0 + 2.0 / 3.0)
     assert X.inverse_sum_bound == pytest.approx(2.0 + 2.0 / 3.0 + 0.1)
+
+
+def test_phi_rows_matches_column_loop():
+    # phi_rows is one masked product over each row; the reference multiplies
+    # the rows holding each column by 1 + f there, column by column in
+    # ascending order, so the two agree bit for bit.
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        N, R = (int(v) for v in rng.integers(1, 13, size=2))
+        f = TestFunction(rng.uniform(-1.0, 3.0, 2 * R) * (rng.random(2 * R) < 0.7))
+        occ = rng.random((int(rng.integers(1, 200)), 2 * N)) < rng.uniform(0.05, 0.9)
+        fv, want = f.on_window(N), np.ones(len(occ))
+        for j in np.flatnonzero((fv != 0.0) & occ.any(axis=0)):
+            want[occ[:, j]] *= 1.0 + fv[j]
+        assert np.array_equal(phi_rows(f, occ, N), want)
 
 
 def test_phi_raw_iterable_is_a_set():

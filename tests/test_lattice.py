@@ -15,8 +15,8 @@ from gammakernel.lattice import (
     HalfInt,
     MayaDiagram,
     Partition,
-    _apply_modified,
     _modified_occupancy,
+    _sigma_on_maya,
     apply_sigma,
     apply_sigma_modified,
     dim_ratio,
@@ -63,6 +63,9 @@ def test_halfint_rejects_integers():
         HalfInt(2)
     with pytest.raises(ValueError):
         HalfInt.make(1.25)
+    for value in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="is not a half-integer"):
+            HalfInt.make(value)
     for text in ("3", "4/2", "+3/2", "1_1/2", "3/2/2", "0x3/2"):
         with pytest.raises(ValueError):
             HalfInt.parse(text)
@@ -226,10 +229,22 @@ def test_generators_are_involutions(lam, n):
     assert apply_sigma_modified(sigma, cfg) == cfg
 
 
+def _modified_by_maya(sigma, X):
+    """inv o sigma o inv on any finite set, balanced or not, through the
+    natural action on its Maya diagram: the reference for sigma~."""
+    maya = particle_hole_involution(X)
+    for n in sigma.generators_in_order():
+        maya = _sigma_on_maya(n, maya)
+    return particle_hole_involution(maya)
+
+
 def test_modified_occupancy_matches_set_action():
-    # sigma~ on the rows of the |lambda| <= 10 ensemble, against the set
-    # action on each row's configuration, for every word of length <= 2.
+    # sigma~ on the rows of the |lambda| <= 10 ensemble and on all 64 subsets
+    # of [-3, 3] (balanced or not, as window restrictions are), against
+    # inv o sigma o inv on each row's set, for every word of length <= 2.
     occ, _, _ = partition_ensemble(XiParams(Params(0.5, 0.5), 0.3), 10)
+    subsets = (np.arange(64)[:, None] >> np.arange(6) & 1).astype(bool)
+    occ = np.vstack([occ, np.pad(subsets, ((0, 0), (7, 7)))])
     pts = window_points(10)
 
     def as_config(row):
@@ -240,7 +255,7 @@ def test_modified_occupancy_matches_set_action():
         for word in itertools.product(range(-3, 4), repeat=length):
             sigma = FinitaryPermutation(word)
             moved = _modified_occupancy(sigma, occ, [x.twice for x in pts])
-            assert [as_config(row) for row in moved] == [_apply_modified(sigma, X) for X in configs]
+            assert [as_config(row) for row in moved] == [_modified_by_maya(sigma, X) for X in configs]
 
 
 def test_modified_occupancy_rejects_missing_columns():

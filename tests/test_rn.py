@@ -19,9 +19,9 @@ from gammakernel.lattice import (
     FiniteConfig,
     HalfInt,
     Partition,
-    _apply_modified,
-    _sigma_modified_once,
+    _sigma_on_maya,
     apply_sigma_modified,
+    particle_hole_involution,
     partitions_up_to,
     to_balanced_config,
 )
@@ -31,6 +31,7 @@ from gammakernel.zmeasure import (
     enumerate_weights,
     log_weight_config,
     log_weight_partition,
+    pair_product,
 )
 from gammakernel.fredholm import (
     InverseDecay,
@@ -45,6 +46,7 @@ from gammakernel.kernels import j_transform, underline_limit_window, window_poin
 from gammakernel.rn import (
     CylinderFunction,
     RnExpression,
+    _compose,
     _limit_groups,
     expand_cylinder,
     rn_closed_form,
@@ -61,6 +63,15 @@ EQUAL = Params(0.5, 0.5)
 PRINCIPAL = Params(0.4 + 0.7j, 0.4 - 0.7j)
 
 BALANCED = [to_balanced_config(lam) for lam in partitions_up_to(7)]
+
+
+def _modified_by_maya(sigma, X):
+    """inv o sigma o inv on any finite set, balanced or not, through the
+    natural action on its Maya diagram: the reference for sigma~."""
+    maya = particle_hole_involution(X)
+    for n in FinitaryPermutation(sigma).generators_in_order():
+        maya = _sigma_on_maya(n, maya)
+    return particle_hole_involution(maya)
 
 
 def xi_params(base, xi):
@@ -321,12 +332,93 @@ def test_compose_bit_identical_to_closed_form_fold():
             a, k, f, cur = folds[word[:-1]]
             step = rn_closed_form(word[-1], cur, PRINCIPAL, N=N)
             a, k, f = a * step.a, k + step.k, _fold(f, step.f)
-            folds[word] = (a, k, f, _sigma_modified_once(word[-1], cur))
+            folds[word] = (a, k, f, _modified_by_maya(word[-1:], cur))
         for word, (a, k, f, _) in folds.items():
             expr = rn_compose(word, W, PRINCIPAL, N=N)
             assert (expr.a, expr.k) == (a, k), (word, W)
             assert np.array_equal(expr.f.table, f.table), (word, W)
             assert expr.f.tail == f.tail, (word, W)
+
+
+def _set_step(n, W, p, N, grid):
+    """An independent set-based form of _step, its reference: (a, k, f on
+    grid, c) from an in-window loop in two sign branches, separate tail
+    formulas, and negative n through the reflected configuration with both
+    parameters negated."""
+    if n < 0:
+        a, k, fv, c = _set_step(-n, FiniteConfig(-x for x in W), p.negated(), N, grid)
+        return a, k, None if fv is None else fv[::-1], c
+    x_min = N + 0.5
+    if n == 0:
+        lo, hi = H(-1), H(1)
+        if (lo in W) != (hi in W):
+            return 1.0, 0, None, 0.0
+        sign = -1 if lo in W else 1
+        a = p.zz ** sign
+        for t in (abs(float(x)) for x in W.points if x != lo and x != hi):
+            a *= ((t - 0.5) / (t + 0.5)) ** (2 * sign)
+        vals = [((2.0 * t - 1.0) / (2.0 * t + 1.0)) ** (2 * sign) - 1.0
+                for t in np.abs(grid).tolist()]
+        c = 2.0 if sign == 1 else 2.0 * ((2.0 * x_min) / (2.0 * x_min - 1.0)) ** 2
+        return a, sign, np.array(vals), c
+    lo, hi = H(2 * n - 1), H(2 * n + 1)
+    if (lo in W) == (hi in W):
+        return 1.0, 0, None, 0.0
+    sign = 1 if lo in W else -1
+    moved = lo if sign == 1 else hi
+    pv = float(moved)
+    a = (pair_product(p.z, p.z_prime, n) / n**2) ** sign
+    for pj in (float(x) for x in W.positives if x != moved):
+        a *= ((pj - pv - sign) / (pj - pv)) ** 2
+    for qj in (-float(x) for x in W.negatives):
+        a /= ((qj + pv + sign) / (qj + pv)) ** 2
+    vals = [(1.0 - sign / (t - pv)) ** 2 - 1.0 if t > 0 else (1.0 + sign / (-t + pv)) ** (-2) - 1.0
+            for t in grid.tolist()]
+    if sign == 1:
+        c = max(2.0 * x_min / (x_min - pv), 2.0)
+    else:
+        c = max((2.0 + 1.0 / (x_min - pv)) * x_min / (x_min - pv),
+                2.0 / (1.0 - 1.0 / (x_min + pv)) ** 2)
+    return a, sign, np.array(vals), c
+
+
+def _set_extend(state, m, p, N, grid, memo):
+    """The reference (a, k, f, c, W) of a word extended by the generator m:
+    _set_step on W, the fold of the tails, and W moved along its set
+    trajectory; memo keeps the step and the move of each (m, W)."""
+    a, k, f, c, W = state
+    if (m, W) not in memo:
+        memo[m, W] = _set_step(m, W, p, N, grid), _modified_by_maya((m,), W)
+    (sa, sk, g, cg), moved = memo[m, W]
+    if g is not None:
+        w = float(grid[-1])
+        f, c = (g, cg) if f is None else (f + g + f * g, c + cg + c * cg / w)
+    return a * sa, k + sk, f, c, moved
+
+
+@pytest.mark.parametrize("base", [EQUAL, Params(0.3 + 0.5j, 0.3 - 0.5j), Params(-1.6, -1.2)],
+                         ids=["equal", "principal", "complementary"])
+def test_compose_matches_set_step_reference(base):
+    # Criterion 5's grid: every word of length <= 3 over -3..3 on every
+    # balanced configuration of [-4, 4], N = 4, radius 8; single generators
+    # also on all 256 window restrictions, balanced or not.  a, the tail
+    # table and c agree to 1e-14 with the set-based reference, k exactly.
+    N, radius = 4, 8
+    t = np.arange(1 - 2 * radius, 2 * radius, 2) / 2.0
+    grid = t[np.abs(t) > N]
+    pts, memo = window_points(N), {}
+    for row in (np.arange(256)[:, None] >> np.arange(8) & 1).astype(bool):
+        W = FiniteConfig(x for x, b in zip(pts, row) if b)
+        longest = 3 if W.is_balanced() else 1
+        ref = {(): (1.0, 0, None, 0.0, W)}
+        for word in (w for length in range(1, longest + 1)
+                     for w in itertools.product(range(-3, 4), repeat=length)):
+            ref[word] = _set_extend(ref[word[:-1]], word[-1], base, N, grid, memo)
+        for word, (ra, rk, rf, rc, _) in ref.items():
+            a, k, f, c = _compose(FinitaryPermutation(word), row, base, grid)
+            assert k == rk and (f is None) == (rf is None), (word, W)
+            assert abs(a - ra) <= 1e-14 * abs(ra) and abs(c - rc) <= 1e-14 * rc, (word, W)
+            assert f is None or (np.abs(f - rf) <= 1e-14 * np.maximum(1.0, np.abs(rf))).all(), (word, W)
 
 
 def test_compose_window_too_small():
@@ -485,8 +577,8 @@ def test_cylinder_array_matches_mapping():
 
 
 def test_cylinder_transform_matches_subset_action():
-    # transform acts on all subset rows at once; the reference applies the
-    # modified action to each subset as a FiniteConfig.
+    # transform acts on all subset rows at once; the reference applies
+    # inv o sigma o inv to each subset as a FiniteConfig.
     F = CylinderFunction.from_callable(
         (H(-3), H(1), H(5)), lambda s: math.cos(float(len(s))) + float(H(1) in s))
     for word in ((0,), (1,), (1, -1), (2, 1, 0), (-1, 0, 1), (0, 0)):
@@ -494,7 +586,7 @@ def test_cylinder_transform_matches_subset_action():
         perm = FinitaryPermutation(word)
         for b in range(1 << len(G.points)):
             sub = FiniteConfig(x for i, x in enumerate(G.points) if b >> i & 1)
-            assert G.table[b] == F(_apply_modified(perm, sub)), (word, sub)
+            assert G.table[b] == F(_modified_by_maya(perm.word, sub)), (word, sub)
         FG = F.times(G)
         for b in range(1 << len(FG.points)):
             sub = FiniteConfig(x for i, x in enumerate(FG.points) if b >> i & 1)
