@@ -41,12 +41,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 from scipy.special import digamma as _sp_digamma
 from scipy.special import gammasgn as _sp_gammasgn
 from scipy.special import loggamma as _sp_loggamma
@@ -605,44 +605,52 @@ def underline_prelimit_spectral(N: int, p: XiParams) -> WindowKernel:
     )
 
 
-def _pivot_sweep(diag: list, off2: list, shifts: np.ndarray):
-    """LDL^T pivots d_k = diag_k - shift - off2_(k-1)/d_(k-1) of (tridiagonal -
-    shift) for k = 0, 1, ..., vectorized over shifts.  At a real shift the
-    negative pivots count the eigenvalues below it (Sturm); at a non-real one
-    1/d_k is the corner resolvent entry of the leading block, |d_k| >= |Im|."""
-    d = diag[0] - shifts
-    yield d
+def _sturm_count(diag: list, off2: list, shift: float) -> int:
+    """Negative LDL^T pivots of (tridiagonal - shift) in Python floats, the
+    eigenvalues below the shift (Sturm); a zero pivot divides as in IEEE."""
+    d, neg = diag[0] - shift, 0
     for a, b2 in zip(diag[1:], off2):
-        d = (a - shifts) - b2 / d
-        yield d
+        neg += d < 0
+        try:
+            d = (a - shift) - b2 / d
+        except ZeroDivisionError:  # b/+-0 = +-inf and 0/0 = nan, as NumPy gives
+            d = (a - shift) - (math.copysign(math.inf, d) if b2 else math.nan)
+    return neg + (d < 0)
 
 
 def _sign_quadrature(diag: np.ndarray, off: np.ndarray, tol: float) -> tuple:
     """Trapezoid rule in s for sign(D) = (2/pi) int e^s Re[(D - i e^s)^-1] ds,
     whose integrand at an eigenvalue lam is sign(lam) sech(s - log|lam|)/2.
-    With gap <= |lam| <= lam_max (Sturm counts at +-gap; Gershgorin), step h
-    errs by at most 2 sum_m sech(pi^2 m/h) (Poisson summation) and the range
-    [log gap - u, log lam_max + u] cuts tails of at most (2/pi) e^-u each, so
-    P+ = (I + sign D)/2 is entrywise within quadrature_bound <= max(tol/1000,
+    The gap is the widest trial 2^(-j/2) lam_max (Gershgorin) clear of the
+    spectrum: LAPACK bisection (stebz) of the two eigenvalues next to 0 places
+    it, scalar Sturm counts at 0, +-gap and +- the next wider trial certify it.
+    Step h errs by at most 2 sum_m sech(pi^2 m/h) (Poisson summation) and the
+    range [log gap - u, log lam_max + u] cuts tails of at most (2/pi) e^-u each,
+    so P+ = (I + sign D)/2 is entrywise within quadrature_bound <= max(tol/1000,
     1e-14).  Returns nodes t = e^s, weights, positive count, certificate."""
     r = np.abs(off)
     lam_max = float(np.max(np.abs(diag) + np.r_[0.0, r] + np.r_[r, 0.0]))
     # Trial gaps down to 2^-40 lam_max, far above the eps * lam_max backward
     # error of the counts.
-    deltas = lam_max * 2.0 ** (-0.5 * np.arange(1, 81))
-    neg = np.zeros(1 + 2 * len(deltas), dtype=int)
-    with np.errstate(divide="ignore"):
-        for d in _pivot_sweep(diag.tolist(), (r * r).tolist(), np.r_[0.0, deltas, -deltas]):
-            neg += d < 0
-    clear = neg[1 : 1 + len(deltas)] == neg[1 + len(deltas) :]
-    if not clear.any():
-        inside = int(neg[len(deltas)] - neg[-1])
+    deltas = (lam_max * 2.0 ** (-0.5 * np.arange(1, 81))).tolist()
+    a, b2, n, last = diag.tolist(), (r * r).tolist(), len(diag), len(deltas) - 1
+    neg0 = _sturm_count(a, b2, 0.0)
+    near = np.min(np.abs(eigvalsh_tridiagonal(diag, off, select="i", lapack_driver="stebz",
+                                              select_range=(max(neg0 - 1, 0), min(neg0, n - 1)))))
+    inside = functools.cache(lambda j: _sturm_count(a, b2, deltas[j]) - _sturm_count(a, b2, -deltas[j]))
+    # Counts are monotone in the shift, so the clear trials are a tail: find its start.
+    j = next((i for i, delta in enumerate(deltas) if delta <= near), last)
+    while j < last and inside(j):
+        j += 1
+    while j > 0 and not inside(j - 1):
+        j -= 1
+    if inside(j):
         raise NonConvergenceError(
-            "underline_prelimit_window (no certified gap at 0)", math.inf, tol, len(diag) // 2,
+            "underline_prelimit_window (no certified gap at 0)", math.inf, tol, n // 2,
             cap="window half-width",
-            detail=f"{inside} eigenvalue(s) within {deltas[-1]:.3e} of 0, the narrowest gap tried,",
+            detail=f"{inside(last)} eigenvalue(s) within {deltas[-1]:.3e} of 0, the narrowest gap tried,",
         )
-    gap = float(deltas[np.argmax(clear)])
+    gap = deltas[j]
     eps = max(tol / 1000.0, 1e-14)
     q = eps / 8.0
     h = math.pi**2 / math.log(1.0 / q)
@@ -653,13 +661,13 @@ def _sign_quadrature(diag: np.ndarray, off: np.ndarray, tol: float) -> tuple:
     tails = (2.0 / math.pi) * (math.exp(math.log(lam_max) - s[-1]) + math.exp(-u))
     t = np.exp(s)
     cert = {"spectral_gap": gap, "quadrature_nodes": len(t), "quadrature_bound": (disc + tails) / 2}
-    return t, (2.0 / math.pi) * h * t, len(diag) - int(neg[0]), cert
+    return t, (2.0 / math.pi) * h * t, n - neg0, cert
 
 
 def _spectral_center(N: int, M: int, p: XiParams, tol: float) -> tuple[np.ndarray, dict]:
     """Center [-N, N] block of the positive spectral projection of the
     difference operator on [-M, M], M > N, by the sign quadrature.  Resolvent
-    diagonals come from pivot sweeps from both ends, the entries right of them
+    diagonals come from one two-ended pivot sweep, the entries right of them
     from running products of right-sweep ratios, one row at a time: O(M nodes)
     work, O(N nodes) memory."""
     diag, off = _difference_operator(M, p)
@@ -667,10 +675,15 @@ def _spectral_center(N: int, M: int, p: XiParams, tol: float) -> tuple[np.ndarra
     z = 1j * t
     lo, m = M - N, 2 * N
     off2 = off * off
-    a, b2 = diag.tolist(), off2.tolist()
-    # Left pivots at indices lo-1 .. lo+m-2, right pivots at lo+1 .. lo+m.
-    left = np.array(list(islice(_pivot_sweep(a, b2, z), lo - 1, lo + m - 1)))
-    right = np.array(list(islice(_pivot_sweep(a[::-1], b2[::-1], z), lo - 1, lo + m - 1)))[::-1]
+    # LDL^T pivots d_k = diag_k - z - off2_(k-1)/d_(k-1), |d_k| >= |Im z|: row k steps
+    # the left sweep on diag[k] and the right on diag[-1-k]; k = lo-1 .. lo+m-2 are kept.
+    ends, ends2 = (np.stack([v, v[::-1]], axis=1)[:, :, None] for v in (diag, off2))
+    kept = deque([ends[0] - z], maxlen=m)
+    for k in range(1, lo + m - 1, 128):  # diag - z a block of rows at a time
+        for a, b2 in zip(ends[k : min(k + 128, lo + m - 1)] - z, ends2[k - 1 :]):
+            kept.append(a - b2 / kept[-1])
+    pivots = np.array(kept)
+    left, right = pivots[:, 0], pivots[::-1, 1]  # right ones at indices lo+1 .. lo+m
     g = 1.0 / (diag[lo : lo + m, None] - z - off2[lo - 1 : lo + m - 1, None] / left
                - off2[lo : lo + m, None] / right)
     ratio = -off[lo : lo + m - 1, None] / right[:-1]
@@ -680,12 +693,8 @@ def _spectral_center(N: int, M: int, p: XiParams, tol: float) -> tuple[np.ndarra
     return 0.5 * (np.eye(m) + sign), dict(cert, positive_eigenvalues=positive)
 
 
-def underline_prelimit_window(
-    N: int,
-    p: XiParams,
-    tol: float = 1e-9,
-    max_pad: int = 1 << 16,
-) -> WindowKernel:
+def underline_prelimit_window(N: int, p: XiParams, tol: float = 1e-9,
+                              max_pad: int = 1 << 16) -> WindowKernel:
     """Pre-limit kernel on [-N, N] with certified interior accuracy.
 
     Center blocks of window projections on [-M, M] (boundary effects decay
@@ -696,22 +705,16 @@ def underline_prelimit_window(
     padding, padding_residual, positive_eigenvalues, spectral_gap,
     quadrature_nodes and quadrature_bound."""
     pad = max(16, N // 2, math.ceil(1.0 / (1.0 - p.xi)))
-    prev, _ = _spectral_center(N, N + pad, p, tol)
-    residual = math.inf
-    while True:
+    cur, residual = _spectral_center(N, N + pad, p, tol)[0], math.inf
+    while not residual <= tol:
         pad *= 2
         if N + pad > max_pad:
-            raise NonConvergenceError(
-                "underline_prelimit_window", residual, tol, max_pad, cap="padding cap max_pad"
-            )
-        cur, cert = _spectral_center(N, N + pad, p, tol)
+            raise NonConvergenceError("underline_prelimit_window", residual, tol, max_pad,
+                                      cap="padding cap max_pad")
+        prev, (cur, cert) = cur, _spectral_center(N, N + pad, p, tol)
         residual = float(np.max(np.abs(cur - prev)))
-        if residual <= tol:
-            return WindowKernel(
-                N=N, kind="underline_prelimit", values=cur, params=p.base, xi=p.xi,
-                meta=dict(cert, padding=pad, padding_residual=residual),
-            )
-        prev = cur
+    return WindowKernel(N=N, kind="underline_prelimit", values=cur, params=p.base, xi=p.xi,
+                        meta=dict(cert, padding=pad, padding_residual=residual))
 
 
 # ---------------------------------------------------------------------------

@@ -257,10 +257,6 @@ class FiniteConfig:
         """Points with |x| <= window."""
         return FiniteConfig(p for p in self.points if abs(p.twice) <= 2 * window)
 
-    def outside(self, window: int) -> "FiniteConfig":
-        """Points with |x| > window."""
-        return FiniteConfig(p for p in self.points if abs(p.twice) > 2 * window)
-
 
 class MayaDiagram:
     """A subset of Z' equal to Z'_- up to a finite symmetric difference.

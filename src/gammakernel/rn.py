@@ -140,7 +140,7 @@ class RnExpression:
             raise ValueError(
                 f"radius {self.radius} smaller than the window {self.window}"
             )
-        if self.window_config.outside(self.window).points:
+        if any(abs(x.twice) > 2 * self.window for x in self.window_config.points):
             raise ValueError(
                 f"window configuration {self.window_config} has points outside "
                 f"[-{self.window}, {self.window}]"
@@ -291,10 +291,10 @@ def rn_compose(
     if radius is None:
         radius = max(2 * N, 16)
     W = _as_config(window_config)
-    if W.outside(N).points:
+    row, cols = np.zeros(2 * N, dtype=bool), [window_index(x, N) for x in W.points]
+    if None in cols:  # window_index marks a point outside the window
         raise ValueError(f"window restriction {W} has points outside [-{N}, {N}]")
-    row = np.zeros(2 * N, dtype=bool)
-    row[[window_index(x, N) for x in W.points]] = True
+    row[cols] = True
     t = np.arange(1 - 2 * radius, 2 * radius, 2) / 2.0  # [-radius, radius]
     outside = np.abs(t) > N
     a, k, fv, c = _compose(perm, row, p, t[outside])

@@ -13,12 +13,14 @@ Ground truths used here:
 import cmath
 import math
 import tracemalloc
+from itertools import islice
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+import gammakernel.kernels as kernels_module
 from gammakernel.lattice import HalfInt
 from gammakernel.zmeasure import Params, XiParams, correlation_oracle
 from gammakernel.kernels import (
@@ -45,6 +47,7 @@ from gammakernel.kernels import (
     _limit_contour_grid,
     _sign_quadrature,
     _spectral_center,
+    _sturm_count,
 )
 
 PRINCIPAL = Params(0.4 + 0.7j, 0.4 - 0.7j)
@@ -435,6 +438,155 @@ def test_sign_quadrature_fails_without_spectral_gap():
     assert "1 eigenvalue(s) within 1.819e-12 of 0" in msg
     assert msg.endswith("at the window half-width 1")
     assert "successive refinements" not in msg
+
+
+# The reference route: Sturm counts at 0 and at +-every trial gap from one
+# sweep vectorized over 161 shifts, and the center from two separate pivot
+# sweeps, one from each end.  The library locates the gap with LAPACK
+# bisection and certifies it with a few scalar counts, and runs both sweeps as
+# one; its certificate, nodes and values must match this bit for bit.
+
+def _reference_pivot_sweep(diag, off2, shifts):
+    d = diag[0] - shifts
+    yield d
+    for a, b2 in zip(diag[1:], off2):
+        d = (a - shifts) - b2 / d
+        yield d
+
+
+def _reference_counts(diag, off2, shifts):
+    neg = np.zeros(len(shifts), dtype=int)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for d in _reference_pivot_sweep(list(diag), list(off2), np.asarray(shifts, dtype=float)):
+            neg += d < 0
+    return neg
+
+
+def _reference_sign_quadrature(diag, off, tol):
+    r = np.abs(off)
+    lam_max = float(np.max(np.abs(diag) + np.r_[0.0, r] + np.r_[r, 0.0]))
+    deltas = lam_max * 2.0 ** (-0.5 * np.arange(1, 81))
+    neg = _reference_counts(diag.tolist(), (r * r).tolist(), np.r_[0.0, deltas, -deltas])
+    clear = neg[1 : 1 + len(deltas)] == neg[1 + len(deltas) :]
+    assert clear.any()
+    gap = float(deltas[np.argmax(clear)])
+    eps = max(tol / 1000.0, 1e-14)
+    q = eps / 8.0
+    h = math.pi**2 / math.log(1.0 / q)
+    u = math.log(4.0 / (math.pi * eps))
+    s0 = math.log(gap) - u
+    s = s0 + h * np.arange(math.ceil((math.log(lam_max) + u - s0) / h) + 1)
+    disc = 4.0 * q / (1.0 - q)
+    tails = (2.0 / math.pi) * (math.exp(math.log(lam_max) - s[-1]) + math.exp(-u))
+    t = np.exp(s)
+    cert = {"spectral_gap": gap, "quadrature_nodes": len(t), "quadrature_bound": (disc + tails) / 2}
+    return t, (2.0 / math.pi) * h * t, len(diag) - int(neg[0]), cert
+
+
+def _reference_center(N, M, p, tol):
+    diag, off = _difference_operator(M, p)
+    t, w, positive, cert = _reference_sign_quadrature(diag, off, tol)
+    z = 1j * t
+    lo, m = M - N, 2 * N
+    off2 = off * off
+    a, b2 = diag.tolist(), off2.tolist()
+    left = np.array(list(islice(_reference_pivot_sweep(a, b2, z), lo - 1, lo + m - 1)))
+    right = np.array(list(islice(_reference_pivot_sweep(a[::-1], b2[::-1], z), lo - 1, lo + m - 1)))[::-1]
+    g = 1.0 / (diag[lo : lo + m, None] - z - off2[lo - 1 : lo + m - 1, None] / left
+               - off2[lo : lo + m, None] / right)
+    ratio = -off[lo : lo + m - 1, None] / right[:-1]
+    sign = np.diag(g.real @ w)
+    for i in range(m - 1):
+        sign[i, i + 1 :] = sign[i + 1 :, i] = (g[i] * np.cumprod(ratio[i:], axis=0)).real @ w
+    return 0.5 * (np.eye(m) + sign), dict(cert, positive_eigenvalues=positive)
+
+
+def _reference_window(N, p, tol):
+    pad = max(16, N // 2, math.ceil(1.0 / (1.0 - p.xi)))
+    prev, _ = _reference_center(N, N + pad, p, tol)
+    while True:
+        pad *= 2
+        cur, cert = _reference_center(N, N + pad, p, tol)
+        residual = float(np.max(np.abs(cur - prev)))
+        if residual <= tol:
+            return cur, dict(cert, padding=pad, padding_residual=residual)
+        prev = cur
+
+
+@pytest.mark.parametrize("xi", [0.3, 0.9, 0.99, 0.999])
+@pytest.mark.parametrize("p", [EQUAL, PRINCIPAL, DISTINCT], ids=["equal", "principal", "distinct"])
+def test_spectral_center_matches_reference_bit_for_bit(p, xi):
+    px = XiParams(p, xi)
+    pad = max(16, math.ceil(1.0 / (1.0 - xi)))
+    for N, M, tol in ((4, 4 + pad, 1e-9), (8, 8 + 2 * pad, 1e-6), (16, 16 + 4 * pad, 2e-3)):
+        diag, off = _difference_operator(M, px)
+        t, w, positive, cert = _sign_quadrature(diag, off, tol)
+        rt, rw, rpositive, rcert = _reference_sign_quadrature(diag, off, tol)
+        assert cert == rcert and positive == rpositive
+        assert np.array_equal(t, rt) and np.array_equal(w, rw)
+        block, meta = _spectral_center(N, M, px, tol)
+        rblock, rmeta = _reference_center(N, M, px, tol)
+        assert meta == rmeta
+        assert block.tobytes() == rblock.tobytes()
+
+
+def test_prelimit_window_matches_reference_on_ladder_inputs():
+    # The benchmark ladder's windows: N=64 at tol max(1e-7, 2(1 - xi)) on its
+    # three pairs, and N=8 at xi=0.99, tol 1e-6.
+    equal, principal, distinct = Params(0.5, 0.5), Params(0.3 + 0.5j, 0.3 - 0.5j), Params(0.3, 0.7)
+    cases = [(64, XiParams(p, xi), max(1e-7, 2.0 * (1.0 - xi)))
+             for p, sweep in ((equal, (0.9, 0.99, 0.999)), (principal, (0.9, 0.99, 0.999)),
+                              (distinct, (0.9, 0.99)))
+             for xi in sweep]
+    for N, px, tol in cases + [(8, XiParams(equal, 0.99), 1e-6)]:
+        wk = underline_prelimit_window(N, px, tol=tol)
+        values, meta = _reference_window(N, px, tol)
+        assert wk.meta == meta, (N, px, tol)
+        assert wk.values.tobytes() == values.tobytes(), (N, px, tol)
+
+
+@pytest.mark.parametrize("located", [1e300, 0.0], ids=["too-wide", "too-narrow"])
+def test_sign_quadrature_certifies_from_a_wrong_location(monkeypatch, located):
+    # LAPACK bisection only picks the first trial gap to check: located far
+    # too wide or too narrow, the Sturm counts still step to the same gap.
+    diag, off = _difference_operator(40, XiParams(PRINCIPAL, 0.9))
+    monkeypatch.setattr(kernels_module, "eigvalsh_tridiagonal", lambda *a, **k: np.array([located]))
+    t, w, positive, cert = _sign_quadrature(diag, off, 1e-9)
+    rt, rw, rpositive, rcert = _reference_sign_quadrature(diag, off, 1e-9)
+    assert cert == rcert and positive == rpositive and np.array_equal(t, rt)
+
+
+@pytest.mark.parametrize(
+    "diag, off, shift",
+    [
+        ([0.5, 2.0, -1.0, 3.0], [1.0, 0.5, 2.0], 0.5),  # shift equal to diag[0]
+        ([-0.0, 2.0, -1.0], [1.0, 0.5], 0.0),  # a -0 first pivot
+        ([1.0, 1.0, 3.0, -2.0, 1.0], [1.0, 1.0, 1.0, 0.5], 0.0),  # zero pivot mid-sweep
+        ([1.0, 1.0, 3.0, -2.0], [1.0, 0.0, 1.0], 0.0),  # 0/0 mid-sweep
+        ([2.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0], 0.0),  # 0/0 twice
+    ],
+    ids=["shift-at-diag0", "negative-zero", "zero-pivot", "zero-over-zero", "zero-over-zero-twice"],
+)
+def test_sturm_count_zero_pivots_match_numpy(diag, off, shift):
+    # Python floats raise on division by zero where NumPy gives b/+-0 = +-inf
+    # and 0/0 = nan; the scalar count must follow NumPy's IEEE pivots.
+    off2 = [b * b for b in off]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pivots = np.array(list(_reference_pivot_sweep(diag, off2, np.array([shift]))))
+    assert np.any((pivots == 0.0) | np.isnan(pivots))  # the case hits what it names
+    shifts = [shift, -shift, shift + 0.25, shift - 0.25]
+    assert [_sturm_count(diag, off2, s) for s in shifts] == _reference_counts(diag, off2, shifts).tolist()
+
+
+def test_sturm_count_matches_numpy_on_random_shifts():
+    rng = np.random.default_rng(7)
+    diag, off = rng.normal(size=200), rng.normal(size=199)
+    shifts = np.r_[rng.normal(size=40), 0.0, diag[0], np.linspace(-3.0, 3.0, 13)]
+    ref = _reference_counts(diag.tolist(), (off * off).tolist(), shifts)
+    counts = [_sturm_count(diag.tolist(), (off * off).tolist(), s) for s in shifts.tolist()]
+    assert counts == ref.tolist()
+    ordered = np.array(counts)[np.argsort(shifts)]
+    assert np.all(np.diff(ordered) >= 0)  # monotone in the shift
 
 
 # ---------------------------------------------------------------------------

@@ -189,7 +189,7 @@ def test_closed_form_matches_exact():
         for n in (-2, -1, 0, 1, 2):
             N = abs(n) + 1
             for X in BALANCED:
-                if X.outside(16).points:
+                if X.restrict(16) != X:
                     continue
                 expr = rn_closed_form(n, X.restrict(N), base, N=N, radius=24)
                 got = expr.evaluate(X, xi=xi)
@@ -231,6 +231,21 @@ def test_closed_form_validation():
         rn_closed_form(0, FiniteConfig((H(5),)), EQUAL, N=1)  # point outside window
     with pytest.raises(ValueError):
         RnExpression(1.0, 0, TestFunction(()), 4, FiniteConfig(()), 2)
+
+
+@pytest.mark.parametrize("outside", [H(-5), H(5)], ids=["left", "right"])
+def test_window_restriction_outside_the_window_raises(outside):
+    # A window restriction reaching past [-N, N] on either side is rejected by
+    # rn_compose and by RnExpression, each with its own message; points on
+    # the window's edge are accepted by both.
+    W = FiniteConfig((H(-3), outside, H(1)))
+    with pytest.raises(ValueError, match=r"window restriction .* has points outside \[-2, 2\]"):
+        rn_compose((1,), W, EQUAL, N=2)
+    with pytest.raises(ValueError, match=r"window configuration .* has points outside \[-2, 2\]"):
+        RnExpression(1.0, 0, TestFunction(()), 2, W, 4)
+    edge = FiniteConfig((H(-3), H(3)))
+    assert rn_compose((1,), edge, EQUAL, N=2).window_config == edge
+    assert RnExpression(1.0, 0, TestFunction(()), 2, edge, 4).window_config == edge
 
 
 # ---------------------------------------------------------------------------
