@@ -271,11 +271,32 @@ def _weighted_kernel(kernel: WindowKernel, n: int | None = None) -> np.ndarray:
     return s[:, None] * kernel.values[K - n : K + n, K - n : K + n] / s[None, :]
 
 
-def _window_dets(fw: np.ndarray, us: np.ndarray, kw: np.ndarray, ns) -> np.ndarray:
+def _factor(kw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K_w = U V^T at its numerical rank: a finitary process holds few points
+    in a window (rho_1 ~ c/|x|), so a seeded Gaussian sketch of width 64, U =
+    qr(K_w Omega) and V^T = U^T K_w, doubles its width until the exact
+    residual max|K_w - U V^T| is at most 1e-12 max|K_w|.  A kernel of at most
+    64 points, or a sketch reaching its full width, gives the pair (K_w, I)."""
+    n, r, bound = len(kw), 64, 1e-12 * max(kw.max(), -kw.min())
+    while r < n:
+        q = np.linalg.qr(kw @ np.random.default_rng(0).standard_normal((n, r)))[0]
+        vt = q.T @ kw
+        res = q @ vt
+        res -= kw  # in place: a fresh 2K x 2K temporary costs more than the subtraction
+        if max(res.max(), -res.min()) <= bound:
+            return q, vt.T
+        r *= 2
+    return kw, np.eye(n)
+
+
+def _window_dets(fw: np.ndarray, us: np.ndarray, factor, ns) -> np.ndarray:
     """det(I + D_(f+u) K_w) on each central window [-n, n] of ns (columns) for
-    each row u of us, all given on [-K, K].  With A = I + D_f K_w and S the
-    rows' joint support, det(I + D_(f+u) K_w) = det(A) det(I_S + D_u K_w[S, :]
-    A^-1 E_S): one LU of A per window, none where f vanishes there (A = I)."""
+    each row u of us, all given on [-K, K], with K_w = U V^T from _factor.
+    With C = I_r + V^T D_f U on the window and S the rows' joint support,
+    det(I + D_(f+u) K_w) = det(C) det(I_S + D_u U_S C^-1 V_S^T) (Sylvester and
+    V^T (I + D_f U V^T)^-1 = C^-1 V^T): one r x r LU per window, none where f
+    vanishes there (C = I)."""
+    U, V = factor
     K = len(fw) // 2
     support = np.flatnonzero(np.any(us != 0.0, axis=0))
     out = np.empty((len(us), len(ns)))
@@ -283,18 +304,16 @@ def _window_dets(fw: np.ndarray, us: np.ndarray, kw: np.ndarray, ns) -> np.ndarr
         sl = slice(K - n, K + n)  # the window [-n, n] is a central slice
         s = support[(support >= K - n) & (support < K + n)]
         if not fw[sl].any():
-            det_a, m = 1.0, kw[np.ix_(s, s)]
+            det_c, m = 1.0, U[s] @ V[s].T
         else:
-            a = fw[sl, None] * kw[sl, sl]
-            a.flat[:: 2 * n + 1] += 1.0
-            lu, piv = lu_factor(a, overwrite_a=True, check_finite=False)
+            c = (V[sl].T * fw[sl]) @ U[sl]
+            c.flat[:: len(c) + 1] += 1.0
+            lu, piv = lu_factor(c, overwrite_a=True, check_finite=False)
             diag = np.diag(lu)
-            flips = np.count_nonzero(piv != np.arange(2 * n)) + np.count_nonzero(diag < 0)
-            det_a = (-1.0) ** flips * math.exp(np.sum(np.log(np.abs(diag))))
-            e_s = np.zeros((2 * n, len(s)))
-            e_s[s - (K - n), np.arange(len(s))] = 1.0
-            m = kw[s, sl] @ lu_solve((lu, piv), e_s, check_finite=False)
-        out[:, i] = det_a * np.linalg.det(np.eye(len(s)) + us[:, s, None] * m)
+            flips = np.count_nonzero(piv != np.arange(len(c))) + np.count_nonzero(diag < 0)
+            det_c = (-1.0) ** flips * math.exp(np.sum(np.log(np.abs(diag))))
+            m = U[s] @ lu_solve((lu, piv), V[s].T, check_finite=False)
+        out[:, i] = det_c * np.linalg.det(np.eye(len(s)) + us[:, s, None] * m)
     return out
 
 
@@ -305,10 +324,11 @@ def expectation_det(f: TestFunction, kernel: WindowKernel, tol: float = 1e-8,
     kernel must be of a finitary-process kind (k_prelimit or k_limit).  The
     weighted operator D_f K_w has entries f(x) sqrt(|x|/|y|) K(x, y), and
     _window_dets evaluates it on the window chain 1, 2, 4, ..., weighting
-    each window's block only when the chain reaches it.  A zero-tail f
-    enters as a row on its support, with no LU, and is exact once the chain
-    covers that support; a decaying f is LU-factored on each window and must
-    stabilize below tol on two consecutive doublings within the kernel window.
+    and factoring each window's block only when the chain reaches it.  A
+    zero-tail f enters as a row on its support, with no LU, and is exact
+    once the chain covers that support; a decaying f costs one r x r LU per
+    window (r the block's certified rank, _factor) and must stabilize below
+    tol on two consecutive doublings within the kernel window.
     """
     if not kernel.kind.startswith("k_"):
         raise ValueError(
@@ -328,7 +348,7 @@ def expectation_det(f: TestFunction, kernel: WindowKernel, tol: float = 1e-8,
     for n in _doubling_windows(K):
         windows.append(n)
         sl, kw = slice(K - n, K + n), _weighted_kernel(kernel, n)  # only the windows reached
-        dets.append(float(_window_dets(fw[sl], us[:, sl], kw, [n])[0, 0]))
+        dets.append(float(_window_dets(fw[sl], us[:, sl], _factor(kw), [n])[0, 0]))
         if len(dets) >= 2:
             increments.append(abs(dets[-1] - dets[-2]) / max(1.0, abs(dets[-1])))
         done_exact = zero_tail and n >= cover
@@ -340,16 +360,9 @@ def expectation_det(f: TestFunction, kernel: WindowKernel, tol: float = 1e-8,
         raise NonConvergenceError("expectation_det", achieved, tol, K, cap="window half-width")
 
     cond = float(np.linalg.cond(np.eye(2 * n) + fv[sl, None] * kw))
-    result = ExpectationDet(
-        value=dets[-1],
-        windows=tuple(windows),
-        determinants=tuple(dets),
-        increments=tuple(increments),
-        condition_number=cond,
-    )
-    if full_output:
-        return result
-    return result.value
+    result = ExpectationDet(value=dets[-1], windows=tuple(windows), determinants=tuple(dets),
+                            increments=tuple(increments), condition_number=cond)
+    return result if full_output else result.value
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +402,7 @@ def sparseness_certificate(density) -> SparsenessReport:
     terms = rho / np.abs(np.arange(1 - 2 * n_max, 2 * n_max, 2) / 2.0)
     sums = tuple(math.fsum(terms[n_max - n : n_max + n].tolist()) for n in sizes)
     incs = tuple(b - a for a, b in zip(sums, sums[1:]))
-    ratios = tuple(
-        b / a if a > 0.0 else 0.0 for a, b in zip(incs, incs[1:])
-    )
+    ratios = tuple(b / a if a > 0.0 else 0.0 for a, b in zip(incs, incs[1:]))
     passed = len(ratios) >= 2 and all(r <= 0.75 for r in ratios)
-    return SparsenessReport(
-        window_sizes=tuple(sizes),
-        partial_sums=sums,
-        increments=incs,
-        ratios=ratios,
-        passed=passed,
-    )
+    return SparsenessReport(window_sizes=tuple(sizes), partial_sums=sums, increments=incs,
+                            ratios=ratios, passed=passed)

@@ -38,6 +38,7 @@ from .fredholm import (
     SparseConfig,
     TestFunction,
     _doubling_windows,
+    _factor,
     _weighted_kernel,
     _window_dets,
     phi_eval,
@@ -137,9 +138,7 @@ class RnExpression:
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
         if self.radius < self.window:
-            raise ValueError(
-                f"radius {self.radius} smaller than the window {self.window}"
-            )
+            raise ValueError(f"radius {self.radius} smaller than the window {self.window}")
         if any(abs(x.twice) > 2 * self.window for x in self.window_config.points):
             raise ValueError(
                 f"window configuration {self.window_config} has points outside "
@@ -248,13 +247,8 @@ def _compose(perm: FinitaryPermutation, row: np.ndarray, p: Params, grid: np.nda
     return a, k, f, c
 
 
-def rn_closed_form(
-    n: int,
-    window_config,
-    p: Params,
-    N: int | None = None,
-    radius: int | None = None,
-) -> RnExpression:
+def rn_closed_form(n: int, window_config, p: Params, N: int | None = None,
+                   radius: int | None = None) -> RnExpression:
     """Single-generator density as one term a * xi^k * Phi_f, conditioned on
     the configuration inside [-N, N] (N > |n|, by default |n| + 1).
 
@@ -267,13 +261,8 @@ def rn_closed_form(
     return rn_compose((int(n),), window_config, p, N=N, radius=radius)
 
 
-def rn_compose(
-    sigma,
-    window_config,
-    p: Params,
-    N: int | None = None,
-    radius: int | None = None,
-) -> RnExpression:
+def rn_compose(sigma, window_config, p: Params, N: int | None = None,
+               radius: int | None = None) -> RnExpression:
     """Density of a word of generators, folded into a single term for the
     given window restriction.
 
@@ -471,10 +460,11 @@ def _limit_groups(perm: FinitaryPermutation, F: CylinderFunction, p: Params, K: 
 class LimitTransportReport(NamedTuple):
     """Both sides of the transport identity for the limit measure.
 
-    The right side is a sum of n_terms Fredholm determinants evaluated on
-    shared nested windows, by at most one LU per tail group and window: the
-    terms' truncation tails decay like 1/n but cancel in the sum, so the
-    residual tracks the summed sequence (rhs_by_window, before Richardson)."""
+    The right side is a sum of n_terms Fredholm determinants on shared nested
+    windows, by at most one rank x rank LU per tail group and window (rank is
+    the width of K_w's certified factor): the terms' truncation tails decay
+    like 1/n but cancel in the sum, so the residual tracks the summed
+    sequence (rhs_by_window, before Richardson)."""
 
     lhs: float
     rhs: float
@@ -485,27 +475,24 @@ class LimitTransportReport(NamedTuple):
     residual: float
     n_terms: int
     passed: bool
+    rank: int
 
 
-def verify_limit_transport(
-    sigma,
-    F: CylinderFunction,
-    p: Params,
-    kernel: WindowKernel | None = None,
-    kernel_window: int = 256,
-    atol: float = 1e-5,
-) -> LimitTransportReport:
+def verify_limit_transport(sigma, F: CylinderFunction, p: Params, kernel: WindowKernel | None = None,
+                           kernel_window: int = 256, atol: float = 1e-5) -> LimitTransportReport:
     """Check the transport identity for the limit measure.
 
-    Both sides sum determinants det(I + D_h K_w) of the weighted kernel K_w,
-    built once, by one routine (fredholm._window_dets).  The left side expands
-    F o sigma~ into avoidance functionals u, exact finite determinants on
-    their supports (f = 0, no LU).  The right side groups the density's
-    cylinder pieces by their shared tail functional f, expands each grouped
-    coefficient times F into avoidance functionals g, and sums h = f + g (1 + f)
-    over nested central windows: one LU of I + D_f K_w per group and window
-    where f does not vanish serves every job.  The last per-doubling increment
-    of the Richardson-accelerated sum is the reported residual.
+    Both sides sum determinants det(I + D_h K_w) by one routine
+    (fredholm._window_dets) on K_w = U V^T, factored once at its certified
+    numerical rank r (fredholm._factor): the window holds few particles, so r
+    is a few dozen against 2K points.  The left side expands F o sigma~ into
+    avoidance functionals u, finite determinants on their supports (f = 0,
+    no LU).  The right side groups the density's cylinder pieces by their
+    shared tail functional f, expands each grouped coefficient times F into
+    avoidance functionals g, and sums h = f + g (1 + f) over nested central
+    windows: one r x r LU of I + V^T D_f U per group and window where f does
+    not vanish serves every job.  The last per-doubling increment of the
+    Richardson-accelerated sum is the reported residual.
     """
     perm = _as_permutation(sigma)
     if kernel is None:
@@ -519,17 +506,17 @@ def verify_limit_transport(
         raise ValueError(f"kernel window [-{K}, {K}] too small for the word and F "
                          f"(needs N >= {need})")
 
-    kw = _weighted_kernel(kernel)
+    uv = _factor(_weighted_kernel(kernel))
     lhs_terms = expand_cylinder(F.transform(perm))
     us = np.array([g.on_window(K) for _, g in lhs_terms]).reshape(-1, 2 * K)
-    lhs_dets = _window_dets(np.zeros(2 * K), us, kw, [K])[:, 0]
+    lhs_dets = _window_dets(np.zeros(2 * K), us, uv, [K])[:, 0]
     lhs = math.fsum(c * d for (c, _), d in zip(lhs_terms, lhs_dets))
 
     ns = _doubling_windows(K)
     totals = np.zeros(len(ns))
     n_terms = 0
     for fw, cs, us in _limit_groups(perm, F, p, K):
-        totals += cs @ _window_dets(fw, us, kw, ns)
+        totals += cs @ _window_dets(fw, us, uv, ns)
         n_terms += len(cs)
     # The truncation error of the raw sums decays like a power series in 1/n
     # on the doubling chain (the 1/|x| tails of the density functionals meet
@@ -547,4 +534,4 @@ def verify_limit_transport(
     return LimitTransportReport(
         lhs=lhs, rhs=rhs, difference=diff, tolerance=tolerance, windows=tuple(ns),
         rhs_by_window=tuple(float(v) for v in totals), residual=residual,
-        n_terms=n_terms, passed=diff <= tolerance)
+        n_terms=n_terms, passed=diff <= tolerance, rank=uv[0].shape[1])

@@ -11,6 +11,8 @@ import pytest
 
 from gammakernel.lattice import FiniteConfig, HalfInt, to_balanced_config
 from gammakernel.zmeasure import Params, XiParams, correlation_oracle, enumerate_weights
+from scipy.linalg import lu_factor, lu_solve
+
 from gammakernel.kernels import (
     NonConvergenceError,
     j_transform,
@@ -23,6 +25,8 @@ from gammakernel.fredholm import (
     PhiValue,
     SparseConfig,
     TestFunction,
+    _factor,
+    _weighted_kernel,
     expectation_det,
     expectation_sum,
     phi_eval,
@@ -291,6 +295,88 @@ def test_expectation_det_increments_decrease():
     for n, got in zip(out.windows, out.determinants):
         block = weighted[K.N - n:K.N + n, K.N - n:K.N + n]
         assert got == pytest.approx(_det_one_plus(block), rel=1e-13), n
+
+
+def _dense_window_det(fw, u, kw):
+    """det(I + D_(f+u) K_w) by one dense LU of I + D_f K_w and the determinant
+    lemma on u's support, operation for operation the route _window_dets
+    took before it factored K_w: the bit-exact reference for small kernels."""
+    n2, s = len(fw), np.flatnonzero(u)
+    if not fw.any():
+        det_a, m = 1.0, kw[np.ix_(s, s)]
+    else:
+        a = fw[:, None] * kw
+        a.flat[:: n2 + 1] += 1.0
+        lu, piv = lu_factor(a, overwrite_a=True, check_finite=False)
+        diag = np.diag(lu)
+        flips = np.count_nonzero(piv != np.arange(n2)) + np.count_nonzero(diag < 0)
+        det_a = (-1.0) ** flips * math.exp(np.sum(np.log(np.abs(diag))))
+        e_s = np.zeros((n2, len(s)))
+        e_s[s, np.arange(len(s))] = 1.0
+        m = kw[s, :] @ lu_solve((lu, piv), e_s, check_finite=False)
+    return det_a * np.linalg.det(np.eye(len(s)) + u[None, s, None] * m)[0]
+
+
+@pytest.mark.parametrize("base", [EQUAL, PRINCIPAL], ids=["equal", "principal"])
+def test_expectation_det_small_windows_bit_identical_to_dense_route(base):
+    # Every window of a 2K <= 64 kernel is factored as the exact pair (K_w, I),
+    # so both a zero-tail f (row on its support) and a decaying f (one LU per
+    # window) reproduce the dense route bit for bit.
+    K = k_window(base, 0.3, 32)
+    zero = TestFunction.from_map({H(1): -1.0, H(-3): 0.5, H(39): -0.25})
+    decay = TestFunction.from_callable(lambda t: -0.4 / abs(t), 8, tail=InverseDecay(0.4))
+    for f, tol in ((zero, 0.0), (decay, 1e-8)):  # tol 0: the chain runs to the cover
+        out = expectation_det(f, K, tol=tol, full_output=True)
+        assert out.windows[-1] == 32
+        for n, got in zip(out.windows, out.determinants):
+            fv, kw = f.on_window(n), _weighted_kernel(K, n)
+            want = _dense_window_det(0.0 * fv, fv, kw) if tol == 0.0 else _dense_window_det(fv, 0.0 * fv, kw)
+            assert got == want, (n, got, want)
+
+
+# ---------------------------------------------------------------------------
+# Low-rank factor of the weighted kernel
+# ---------------------------------------------------------------------------
+
+def _factor_residual(kw):
+    u, v = _factor(kw)
+    return u.shape[1], np.abs(kw - u @ v.T).max() / np.abs(kw).max()
+
+
+@pytest.mark.parametrize("base", [EQUAL, PRINCIPAL, Params(0.3, 0.7)],
+                         ids=["equal", "principal", "distinct"])
+def test_factor_certified_on_limit_kernel(base):
+    # 512 points, and the numerical rank is a few dozen: the first sketch
+    # width certifies.
+    r, res = _factor_residual(_weighted_kernel(j_transform(underline_limit_window(256, base))))
+    assert r == 64
+    assert res <= 1e-12, res
+
+
+@pytest.mark.parametrize("xi", [0.5, 0.9])
+def test_factor_certified_on_prelimit_kernel(xi):
+    r, res = _factor_residual(_weighted_kernel(k_window(EQUAL, xi, 64)))
+    assert r < 128
+    assert res <= 1e-12, res
+
+
+def test_factor_small_kernel_is_exact_pair():
+    kw = _weighted_kernel(k_window(EQUAL, 0.3, 32))
+    u, v = _factor(kw)
+    assert u is kw and np.array_equal(v, np.eye(64))
+
+
+def test_factor_full_rank_reaches_full_width():
+    eye = np.eye(130)
+    u, v = _factor(eye)
+    assert u.shape[1] == 130
+    assert np.abs(u @ v.T - eye).max() <= 1e-15
+
+
+def test_factor_is_deterministic():
+    kw = _weighted_kernel(j_transform(underline_limit_window(128, PRINCIPAL)))
+    (u1, v1), (u2, v2) = _factor(kw), _factor(kw)
+    assert np.array_equal(u1, u2) and np.array_equal(v1, v2)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from gammakernel.fredholm import (
     TestFunction,
     ZeroTail,
     _doubling_windows,
+    _factor,
     _weighted_kernel,
     _window_dets,
 )
@@ -777,6 +778,7 @@ def test_verify_limit_transport_small_window():
     assert len(report.rhs_by_window) == len(report.windows)
     assert report.n_terms > 0
     assert report.residual >= 0.0
+    assert report.rank == 64  # the certified rank of K_w on its 128 points
 
 
 def test_verify_limit_transport_rejects_underline_kernel():
@@ -807,24 +809,24 @@ F_THREE = CylinderFunction.from_callable(  # the three-point F of acceptance cri
 )
 
 
-@pytest.mark.parametrize("word", [(1, 0), (-1, 0), (0,)])
-def test_grouped_determinants_match_full_operators(word):
-    # One LU per tail group (none where f vanishes) plus the determinant lemma
-    # must reproduce each job's own det(I + D_h K_w), h = f + u, on every
-    # chain window, including windows that hold only part of the rows'
-    # support; the left side's avoidance jobs enter as one more f = 0 group.
-    K = K64.N
+def _grouped_worst(kernel, p, word):
+    """Worst relative gap between _window_dets on the kernel's factor and each
+    job's own full-operator det(I + D_h K_w), h = f + u, on every chain window,
+    with the number of (group, window) pairs holding only part of the rows'
+    support; the left side's avoidance jobs enter as one more f = 0 group."""
+    K = kernel.N
     ns = _doubling_windows(K)
-    kw = _weighted_kernel(K64)
+    kw = _weighted_kernel(kernel)
+    uv = _factor(kw)
     perm = FinitaryPermutation(word)
     worst, partial = 0.0, 0
     for F in (F_HALF, F_THREE):
         lhs_jobs = expand_cylinder(F.transform(perm))
-        groups = _limit_groups(perm, F, EQUAL, K) + [
+        groups = _limit_groups(perm, F, p, K) + [
             (np.zeros(2 * K), None, np.array([g.on_window(K) for _, g in lhs_jobs]))]
         for fw, cs, us in groups:
             assert len(us) > 0
-            dets = _window_dets(fw, us, kw, ns)
+            dets = _window_dets(fw, us, uv, ns)
             support = set(np.flatnonzero(us.any(axis=0)))
             for i, n in enumerate(ns):
                 partial += not all(K - n <= j < K + n for j in support)
@@ -832,5 +834,24 @@ def test_grouped_determinants_match_full_operators(word):
                     full = (fw + u)[:, None] * kw
                     want = _det_one_plus(full[K - n:K + n, K - n:K + n])
                     worst = max(worst, abs(got - want) / abs(want))
+    return worst, partial
+
+
+@pytest.mark.parametrize("word", [(1, 0), (-1, 0), (0,)])
+def test_grouped_determinants_match_full_operators(word):
+    # One r x r LU per tail group (none where f vanishes) plus the determinant
+    # lemma must reproduce each job's own det(I + D_h K_w), including on
+    # windows that hold only part of the rows' support.
+    worst, partial = _grouped_worst(K64, EQUAL, word)
     assert partial > 0
     assert worst < 1e-13, worst
+
+
+@pytest.mark.parametrize("p", [PRINCIPAL, Params(0.3, 0.7)], ids=["principal", "distinct"])
+def test_grouped_determinants_match_full_operators_k256(p):
+    # At the transport checks' kernel window the factor's rank (64) is far
+    # below the 512 points, and the r x r route still matches the full
+    # operators of every job on every window.
+    worst, partial = _grouped_worst(j_transform(underline_limit_window(256, p)), p, (1, 0))
+    assert partial > 0
+    assert worst < 1e-12, worst
