@@ -15,7 +15,8 @@ its xi -> 1 limit (the Gamma kernel).  Four evaluation methods are provided:
     entries and for underline_limit_window;
   * underline_limit_contour    -- double contour integral over hairpin
     contours [+inf - i rho, 0-, +inf + i rho], in two variants ("sum"
-    denominator u1+u2+1, and "difference" denominator u1-u2 with rho1 < rho2),
+    denominator u1+u2+1, and "difference" denominator u1-u2 with rho1 < rho2
+    and outer rays tilted away from the inner ones, which halves its nodes),
     the 1x1 case of _limit_contour_grid: one block per variant, factor rows
     times one Cauchy matrix per node doubling, built in row blocks and never
     kept (_coupled_sum), on arcs whose rule is built once (_gauss_legendre);
@@ -94,7 +95,13 @@ class NonConvergenceError(RuntimeError):
 # Configuration and window containers
 # ---------------------------------------------------------------------------
 
-RHO1, RHO2 = 0.2, 0.4  # imaginary offsets of the limit hairpin contours
+RHO1, RHO2, SLOPE2 = 0.2, 0.4, 2.0  # hairpin offsets; slope of the outer "difference" rays
+
+
+def _circle_radii(xi: float) -> tuple[float, float]:
+    """The pre-limit circles: xi^(-1/4), mid-band in (max(1, sqrt(xi)), 1/sqrt(xi)),
+    and the "difference" variant's inner radius, inside (sqrt(xi), 1)."""
+    return xi ** (-0.25), (1 + math.sqrt(xi)) / 2
 
 
 @dataclass(frozen=True)
@@ -105,8 +112,8 @@ class QuadratureConfig:
     tol: stabilization tolerance for adaptive node doubling.
     max_nodes: hard cap on nodes per ray / per circle; at least 2 * nodes,
         since stabilization compares two successive node counts.
-    The contours are fixed: the circle radii below, hairpins at the offsets
-    RHO1 < RHO2 < 1/2 with rays cut by _auto_u_max.
+    The contours are fixed: the circles of _circle_radii, hairpins at the
+    offsets RHO1 < RHO2 < 1/2 with rays cut by _auto_u_max.
     """
 
     nodes: int = 64
@@ -123,14 +130,6 @@ class QuadratureConfig:
             )
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-
-    def circle_radius(self, xi: float) -> float:
-        """The midpoint of the legal band (max(1, sqrt(xi)), 1/sqrt(xi))."""
-        return xi ** (-0.25)
-
-    def circle_radius_inner(self, xi: float) -> float:
-        """The "difference" variant's inner radius, inside (sqrt(xi), 1)."""
-        return (1 + math.sqrt(xi)) / 2
 
 
 def window_points(N: int) -> tuple[HalfInt, ...]:
@@ -398,11 +397,12 @@ def _hairpin_nodes(
     semicircle clockwise from -i rho through -rho to +i rho, the upper ray
     from 0 to infinity.
 
-    slope > 0 tilts the rays outward, u = t +- i (rho + slope*t): a legal
-    deformation (no branch cuts or poles are crossed and the integrand decays
-    at infinity) used for the outer contour of nested pairs so that the
-    distance between the contours grows with t and the coupled denominator
-    stays resolvable on the double-exponential grid.
+    slope > 0 tilts the rays outward, u = t +- i (rho + slope*t), a legal
+    deformation (no cut or pole is crossed, the integrand still decays), for
+    the outer contour of nested pairs: their distance, which sets the trapezoid
+    rate over 1/(u1 - u2), then grows like slope * t.  The _auto_u_max envelope
+    still bounds the tail: |u| >= t sqrt(1 + slope^2) gives |u|^(d-1) |du| past
+    U the bound (1 + slope^2)^(d/2) U^d/(-d) <= U^d/(-d), as d < 0.
     """
     tau_max = 3.9
     h = 2.0 * tau_max / n_ray
@@ -478,7 +478,7 @@ def _limit_contour_grid(xv, yv, p: Params, q: QuadratureConfig | None = None,
         pref = np.zeros((len(rows), len(cols)), complex)  # 0 off the requested pairs
         for i, j in set(zip(ri.tolist(), ci.tolist())):
             pref[i, j] = _gamma_prefactor(rows[i], cols[j], p)
-        rho_2, decay2, slope2 = (RHO1, mu - 1.0, 0.0) if mode == "sum" else (RHO2, -mu - 1.0, 0.5)
+        rho_2, decay2, slope2 = (RHO1, mu - 1.0, 0.0) if mode == "sum" else (RHO2, -mu - 1.0, SLOPE2)
         decays = (mu - 1.0, decay2)
         umax1, umax2 = (_auto_u_max(d, q.tol) for d in decays)
         a1, b1, a2, b2 = _contour_exponents(rows, cols, mode, p)
@@ -546,14 +546,14 @@ def underline_prelimit_contour(x, y, p: XiParams, q: QuadratureConfig | None = N
     x, y, variant = (v[0, 0].item() for v in _contour_setup(*pair, variant))
     a1, b1, a2, b2 = _contour_exponents(x, y, variant, p)
     xi, sq = p.xi, math.sqrt(p.xi)
-    r1 = q.circle_radius(xi)
+    r1, r_inner = _circle_radii(xi)
 
     # omega powers are integers: single-valued, no branch issues.
     pow1 = -x - 0.5
     if variant == "sum":
         r2, pow2, mode = r1, -y - 0.5, "sum_circle"
     else:
-        r2, pow2, mode = q.circle_radius_inner(xi), y - 0.5, "difference_circle"
+        r2, pow2, mode = r_inner, y - 0.5, "difference_circle"
 
     def contours(n):
         inner = _circle_contour(r2, n, sq, a2, b2, pow2)

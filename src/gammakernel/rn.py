@@ -385,14 +385,24 @@ def expand_cylinder(F: CylinderFunction) -> tuple[tuple[float, TestFunction], ..
     Returns the (beta_T, TestFunction) pairs with |beta_T| > 1e-13
     max(1, sup |F|), in bit-pattern order of T.
     """
-    pts, m = F.points, len(F.points)
+    R = max([abs(x.twice) // 2 + 1 for x in F.points], default=1)
+    beta, us = _avoidance_rows(F, R)
+    pts = window_points(R)
+    return tuple((b, TestFunction([(pts[j], -1.0) for j in np.flatnonzero(u)]))
+                 for b, u in zip(beta.tolist(), us))
+
+
+def _avoidance_rows(F: CylinderFunction, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """expand_cylinder as arrays: the kept beta_T, and one row per T holding
+    -1 on T at the 2K points of [-K, K] (which hold F's points), 0 elsewhere."""
     beta = F.table[::-1].copy()  # pattern full ^ S sits at index S
-    for i in range(m):
+    for i in range(len(F.points)):
         pairs = beta.reshape(-1, 2, 1 << i)  # axis 1 is bit i
         pairs[:, 1] -= pairs[:, 0]
-    scale = max(1.0, F.sup_norm)
-    return tuple((b, TestFunction([(x, -1.0) for i, x in enumerate(pts) if t >> i & 1]))
-                 for t, b in enumerate(beta.tolist()) if abs(b) > 1e-13 * scale)
+    ts = np.flatnonzero(np.abs(beta) > 1e-13 * max(1.0, F.sup_norm))
+    us = np.zeros((len(ts), 2 * K))
+    us[:, [window_index(x, K) for x in F.points]] = -(ts[:, None] >> np.arange(len(F.points)) & 1)
+    return beta[ts], us
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +460,9 @@ def _limit_groups(perm: FinitaryPermutation, F: CylinderFunction, p: Params, K: 
     for fv, coeff in groups.values():
         fw = np.zeros(2 * K)
         fw[outside] = 0.0 if fv is None else fv
-        jobs = expand_cylinder(CylinderFunction(wpts, coeff).times(F))
-        if jobs:
-            us = np.array([g.on_window(K) for _, g in jobs]) * (1.0 + fw)
-            out.append((fw, np.array([c for c, _ in jobs]), us))
+        cs, us = _avoidance_rows(CylinderFunction(wpts, coeff).times(F), K)
+        if len(cs):
+            out.append((fw, cs, us * (1.0 + fw)))
     return out
 
 
@@ -497,9 +506,9 @@ def verify_limit_transport(sigma, F: CylinderFunction, p: Params, kernel: Window
     perm = _as_permutation(sigma)
     if kernel is None:
         kernel = j_transform(underline_limit_window(kernel_window, p))
-    if not kernel.kind.startswith("k_"):
-        raise ValueError(f"transport check requires a finitary-process kernel, "
-                         f"got {kernel.kind!r}")
+    if kernel.kind != "k_limit":
+        raise ValueError(f"limit transport check requires a k_limit kernel, got {kernel.kind!r}: "
+                         "the limit density omits the pre-limit factor xi^k (use verify_transport)")
     K = kernel.N
     need = max([word_window(perm)] + [abs(x.twice) // 2 + 1 for x in F.points])
     if need > K:
@@ -507,10 +516,8 @@ def verify_limit_transport(sigma, F: CylinderFunction, p: Params, kernel: Window
                          f"(needs N >= {need})")
 
     uv = _factor(_weighted_kernel(kernel))
-    lhs_terms = expand_cylinder(F.transform(perm))
-    us = np.array([g.on_window(K) for _, g in lhs_terms]).reshape(-1, 2 * K)
-    lhs_dets = _window_dets(np.zeros(2 * K), us, uv, [K])[:, 0]
-    lhs = math.fsum(c * d for (c, _), d in zip(lhs_terms, lhs_dets))
+    cs, us = _avoidance_rows(F.transform(perm), K)
+    lhs = math.fsum(cs * _window_dets(np.zeros(2 * K), us, uv, [K])[:, 0])
 
     ns = _doubling_windows(K)
     totals = np.zeros(len(ns))

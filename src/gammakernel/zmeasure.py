@@ -101,10 +101,6 @@ class Params:
         """The product z z', a positive real for admissible pairs."""
         return pair_product(self.z, self.z_prime, 0.0)
 
-    def negated(self) -> "Params":
-        """The admissible pair (-z, -z'), used by reflection symmetries."""
-        return Params(-self.z, -self.z_prime)
-
     def __str__(self) -> str:
         return f"(z={self.z}, z'={self.z_prime}, {self.series})"
 
@@ -129,9 +125,6 @@ class XiParams:
     @property
     def z_prime(self) -> complex:
         return self.base.z_prime
-
-    def negated(self) -> "XiParams":
-        return XiParams(self.base.negated(), self.xi)
 
     def __str__(self) -> str:
         return f"{self.base}, xi={self.xi}"

@@ -39,6 +39,7 @@ from gammakernel.kernels import (
     window_points,
 )
 from gammakernel.kernels import (
+    _circle_radii,
     _circle_sum,
     _contour_value,
     _difference_operator,
@@ -126,6 +127,26 @@ def test_limit_contour_negated_parameters():
         assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
 
 
+MIXED_CELLS = [(1, -1), (1, -11), (11, -1), (11, -11), (5, -7)]  # |x|, |y| <= 11/2
+FAR_MIXED_CELLS = [(1, -39), (19, -31), (59, -59)]
+
+
+@pytest.mark.parametrize("p", ALL_PARAMS + [NEGATED],
+                         ids=["principal", "equal", "distinct", "shifted", "negated"])
+def test_limit_contour_difference_tilted_rays(p):
+    # Mixed-sign entries take the "difference" route, whose outer rays tilt
+    # away from the inner contour: they stabilize by 512 nodes per ray (at
+    # most 1,076 per contour) and stay within 1e-10 of the closed form, also
+    # far from the origin.
+    for tx, ty in MIXED_CELLS + FAR_MIXED_CELLS:
+        ref = underline_limit_integrable(H(tx), H(ty), p)
+        val, info = underline_limit_contour(H(tx), H(ty), p, full_output=True)
+        assert info["variant"] == "difference"
+        assert abs(val - ref) <= 1e-10 * max(1.0, abs(ref)), (tx, ty, val, ref)
+        if (tx, ty) in MIXED_CELLS:
+            assert info["nodes_per_contour"] <= 1076, (tx, ty, info)
+
+
 def test_limit_contour_variants_agree():
     # Mixed-sign pair where both representations are usable.
     x, y = H(5), H(-3)
@@ -185,13 +206,13 @@ def test_gauss_legendre_rule_cached_read_only():
 
 
 def test_gauss_legendre_one_entry_per_size():
-    # The window-5 sweep doubles n = 64, ..., 1024 per ray across its two
-    # blocks, so it needs the arc rules of sizes n/4 = 16, ..., 256 once each.
+    # The window-5 sweep doubles n = 64, ..., 512 per ray across its two
+    # blocks, so it needs the arc rules of sizes n/4 = 16, ..., 128 once each.
     _gauss_legendre.cache_clear()
     xv = np.arange(-9, 10, 2) / 2.0
     _limit_contour_grid(xv, xv, EQUAL)
     info = _gauss_legendre.cache_info()
-    assert info.currsize == info.misses == 5
+    assert info.currsize == info.misses == 4
     assert info.hits > 0
 
 
@@ -308,9 +329,8 @@ def _explicit_circle_sum(a, b, r1, r2, mode):
 @pytest.mark.parametrize("n", [8, 64, 512])
 def test_circle_sums_match_explicit_double_sum(n, xi):
     # Both FFT circle sums against the double sum they replace, on the radii
-    # QuadratureConfig picks at this xi, with seeded random factors.
-    q = QuadratureConfig()
-    r1, r2 = q.circle_radius(xi), q.circle_radius_inner(xi)
+    # _circle_radii picks at this xi, with seeded random factors.
+    r1, r2 = _circle_radii(xi)
     rng = np.random.default_rng([n, round(1000 * xi)])
     a, b = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
     ring = np.exp(2j * math.pi * np.arange(n) / n)
@@ -678,7 +698,7 @@ def test_weighted_blocks_requires_k_kind():
 def test_reflection_symmetry_prelimit(p):
     xi = 0.7
     K = j_transform(underline_prelimit_window(10, XiParams(p, xi)))
-    Kn = j_transform(underline_prelimit_window(10, XiParams(p.negated(), xi)))
+    Kn = j_transform(underline_prelimit_window(10, XiParams(Params(-p.z, -p.z_prime), xi)))
     for x in K.points:
         for y in K.points:
             # +1 for a same-side pair, -1 for a mixed pair.
@@ -705,7 +725,7 @@ def test_quadrature_config_validation():
 
 
 def test_circle_radius_band():
-    assert 1.0 < QuadratureConfig().circle_radius(0.5) < 2.0**0.5
+    assert 1.0 < _circle_radii(0.5)[0] < 2.0**0.5
 
 
 def test_bad_variant_rejected():

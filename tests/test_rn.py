@@ -43,7 +43,12 @@ from gammakernel.fredholm import (
     _weighted_kernel,
     _window_dets,
 )
-from gammakernel.kernels import j_transform, underline_limit_window, window_points
+from gammakernel.kernels import (
+    j_transform,
+    underline_limit_window,
+    underline_prelimit_window,
+    window_points,
+)
 from gammakernel.rn import (
     CylinderFunction,
     RnExpression,
@@ -362,7 +367,7 @@ def _set_step(n, W, p, N, grid):
     formulas, and negative n through the reflected configuration with both
     parameters negated."""
     if n < 0:
-        a, k, fv, c = _set_step(-n, FiniteConfig(-x for x in W), p.negated(), N, grid)
+        a, k, fv, c = _set_step(-n, FiniteConfig(-x for x in W), Params(-p.z, -p.z_prime), N, grid)
         return a, k, None if fv is None else fv[::-1], c
     x_min = N + 0.5
     if n == 0:
@@ -786,6 +791,18 @@ def test_verify_limit_transport_rejects_underline_kernel():
     F = CylinderFunction.contains(H(1))
     with pytest.raises(ValueError):
         verify_limit_transport((0,), F, EQUAL, kernel=raw)
+
+
+def test_verify_limit_transport_rejects_prelimit_kernel():
+    # The identity holds for this pre-limit measure (verify_transport agrees),
+    # but the limit check would drop the density's xi^k factor and report a
+    # false failure, so it refuses the kernel and names the factor.
+    xp = XiParams(EQUAL, 0.3)
+    F = CylinderFunction.contains(H(1))
+    assert verify_transport((0,), F, xp).passed
+    pre = j_transform(underline_prelimit_window(64, xp))
+    with pytest.raises(ValueError, match=r"k_prelimit.*xi\^k"):
+        verify_limit_transport((0,), F, EQUAL, kernel=pre)
 
 
 def test_verify_limit_transport_word_exceeds_kernel():

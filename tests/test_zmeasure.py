@@ -83,9 +83,9 @@ def test_underflowing_pair_factor_rejected():
 
 
 def test_negated_stays_admissible():
-    assert PRINCIPAL.negated().series == "principal"
-    assert SHIFTED.negated().series == "complementary"
-    assert SHIFTED.negated().z == -2.3
+    assert Params(-PRINCIPAL.z, -PRINCIPAL.z_prime).series == "principal"
+    assert Params(-SHIFTED.z, -SHIFTED.z_prime).series == "complementary"
+    assert Params(-SHIFTED.z, -SHIFTED.z_prime).z == -2.3
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +161,7 @@ def test_partition_and_config_formulas_agree(base, xi):
 def test_conjugation_symmetry(base, xi=0.35):
     # M_{z,z',xi}(lambda') = M_{-z,-z',xi}(lambda).
     p = XiParams(base, xi)
-    pn = p.negated()
+    pn = XiParams(Params(-base.z, -base.z_prime), p.xi)
     for lam in partitions_up_to(12):
         lhs = weight_partition(lam.transpose(), p)
         rhs = weight_partition(lam, pn)
@@ -173,7 +173,7 @@ def test_reflection_symmetry_of_density(base):
     # One-point function of the config process at -x under (z, z') equals the
     # one-point function at x under (-z, -z'), up to tail mass.
     p = XiParams(base, 0.2)
-    pn = p.negated()
+    pn = XiParams(Params(-base.z, -base.z_prime), p.xi)
     for x in (HalfInt(1), HalfInt(3), HalfInt(-5)):
         a = correlation_oracle([-x], p, 14)
         b = correlation_oracle([x], pn, 14)
