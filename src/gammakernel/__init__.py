@@ -64,7 +64,6 @@ from .fredholm import (
 from .rn import (
     CylinderFunction,
     RnExpression,
-    expand_cylinder,
     rn_closed_form,
     rn_compose,
     rn_exact,

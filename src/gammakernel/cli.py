@@ -2,7 +2,8 @@
 
 Each subcommand resolves its options into a single configuration mapping,
 echoes that mapping into the output header (a ``#``-prefixed comment block
-atop CSV, or the first object of a JSON-lines file), and emits rows whose
+atop CSV, or the first object of a JSON-lines file) with the route's accuracy
+certificate where it reports one, and emits rows whose
 floating-point cells carry 17 significant digits, so re-running the echoed
 configuration reproduces the numeric columns bit for bit.
 
@@ -193,6 +194,7 @@ class RunConfig:
     options: dict
     fmt: str
     output: str
+    certificate: dict | None = None  # a route's accuracy record, echoed after the config
 
     def echo(self) -> dict:
         return {"command": self.command, **self.options}
@@ -212,13 +214,15 @@ def _write_stream(cfg, header, rows, fh, version) -> None:
     if cfg.fmt == "csv":
         fh.write(f"# gammakernel {version}\n")
         fh.write(f"# config: {json.dumps(cfg.echo(), sort_keys=True)}\n")
+        if cfg.certificate is not None:
+            fh.write(f"# certificate: {json.dumps(cfg.certificate, sort_keys=True)}\n")
         csv.writer(fh, lineterminator="\n").writerow(header)
         fh.write(_csv_rows(rows))
     else:
-        fh.write(
-            json.dumps({"gammakernel": version, "config": cfg.echo()}, sort_keys=True)
-            + "\n"
-        )
+        head = {"gammakernel": version, "config": cfg.echo()}
+        if cfg.certificate is not None:
+            head["certificate"] = cfg.certificate
+        fh.write(json.dumps(head, sort_keys=True) + "\n")
         # Each row as json.dumps of its dict writes it, the keys encoded once.
         keys = [json.dumps(key) + ": " for key in header or ()]
         for row in rows:
@@ -325,6 +329,8 @@ def _cmd_kernel(args) -> tuple[RunConfig, list[str], list[list]]:
         "nodes": getattr(args, "nodes", None), "tol": getattr(args, "tol", None),
         "max_nodes": getattr(args, "max_nodes", None),
     })
+    if args.method == "spectral":
+        cfg.certificate = wk.meta
     return cfg, ["x", "y", "value"], rows
 
 

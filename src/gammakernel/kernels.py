@@ -42,12 +42,14 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz
 from scipy.special import digamma as _sp_digamma
 from scipy.special import gammasgn as _sp_gammasgn
 from scipy.special import loggamma as _sp_loggamma
@@ -605,25 +607,18 @@ def underline_prelimit_spectral(N: int, p: XiParams) -> WindowKernel:
     )
 
 
-def _sturm_count(diag: list, off2: list, shift: float) -> int:
-    """Negative LDL^T pivots of (tridiagonal - shift) in Python floats, the
-    eigenvalues below the shift (Sturm); a zero pivot divides as in IEEE."""
-    d, neg = diag[0] - shift, 0
-    for a, b2 in zip(diag[1:], off2):
-        neg += d < 0
-        try:
-            d = (a - shift) - b2 / d
-        except ZeroDivisionError:  # b/+-0 = +-inf and 0/0 = nan, as NumPy gives
-            d = (a - shift) - (math.copysign(math.inf, d) if b2 else math.nan)
-    return neg + (d < 0)
+def _eigen_count(diag: np.ndarray, off: np.ndarray, lo: float, hi: float) -> int:
+    """Eigenvalues in (lo, hi]: LAPACK stebz Sturm counts at both ends, with
+    abstol the interval's width so that it does not bisect."""
+    return int(dstebz(diag, off, 1, lo, hi, 0, 0, hi - lo, "E")[0])
 
 
 def _sign_quadrature(diag: np.ndarray, off: np.ndarray, tol: float) -> tuple:
     """Trapezoid rule in s for sign(D) = (2/pi) int e^s Re[(D - i e^s)^-1] ds,
     whose integrand at an eigenvalue lam is sign(lam) sech(s - log|lam|)/2.
-    The gap is the widest trial 2^(-j/2) lam_max (Gershgorin) clear of the
-    spectrum: LAPACK bisection (stebz) of the two eigenvalues next to 0 places
-    it, scalar Sturm counts at 0, +-gap and +- the next wider trial certify it.
+    The gap is the widest trial 2^(-j/2) lam_max (Gershgorin) whose interval
+    (-gap, gap] holds no eigenvalue: the counts are monotone in the trial, so
+    a bisection over the 80 trials finds it in seven compiled counts.
     Step h errs by at most 2 sum_m sech(pi^2 m/h) (Poisson summation) and the
     range [log gap - u, log lam_max + u] cuts tails of at most (2/pi) e^-u each,
     so P+ = (I + sign D)/2 is entrywise within quadrature_bound <= max(tol/1000,
@@ -633,22 +628,15 @@ def _sign_quadrature(diag: np.ndarray, off: np.ndarray, tol: float) -> tuple:
     # Trial gaps down to 2^-40 lam_max, far above the eps * lam_max backward
     # error of the counts.
     deltas = (lam_max * 2.0 ** (-0.5 * np.arange(1, 81))).tolist()
-    a, b2, n, last = diag.tolist(), (r * r).tolist(), len(diag), len(deltas) - 1
-    neg0 = _sturm_count(a, b2, 0.0)
-    near = np.min(np.abs(eigvalsh_tridiagonal(diag, off, select="i", lapack_driver="stebz",
-                                              select_range=(max(neg0 - 1, 0), min(neg0, n - 1)))))
-    inside = functools.cache(lambda j: _sturm_count(a, b2, deltas[j]) - _sturm_count(a, b2, -deltas[j]))
-    # Counts are monotone in the shift, so the clear trials are a tail: find its start.
-    j = next((i for i, delta in enumerate(deltas) if delta <= near), last)
-    while j < last and inside(j):
-        j += 1
-    while j > 0 and not inside(j - 1):
-        j -= 1
-    if inside(j):
+    inside = lambda j: _eigen_count(diag, off, -deltas[j], deltas[j])
+    # Counts are monotone in the shift, so the clear trials are a tail: bisect for its
+    # start.  The trial it returns is one it counted clear, so the gap holds regardless.
+    j = bisect_left(range(len(deltas)), True, key=lambda j: inside(j) == 0)
+    if j == len(deltas):
         raise NonConvergenceError(
-            "underline_prelimit_window (no certified gap at 0)", math.inf, tol, n // 2,
+            "underline_prelimit_window (no certified gap at 0)", math.inf, tol, len(diag) // 2,
             cap="window half-width",
-            detail=f"{inside(last)} eigenvalue(s) within {deltas[-1]:.3e} of 0, the narrowest gap tried,",
+            detail=f"{inside(j - 1)} eigenvalue(s) within {deltas[-1]:.3e} of 0, the narrowest gap tried,",
         )
     gap = deltas[j]
     eps = max(tol / 1000.0, 1e-14)
@@ -661,7 +649,7 @@ def _sign_quadrature(diag: np.ndarray, off: np.ndarray, tol: float) -> tuple:
     tails = (2.0 / math.pi) * (math.exp(math.log(lam_max) - s[-1]) + math.exp(-u))
     t = np.exp(s)
     cert = {"spectral_gap": gap, "quadrature_nodes": len(t), "quadrature_bound": (disc + tails) / 2}
-    return t, (2.0 / math.pi) * h * t, n - neg0, cert
+    return t, (2.0 / math.pi) * h * t, _eigen_count(diag, off, 0.0, 2.0 * lam_max), cert
 
 
 def _spectral_center(N: int, M: int, p: XiParams, tol: float) -> tuple[np.ndarray, dict]:
@@ -675,14 +663,18 @@ def _spectral_center(N: int, M: int, p: XiParams, tol: float) -> tuple[np.ndarra
     z = 1j * t
     lo, m = M - N, 2 * N
     off2 = off * off
-    # LDL^T pivots d_k = diag_k - z - off2_(k-1)/d_(k-1), |d_k| >= |Im z|: row k steps
-    # the left sweep on diag[k] and the right on diag[-1-k]; k = lo-1 .. lo+m-2 are kept.
-    ends, ends2 = (np.stack([v, v[::-1]], axis=1)[:, :, None] for v in (diag, off2))
-    kept = deque([ends[0] - z], maxlen=m)
-    for k in range(1, lo + m - 1, 128):  # diag - z a block of rows at a time
-        for a, b2 in zip(ends[k : min(k + 128, lo + m - 1)] - z, ends2[k - 1 :]):
+    # LDL^T pivots d_k = diag_k - z - off2_(k-1)/d_(k-1), |d_k| >= |Im z|: row k steps the
+    # left sweep on diag[k] and the right on diag[-1-k] as one flat row of 2T entries.
+    # diag - z and off2 come 64 rows at a time (128-row blocks of flat rows timed
+    # slower at ~130 nodes); k = lo-1 .. lo+m-2 are kept.
+    ends, ends2 = (np.stack([v, v[::-1]], axis=1) for v in (diag, off2))
+    kept = deque([(ends[0, :, None] - z).ravel()], maxlen=m)
+    for k in range(1, lo + m - 1, 64):
+        rows = slice(k, min(k + 64, lo + m - 1))
+        b2s = np.repeat(ends2[rows.start - 1 : rows.stop - 1], len(z), axis=1)
+        for a, b2 in zip((ends[rows, :, None] - z).reshape(len(b2s), -1), b2s):
             kept.append(a - b2 / kept[-1])
-    pivots = np.array(kept)
+    pivots = np.array(kept).reshape(m, 2, len(z))
     left, right = pivots[:, 0], pivots[::-1, 1]  # right ones at indices lo+1 .. lo+m
     g = 1.0 / (diag[lo : lo + m, None] - z - off2[lo - 1 : lo + m - 1, None] / left
                - off2[lo : lo + m, None] / right)
@@ -701,10 +693,15 @@ def underline_prelimit_window(N: int, p: XiParams, tol: float = 1e-9,
     into the interior) come from a resolvent quadrature of the sign function
     certified a priori to max(tol/1000, 1e-14); no O(M^2) array is formed.
     The padding M - N doubles until successive blocks differ by at most tol;
-    past max_pad NonConvergenceError carries the last residual.  meta records
+    a rung with M > max_pad is not run: NonConvergenceError carries the last
+    residual (inf if the first rung is past the cap).  meta records
     padding, padding_residual, positive_eigenvalues, spectral_gap,
     quadrature_nodes and quadrature_bound."""
     pad = max(16, N // 2, math.ceil(1.0 / (1.0 - p.xi)))
+    if N + pad > max_pad:
+        need = f"the first rung needs padding {pad} (half-width {N + pad}), none ran,"
+        raise NonConvergenceError("underline_prelimit_window", math.inf, tol, max_pad,
+                                  cap="padding cap max_pad", detail=need)
     cur, residual = _spectral_center(N, N + pad, p, tol)[0], math.inf
     while not residual <= tol:
         pad *= 2

@@ -54,7 +54,6 @@ __all__ = [
     "rn_compose",
     "rn_limit",
     "CylinderFunction",
-    "expand_cylinder",
     "TransportReport",
     "verify_transport",
     "LimitTransportReport",
@@ -372,8 +371,10 @@ class CylinderFunction:
         return CylinderFunction(map(HalfInt, twice), self._gather(moved, twice))
 
 
-def expand_cylinder(F: CylinderFunction) -> tuple[tuple[float, TestFunction], ...]:
-    """Write F as sum_T beta_T Phi_(-1 on T).
+def _avoidance_rows(F: CylinderFunction, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """F as sum_T beta_T Phi_(-1 on T): the kept beta_T, and one row per T
+    holding -1 on T at the 2K points of [-K, K] (which hold F's points), 0
+    elsewhere.
 
     Phi with f = -1 on T kills every configuration meeting T, so it is the
     indicator that X avoids T, and F on the complement of S is the sum of
@@ -382,19 +383,8 @@ def expand_cylinder(F: CylinderFunction) -> tuple[tuple[float, TestFunction], ..
     place on the table read backwards (pattern S then holds F on the
     complement of S): one pass per point subtracts each pattern without the
     point from the same pattern with it, m 2^(m - 1) subtractions in all.
-    Returns the (beta_T, TestFunction) pairs with |beta_T| > 1e-13
-    max(1, sup |F|), in bit-pattern order of T.
-    """
-    R = max([abs(x.twice) // 2 + 1 for x in F.points], default=1)
-    beta, us = _avoidance_rows(F, R)
-    pts = window_points(R)
-    return tuple((b, TestFunction([(pts[j], -1.0) for j in np.flatnonzero(u)]))
-                 for b, u in zip(beta.tolist(), us))
-
-
-def _avoidance_rows(F: CylinderFunction, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """expand_cylinder as arrays: the kept beta_T, and one row per T holding
-    -1 on T at the 2K points of [-K, K] (which hold F's points), 0 elsewhere."""
+    The T with |beta_T| > 1e-13 max(1, sup |F|) are kept, in bit-pattern
+    order."""
     beta = F.table[::-1].copy()  # pattern full ^ S sits at index S
     for i in range(len(F.points)):
         pairs = beta.reshape(-1, 2, 1 << i)  # axis 1 is bit i

@@ -160,6 +160,31 @@ def test_kernel_prelimit_contour_window_vs_spectral():
         assert float(ra["value"]) == pytest.approx(float(rb["value"]), abs=1e-9), ra
 
 
+def test_kernel_spectral_prints_its_certificate():
+    # The padding ladder's meta follows the config echo: a '# certificate:'
+    # line in CSV, a "certificate" key in the JSONL header; no other method
+    # prints one.
+    from gammakernel import Params, XiParams, underline_prelimit_window
+
+    meta = underline_prelimit_window(4, XiParams(Params(0.5, 0.5), 0.9), tol=1e-9).meta
+    common = ("kernel", "--xi", "0.9", "--x", "1/2", "--y", "1/2")
+    res = run_cli(*common, "--method", "spectral")
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert lines[1].startswith("# config: ") and lines[2].startswith("# certificate: ")
+    cert = json.loads(lines[2][len("# certificate: "):])
+    assert cert == meta
+    assert set(cert) == {"padding", "padding_residual", "positive_eigenvalues", "spectral_gap",
+                         "quadrature_nodes", "quadrature_bound"}
+    assert parse_csv(res.stdout)[0] == ["x", "y", "value"]
+    res = run_cli(*common, "--method", "spectral", "--format", "jsonl")
+    assert json.loads(res.stdout.splitlines()[0])["certificate"] == meta
+    res = run_cli(*common, "--method", "contour-prelimit")
+    assert res.returncode == 0 and "# certificate" not in res.stdout
+    res = run_cli(*common, "--method", "contour-prelimit", "--format", "jsonl")
+    assert "certificate" not in json.loads(res.stdout.splitlines()[0])
+
+
 def test_kernel_xi_flag_validation():
     res = run_cli("kernel", "--method", "integrable", "--x", "1/2", "--xi", "0.5")
     assert res.returncode == 2

@@ -13,7 +13,7 @@ Ground truths used here:
 import cmath
 import math
 import tracemalloc
-from itertools import islice
+from itertools import combinations, islice
 
 import mpmath
 import numpy as np
@@ -43,12 +43,12 @@ from gammakernel.kernels import (
     _circle_sum,
     _contour_value,
     _difference_operator,
+    _eigen_count,
     _gamma_prefactor,
     _gauss_legendre,
     _limit_contour_grid,
     _sign_quadrature,
     _spectral_center,
-    _sturm_count,
 )
 
 PRINCIPAL = Params(0.4 + 0.7j, 0.4 - 0.7j)
@@ -449,6 +449,28 @@ def test_prelimit_window_padding_cap_reports_residual():
     assert "padding cap max_pad 500" in str(err)
 
 
+@pytest.mark.parametrize("xi, max_pad", [(0.9999, 5000), (0.99, 500)], ids=["first-rung", "later-rung"])
+def test_prelimit_window_runs_no_rung_past_max_pad(monkeypatch, xi, max_pad):
+    # The cap is checked before every rung, the first included: at xi=0.9999
+    # the first rung needs padding 10001, so none runs and nothing was refined.
+    calls = []
+
+    def spy(N, M, p, tol):
+        calls.append(M)
+        return _spectral_center(N, M, p, tol)
+
+    monkeypatch.setattr(kernels_module, "_spectral_center", spy)
+    with pytest.raises(NonConvergenceError) as exc:
+        underline_prelimit_window(4, XiParams(EQUAL, xi), tol=1e-12, max_pad=max_pad)
+    assert all(M <= max_pad for M in calls)
+    assert f"padding cap max_pad {max_pad}" in str(exc.value)
+    if xi == 0.9999:
+        assert calls == [] and exc.value.achieved == math.inf
+        assert "the first rung needs padding 10001 (half-width 10005)" in str(exc.value)
+    else:
+        assert len(calls) >= 2 and exc.value.achieved < math.inf
+
+
 def test_sign_quadrature_fails_without_spectral_gap():
     # [[1, 1], [1, 1]] has the eigenvalue 0: no gap around 0 can be certified.
     with pytest.raises(NonConvergenceError) as exc:
@@ -462,9 +484,9 @@ def test_sign_quadrature_fails_without_spectral_gap():
 
 # The reference route: Sturm counts at 0 and at +-every trial gap from one
 # sweep vectorized over 161 shifts, and the center from two separate pivot
-# sweeps, one from each end.  The library locates the gap with LAPACK
-# bisection and certifies it with a few scalar counts, and runs both sweeps as
-# one; its certificate, nodes and values must match this bit for bit.
+# sweeps, one from each end.  The library bisects over the trial gaps with
+# compiled LAPACK counts (stebz) and runs both sweeps as one flat row per
+# step; its certificate, nodes and values must match this bit for bit.
 
 def _reference_pivot_sweep(diag, off2, shifts):
     d = diag[0] - shifts
@@ -565,15 +587,31 @@ def test_prelimit_window_matches_reference_on_ladder_inputs():
         assert wk.values.tobytes() == values.tobytes(), (N, px, tol)
 
 
-@pytest.mark.parametrize("located", [1e300, 0.0], ids=["too-wide", "too-narrow"])
-def test_sign_quadrature_certifies_from_a_wrong_location(monkeypatch, located):
-    # LAPACK bisection only picks the first trial gap to check: located far
-    # too wide or too narrow, the Sturm counts still step to the same gap.
-    diag, off = _difference_operator(40, XiParams(PRINCIPAL, 0.9))
-    monkeypatch.setattr(kernels_module, "eigvalsh_tridiagonal", lambda *a, **k: np.array([located]))
+def _tail_start_case(j):
+    # A symmetric tridiagonal whose clear trial gaps start at trial j: its
+    # eigenvalue nearest 0 is moved between trials j and j - 1 (or, for j = 0,
+    # every eigenvalue lies beyond the first trial).
+    if j == 0:
+        return np.array([1.0, -1.0, 1.0, -1.0]), np.array([0.1, 0.1, 0.1])
+    rng = np.random.default_rng(11)
+    diag, off = rng.normal(size=50), rng.normal(size=49)
+    w = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    diag = diag - w[np.argmin(np.abs(w))]
+    r = np.abs(off)
+    lam_max = float(np.max(np.abs(diag) + np.r_[0.0, r] + np.r_[r, 0.0]))
+    return diag + lam_max * 2.0 ** (-0.5 * j - 0.25), off
+
+
+@pytest.mark.parametrize("j", [0, 79], ids=["first-trial", "last-trial"])
+def test_sign_quadrature_bisection_ends_match_reference(j):
+    diag, off = _tail_start_case(j)
+    r = np.abs(off)
+    lam_max = float(np.max(np.abs(diag) + np.r_[0.0, r] + np.r_[r, 0.0]))
     t, w, positive, cert = _sign_quadrature(diag, off, 1e-9)
     rt, rw, rpositive, rcert = _reference_sign_quadrature(diag, off, 1e-9)
-    assert cert == rcert and positive == rpositive and np.array_equal(t, rt)
+    assert rcert["spectral_gap"] == lam_max * 2.0 ** (-0.5 * (j + 1))  # the case hits what it names
+    assert cert == rcert and positive == rpositive
+    assert np.array_equal(t, rt) and np.array_equal(w, rw)
 
 
 @pytest.mark.parametrize(
@@ -588,25 +626,36 @@ def test_sign_quadrature_certifies_from_a_wrong_location(monkeypatch, located):
     ids=["shift-at-diag0", "negative-zero", "zero-pivot", "zero-over-zero", "zero-over-zero-twice"],
 )
 def test_sturm_count_zero_pivots_match_numpy(diag, off, shift):
-    # Python floats raise on division by zero where NumPy gives b/+-0 = +-inf
-    # and 0/0 = nan; the scalar count must follow NumPy's IEEE pivots.
+    # The compiled count of eigenvalues in (lo, hi] on matrices with a zero
+    # pivot at `shift`: ends off the spectrum match NumPy's IEEE pivot sweep as
+    # ref(hi) - ref(lo), and intervals ending at `shift` itself (an eigenvalue
+    # in the last two cases) match a dense eigensolve, half-open.
     off2 = [b * b for b in off]
     with np.errstate(divide="ignore", invalid="ignore"):
         pivots = np.array(list(_reference_pivot_sweep(diag, off2, np.array([shift]))))
     assert np.any((pivots == 0.0) | np.isnan(pivots))  # the case hits what it names
-    shifts = [shift, -shift, shift + 0.25, shift - 0.25]
-    assert [_sturm_count(diag, off2, s) for s in shifts] == _reference_counts(diag, off2, shifts).tolist()
+    d, e = np.array(diag), np.array(off)
+    ends = [shift - 1.0, shift - 0.25, shift + 0.25, shift + 1.0]
+    ref = _reference_counts(diag, off2, ends)
+    for i, k in combinations(range(len(ends)), 2):
+        assert _eigen_count(d, e, ends[i], ends[k]) == ref[k] - ref[i]
+    w = np.round(np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)), 12)
+    for lo, hi in ((shift - 0.25, shift), (shift, shift + 0.25)):
+        assert _eigen_count(d, e, lo, hi) == np.count_nonzero((lo < w) & (w <= hi))
 
 
 def test_sturm_count_matches_numpy_on_random_shifts():
     rng = np.random.default_rng(7)
     diag, off = rng.normal(size=200), rng.normal(size=199)
-    shifts = np.r_[rng.normal(size=40), 0.0, diag[0], np.linspace(-3.0, 3.0, 13)]
+    shifts = np.unique(np.r_[rng.normal(size=40), 0.0, diag[0], np.linspace(-3.0, 3.0, 13)])
     ref = _reference_counts(diag.tolist(), (off * off).tolist(), shifts)
-    counts = [_sturm_count(diag.tolist(), (off * off).tolist(), s) for s in shifts.tolist()]
-    assert counts == ref.tolist()
-    ordered = np.array(counts)[np.argsort(shifts)]
-    assert np.all(np.diff(ordered) >= 0)  # monotone in the shift
+    counts = np.zeros((len(shifts), len(shifts)), dtype=int)
+    for i, k in combinations(range(len(shifts)), 2):
+        counts[i, k] = _eigen_count(diag, off, shifts[i], shifts[k])
+        assert counts[i, k] == ref[k] - ref[i], (shifts[i], shifts[k])
+    # Monotone in the interval: widening either end never counts fewer.
+    for i in range(len(shifts)):
+        assert np.all(np.diff(counts[i, i + 1 :]) >= 0) and np.all(np.diff(counts[:i, i]) <= 0)
 
 
 # ---------------------------------------------------------------------------

@@ -52,9 +52,9 @@ from gammakernel.kernels import (
 from gammakernel.rn import (
     CylinderFunction,
     RnExpression,
+    _avoidance_rows,
     _compose,
     _limit_groups,
-    expand_cylinder,
     rn_closed_form,
     rn_compose,
     rn_exact,
@@ -551,6 +551,16 @@ def test_cylinder_transform():
     assert G0(FiniteConfig((H(1), H(-1)))) == 0.0
 
 
+def _expand_cylinder(F):
+    """F as (beta_T, TestFunction -1 on T) pairs, read off
+    rn._avoidance_rows on the smallest window holding F's points."""
+    R = max([abs(x.twice) // 2 + 1 for x in F.points], default=1)
+    beta, us = _avoidance_rows(F, R)
+    pts = window_points(R)
+    return tuple((b, TestFunction([(pts[j], -1.0) for j in np.flatnonzero(u)]))
+                 for b, u in zip(beta.tolist(), us))
+
+
 def test_expand_cylinder_reconstructs():
     import random
 
@@ -563,7 +573,7 @@ def test_expand_cylinder_reconstructs():
         subsets.append(sub)
         table[sub] = rng.uniform(-2, 2)
     F = CylinderFunction(pts, table)
-    terms = expand_cylinder(F)
+    terms = _expand_cylinder(F)
     for sub in subsets:
         got = math.fsum(
             beta * math.prod(1.0 + f(x) for x in sub) for beta, f in terms
@@ -574,7 +584,7 @@ def test_expand_cylinder_reconstructs():
 def test_expand_cylinder_indicator():
     # The avoidance expansion of 1{x in X} is Phi_0 - Phi_(-1 at x).
     F = CylinderFunction.contains(H(1))
-    terms = sorted(expand_cylinder(F), key=lambda t: len(t[1].support))
+    terms = sorted(_expand_cylinder(F), key=lambda t: len(t[1].support))
     assert len(terms) == 2
     assert terms[0][0] == pytest.approx(1.0)
     assert terms[0][1] == TestFunction(())
@@ -618,7 +628,7 @@ def _inclusion_exclusion(F):
     """Every beta_T of F's avoidance expansion by inclusion-exclusion over
     subset pairs, each an exactly rounded fsum of its 2^|T| signed values
     F(complement of S), S <= T, with the sum of their magnitudes: the
-    reference for the Moebius transform in expand_cylinder."""
+    reference for the Moebius transform in _avoidance_rows."""
     m, full = len(F.points), (1 << len(F.points)) - 1
     values = [F(FiniteConfig(x for i, x in enumerate(F.points) if b >> i & 1))
               for b in range(1 << m)]
@@ -667,7 +677,7 @@ def test_expand_cylinder_moebius_matches_inclusion_exclusion():
         scale = max(1.0, F.sup_norm)
         want = {t: b for t, b in enumerate(betas) if abs(b) > 1e-13 * scale}
         bit = {x: 1 << i for i, x in enumerate(F.points)}
-        got = {sum(bit[x] for x in g.support): beta for beta, g in expand_cylinder(F)}
+        got = {sum(bit[x] for x in g.support): beta for beta, g in _expand_cylinder(F)}
         assert got.keys() == want.keys()
         for t, beta in got.items():
             worst = max(worst, abs(beta - betas[t]) / sizes[t])
@@ -838,7 +848,7 @@ def _grouped_worst(kernel, p, word):
     perm = FinitaryPermutation(word)
     worst, partial = 0.0, 0
     for F in (F_HALF, F_THREE):
-        lhs_jobs = expand_cylinder(F.transform(perm))
+        lhs_jobs = _expand_cylinder(F.transform(perm))
         groups = _limit_groups(perm, F, p, K) + [
             (np.zeros(2 * K), None, np.array([g.on_window(K) for _, g in lhs_jobs]))]
         for fw, cs, us in groups:
