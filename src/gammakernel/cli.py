@@ -271,6 +271,7 @@ def _cmd_weight(args) -> tuple[RunConfig, list[str], list[list]]:
 
 
 _METHODS = ("integrable", "contour-limit", "contour-prelimit", "spectral")
+_QUADRATURE_READ = {"integrable": (), "spectral": ("tol",)}  # the contour methods read all
 
 
 def _kernel_grid(args) -> tuple[tuple, tuple]:
@@ -298,11 +299,16 @@ def _cmd_kernel(args) -> tuple[RunConfig, list[str], list[list]]:
         raise CliError("kernel_method", f"--method must be one of {_METHODS}")
     xs, ys = _kernel_grid(args)
     base = _build_params(args)
-    q = _quadrature(args)
     needs_xi = args.method in ("contour-prelimit", "spectral")
     xi = _xi_value(args, required=needs_xi)
     if not needs_xi and xi is not None:
         raise CliError("xi_forbidden", f"--xi does not apply to method {args.method}")
+    reads = _QUADRATURE_READ.get(args.method, ("nodes", "tol", "max_nodes"))
+    unread = [f"--{key.replace('_', '-')}" for key in ("nodes", "tol", "max_nodes")
+              if getattr(args, key) is not None and key not in reads]
+    if unread:
+        raise CliError("quadrature_forbidden", f"method {args.method} reads no {', '.join(unread)}")
+    q = _quadrature(args)
 
     sx, sy = [str(t) for t in xs], [str(t) for t in ys]  # labels once per point
     xv, yv = (np.array([float(t) for t in ts]) for ts in (xs, ys))
@@ -501,6 +507,10 @@ def _cmd_converge(args) -> tuple[RunConfig, list[str], list[list]]:
     base = _build_params(args)
     sweep = _parse_sweep(args.sweep)
     N = args.window
+    if args.xi is not None:
+        raise CliError("xi_forbidden", "--xi does not apply to converge; give --sweep")
+    if args.report == "blockcauchy" and N < 16:
+        raise CliError("blockcauchy_window", f"--window must be >= 16 for blockcauchy, got {N}")
     rows: list[list] = []
 
     if args.report == "kernel":

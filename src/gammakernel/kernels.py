@@ -697,6 +697,8 @@ def underline_prelimit_window(N: int, p: XiParams, tol: float = 1e-9,
     residual (inf if the first rung is past the cap).  meta records
     padding, padding_residual, positive_eigenvalues, spectral_gap,
     quadrature_nodes and quadrature_bound."""
+    if N < 1:
+        raise ValueError("window half-width must be a positive integer")
     pad = max(16, N // 2, math.ceil(1.0 / (1.0 - p.xi)))
     if N + pad > max_pad:
         need = f"the first rung needs padding {pad} (half-width {N + pad}), none ran,"
@@ -738,12 +740,12 @@ def j_transform(wk: WindowKernel) -> WindowKernel:
     """
     if wk.kind not in _UNDERLINE_KINDS:
         raise ValueError(f"j_transform requires an underline kernel, got {wk.kind!r}")
-    pts = wk.points
-    eps = np.array([epsilon_sign(t) for t in pts])
-    neg = np.array([t.twice < 0 for t in pts])
+    N = wk.N  # the negative points are the first N, -1/2 the last of them
+    eps = np.ones(2 * N)
+    eps[:N][::-1][1::2] = -1.0  # epsilon_sign at -3/2, -7/2, ...
     inner = wk.values.copy()
-    inner[neg, :] *= -1.0
-    inner[neg, neg] += 1.0
+    inner[:N] *= -1.0
+    inner[np.arange(N), np.arange(N)] += 1.0
     out = inner * eps[:, None] * eps[None, :]
     kind = "k_prelimit" if wk.kind == "underline_prelimit" else "k_limit"
     return WindowKernel(
@@ -753,52 +755,36 @@ def j_transform(wk: WindowKernel) -> WindowKernel:
 
 @dataclass
 class WeightedBlocks:
-    """Blocks and norms of A_h K A_h with h(x) = |x|^(-1/2) on a window.
+    """Trace and Hilbert-Schmidt data of A_h K A_h, h(x) = |x|^(-1/2), on a window:
+    trace_pp/trace_mm trace its positive semi-definite (positive, positive) and
+    (negative, negative) blocks, so they are also their nuclear norms up to the
+    kernel's own residual; hs_pm/hs_mp are the Frobenius norms of its mixed
+    blocks, positive rows with negative columns and the reverse."""
 
-    pp/mm are the (positive, positive) and (negative, negative) blocks, pm/mp
-    the mixed ones, indexed by the window's positive points ascending and
-    negative points ascending.  trace_* are plain traces, trace_norm_* nuclear
-    norms, hs_* Hilbert-Schmidt (Frobenius) norms.
-    """
-
-    pp: np.ndarray
-    pm: np.ndarray
-    mp: np.ndarray
-    mm: np.ndarray
     trace_pp: float
     trace_mm: float
-    trace_norm_pp: float
-    trace_norm_mm: float
     hs_pm: float
     hs_mp: float
 
 
 def weighted_blocks(wk: WindowKernel) -> WeightedBlocks:
-    """Form A_h K A_h, h(x) = |x|^(-1/2), and return its four blocks with
-    trace data (diagonal blocks) and Hilbert-Schmidt norms (mixed blocks)."""
+    """Block data of A_h K A_h, h(x) = |x|^(-1/2), read off diag(K) and K's two
+    mixed N x N quarters (the negative points are the first N); the weighted
+    2N x 2N arrangement itself is never formed."""
     if wk.kind not in _K_KINDS:
         raise ValueError(f"weighted_blocks requires a K-kind kernel, got {wk.kind!r}")
-    pts = wk.points
-    h = np.array([1.0 / math.sqrt(abs(float(t))) for t in pts])
-    a = wk.values * h[:, None] * h[None, :]
-    pos = np.array([t.twice > 0 for t in pts])
-    neg = ~pos
-    pp = a[np.ix_(pos, pos)]
-    pm = a[np.ix_(pos, neg)]
-    mp = a[np.ix_(neg, pos)]
-    mm = a[np.ix_(neg, neg)]
-    return WeightedBlocks(
-        pp=pp,
-        pm=pm,
-        mp=mp,
-        mm=mm,
-        trace_pp=float(np.trace(pp)),
-        trace_mm=float(np.trace(mm)),
-        trace_norm_pp=float(np.sum(np.linalg.svd(pp, compute_uv=False))),
-        trace_norm_mm=float(np.sum(np.linalg.svd(mm, compute_uv=False))),
-        hs_pm=float(np.linalg.norm(pm)),
-        hs_mp=float(np.linalg.norm(mp)),
-    )
+    N, K = wk.N, wk.values
+    h = 1.0 / np.sqrt(np.abs(np.arange(1 - 2 * N, 2 * N, 2)) / 2.0)
+    diag = np.diagonal(K) * h * h
+
+    def hs(rows: slice, cols: slice) -> float:
+        block = K[rows, cols] * h[rows, None]
+        block *= h[cols]
+        return float(np.linalg.norm(block))
+
+    neg, pos = slice(None, N), slice(N, None)
+    return WeightedBlocks(trace_pp=float(diag[pos].sum()), trace_mm=float(diag[neg].sum()),
+                          hs_pm=hs(pos, neg), hs_mp=hs(neg, pos))
 
 
 def density_constant(p: Params) -> float:

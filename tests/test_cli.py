@@ -194,6 +194,17 @@ def test_kernel_xi_flag_validation():
     assert stderr_error(res)["name"] == "xi_required"
 
 
+@pytest.mark.parametrize("method, flags", [
+    ("integrable", ("--nodes", "8", "--max-nodes", "16", "--tol", "1e-3")),
+    ("spectral", ("--xi", "0.5", "--nodes", "8")),
+    ("spectral", ("--xi", "0.5", "--max-nodes", "16")),
+], ids=["integrable", "spectral-nodes", "spectral-max-nodes"])
+def test_kernel_rejects_quadrature_flags_it_does_not_read(method, flags):
+    res = run_cli("kernel", "--method", method, "--x", "1/2", *flags)
+    assert res.returncode == 2
+    assert stderr_error(res)["name"] == "quadrature_forbidden"
+
+
 def test_kernel_starved_quadrature_exits_3():
     res = run_cli("kernel", "--method", "contour-limit", "--x", "1/2", "--y", "1/2",
                   "--nodes", "8", "--tol", "1e-15", "--max-nodes", "16")
@@ -230,6 +241,12 @@ def test_correlate_all_rows_pass():
     _, rows = parse_csv(res.stdout)
     assert len(rows) == 4 + 6  # four points, six pairs
     assert all(r["passed"] == "true" for r in rows)
+
+
+def test_correlate_rejects_empty_window():
+    res = run_cli("correlate", "--xi", "0.2", "--window", "0")
+    assert res.returncode == 2
+    assert stderr_error(res)["name"] == "value"
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +357,18 @@ def test_converge_blockcauchy_increments_shrink():
     _, rows = parse_csv(res.stdout)
     incs = [float(r["trace_increment"]) for r in rows[1:]]
     assert incs == sorted(incs, reverse=True)
+
+
+def test_converge_rejects_xi():
+    res = run_cli("converge", "--xi", "0.5")
+    assert res.returncode == 2
+    assert stderr_error(res)["name"] == "xi_forbidden"
+
+
+def test_converge_blockcauchy_rejects_window_below_first_row():
+    res = run_cli("converge", "--report", "blockcauchy", "--window", "8")
+    assert res.returncode == 2
+    assert stderr_error(res)["name"] == "blockcauchy_window"
 
 
 # ---------------------------------------------------------------------------

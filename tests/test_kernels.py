@@ -438,6 +438,12 @@ def test_prelimit_center_block_memory_is_linear_in_padding():
     assert peak < 64e6, peak
 
 
+@pytest.mark.parametrize("N", [0, -1])
+def test_prelimit_window_rejects_non_positive_half_width(N):
+    with pytest.raises(ValueError, match="window half-width must be a positive integer"):
+        underline_prelimit_window(N, XiParams(EQUAL, 0.5))
+
+
 def test_prelimit_window_padding_cap_reports_residual():
     px = XiParams(EQUAL, 0.99)
     with pytest.raises(NonConvergenceError) as exc:
@@ -718,18 +724,59 @@ def test_weighted_blocks_structure():
     px = XiParams(PRINCIPAL, 0.5)
     K = j_transform(underline_prelimit_window(12, px))
     wb = weighted_blocks(K)
-    n = len(K.points) // 2
-    assert wb.pp.shape == (n, n) and wb.mm.shape == (n, n)
     # Independent trace recomputation: sum over x > 0 of K(x, x)/|x|.
     want_pp = sum(K.entry(H(t), H(t)) / (t / 2.0) for t in range(1, 2 * 12, 2))
     assert abs(wb.trace_pp - want_pp) < 1e-12
-    assert wb.trace_norm_pp >= wb.trace_pp - 1e-12
-    assert wb.trace_norm_mm >= abs(wb.trace_mm) - 1e-12
     # J-symmetry makes the mixed blocks transposes up to sign.
     assert abs(wb.hs_pm - wb.hs_mp) < 1e-12
     # The weighted positive block of the underline kernel is PSD.
-    evs = np.linalg.eigvalsh(wb.pp + wb.pp.T) / 2.0
+    h = np.array([1.0 / math.sqrt(t / 2.0) for t in range(1, 2 * 12, 2)])
+    pp = K.values[12:, 12:] * h[:, None] * h[None, :]
+    evs = np.linalg.eigvalsh(pp + pp.T) / 2.0
     assert evs.min() > -1e-10
+
+
+def _reference_j_transform(wk):
+    # Per-point signs and sides, the J-transform's defining formula.
+    pts = wk.points
+    eps = np.array([epsilon_sign(t) for t in pts])
+    neg = np.array([t.twice < 0 for t in pts])
+    inner = wk.values.copy()
+    inner[neg, :] *= -1.0
+    inner[neg, neg] += 1.0
+    return inner * eps[:, None] * eps[None, :]
+
+
+def _reference_weighted_blocks(K):
+    # The dense arrangement A_h K A_h and its four blocks.
+    pts = K.points
+    h = np.array([1.0 / math.sqrt(abs(float(t))) for t in pts])
+    a = K.values * h[:, None] * h[None, :]
+    pos = np.array([t.twice > 0 for t in pts])
+    neg = ~pos
+    return (float(np.trace(a[np.ix_(pos, pos)])), float(np.trace(a[np.ix_(neg, neg)])),
+            float(np.linalg.norm(a[np.ix_(pos, neg)])), float(np.linalg.norm(a[np.ix_(neg, pos)])))
+
+
+@pytest.mark.parametrize("N", [8, 64, 256])
+@pytest.mark.parametrize("p", [EQUAL, PRINCIPAL, DISTINCT], ids=["equal", "principal", "distinct"])
+def test_j_transform_and_weighted_blocks_match_dense_reference_bit_for_bit(p, N):
+    for un in (underline_limit_window(N, p), underline_prelimit_window(N, XiParams(p, 0.5), tol=1e-6)):
+        K = j_transform(un)
+        assert K.values.tobytes() == _reference_j_transform(un).tobytes(), un.kind
+        wb = weighted_blocks(K)
+        assert (wb.trace_pp, wb.trace_mm, wb.hs_pm, wb.hs_mp) == _reference_weighted_blocks(K), un.kind
+
+
+def test_weighted_blocks_forms_no_full_window_array():
+    K = j_transform(underline_limit_window(1024, EQUAL))
+    tracemalloc.start()
+    try:
+        weighted_blocks(K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < K.values.nbytes, peak  # one 2048 x 2048 float64 array is 32 MB
 
 
 def test_weighted_blocks_requires_k_kind():
