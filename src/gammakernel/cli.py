@@ -317,26 +317,24 @@ def _cmd_kernel(args) -> tuple[RunConfig, list[str], list[list]]:
         # until the requested entries stabilize (--tol sets the residual).
         N = max(4, args.window or 0,
                 max((abs(t.twice) + 1) // 2 for t in (*xs, *ys)))
-        wk = kr.underline_prelimit_window(
-            N, XiParams(base, xi), tol=args.tol if args.tol is not None else 1e-9
-        )
-        grid = [[wk.entry(x, y) for y in ys] for x in xs]
+        wk = kr.underline_prelimit_window(N, XiParams(base, xi),
+                                          tol=args.tol if args.tol is not None else 1e-9)
+        grid, cert = [[wk.entry(x, y) for y in ys] for x in xs], wk.meta
     elif args.method == "integrable":
-        grid = kr._limit_closed_form(xv, yv, base).tolist()
-    elif args.method == "contour-limit":
-        grid = kr._limit_contour_grid(xv, yv, base, q)["value"].tolist()
-    else:
-        p = XiParams(base, xi)
-        grid = [[kr.underline_prelimit_contour(x, y, p, q) for y in ys] for x in xs]
+        grid, cert = kr._limit_closed_form(xv, yv, base).tolist(), None
+    else:  # circles for XiParams, hairpins for Params
+        out = kr._contour_grid(xv, yv, XiParams(base, xi) if needs_xi else base, q)
+        # Per variant block: its nodes, largest last increment (and hairpin tail bound).
+        cert = {mode: {key: arr[sel].max().item() for key, arr in out.items()
+                       if key not in ("value", "variant")}
+                for mode in ("sum", "difference") if (sel := out["variant"] == mode).any()}
+        grid = out["value"].tolist()
     rows = [[a, b, v] for a, row in zip(sx, grid) for b, v in zip(sy, row)]
     cfg = _run_config(args, {
         "method": args.method, "z": _fmt(base.z), "zp": _fmt(base.z_prime),
         "xi": xi, "x": sx, "y": sy,
-        "nodes": getattr(args, "nodes", None), "tol": getattr(args, "tol", None),
-        "max_nodes": getattr(args, "max_nodes", None),
-    })
-    if args.method == "spectral":
-        cfg.certificate = wk.meta
+        **{key: getattr(args, key) for key in ("nodes", "tol", "max_nodes")},
+    }, certificate=cert)
     return cfg, ["x", "y", "value"], rows
 
 
@@ -499,16 +497,29 @@ def _cmd_transport(args) -> tuple[RunConfig, list[str], list[list]]:
     return cfg, header, rows
 
 
+# The options each converge report reads, and their defaults.
+_CONVERGE_READS = {"kernel": ("sweep", "window", "tol"), "blocknorms": ("sweep", "window", "tol"),
+                   "blockcauchy": ("window",), "expectation": ("sweep", "tol")}
+_CONVERGE_DEFAULTS = {"sweep": (0.9, 0.99, 0.999), "window": 64, "tol": 1e-7}
+
+
 def _cmd_converge(args) -> tuple[RunConfig, list[str], list[list]]:
     from . import kernels as kr
     from .fredholm import TestFunction, expectation_det
     from .zmeasure import XiParams
 
     base = _build_params(args)
-    sweep = _parse_sweep(args.sweep)
-    N = args.window
     if args.xi is not None:
         raise CliError("xi_forbidden", "--xi does not apply to converge; give --sweep")
+    if args.report not in _CONVERGE_READS:
+        raise CliError("converge_report", f"--report must be one of {tuple(_CONVERGE_READS)}")
+    unread = [f"--{key}" for key in _CONVERGE_DEFAULTS
+              if getattr(args, key) is not None and key not in _CONVERGE_READS[args.report]]
+    if unread:
+        raise CliError("converge_forbidden", f"report {args.report} reads no {', '.join(unread)}")
+    opts = {key: _CONVERGE_DEFAULTS[key] if getattr(args, key) is None else getattr(args, key)
+            for key in _CONVERGE_READS[args.report]}
+    sweep, N, tol = opts.get("sweep"), opts.get("window"), opts.get("tol")
     if args.report == "blockcauchy" and N < 16:
         raise CliError("blockcauchy_window", f"--window must be >= 16 for blockcauchy, got {N}")
     rows: list[list] = []
@@ -517,14 +528,14 @@ def _cmd_converge(args) -> tuple[RunConfig, list[str], list[list]]:
         limit = kr.underline_limit_window(N, base)
         header = ["xi", "max_abs_gap"]
         for xi in sweep:
-            pre = kr.underline_prelimit_window(N, XiParams(base, xi), tol=args.tol)
+            pre = kr.underline_prelimit_window(N, XiParams(base, xi), tol=tol)
             rows.append([xi, float(abs(pre.values - limit.values).max())])
     elif args.report == "blocknorms":
         bl_limit = kr.weighted_blocks(kr.j_transform(kr.underline_limit_window(N, base)))
         header = ["xi", "trace_pp", "trace_gap", "hs_pm", "hs_gap"]
         for xi in sweep:
             bl = kr.weighted_blocks(
-                kr.j_transform(kr.underline_prelimit_window(N, XiParams(base, xi), tol=args.tol))
+                kr.j_transform(kr.underline_prelimit_window(N, XiParams(base, xi), tol=tol))
             )
             rows.append([
                 xi, bl.trace_pp, abs(bl.trace_pp - bl_limit.trace_pp),
@@ -541,27 +552,17 @@ def _cmd_converge(args) -> tuple[RunConfig, list[str], list[list]]:
                          bl.hs_pm, abs(bl.hs_pm - prev.hs_pm)])
             prev = bl
             n *= 2
-    elif args.report == "expectation":
+    else:  # expectation
         f = TestFunction.from_callable(lambda t: -0.3 / abs(t), 4)
         kernel_n = max(8, 2 * math.ceil(f.window_radius))
-        limit_val = expectation_det(
-            f, kr.j_transform(kr.underline_limit_window(kernel_n, base))
-        )
+        limit_val = expectation_det(f, kr.j_transform(kr.underline_limit_window(kernel_n, base)))
         header = ["xi", "value", "limit_value", "gap"]
         for xi in sweep:
-            wk = kr.j_transform(
-                kr.underline_prelimit_window(kernel_n, XiParams(base, xi), tol=args.tol)
-            )
+            wk = kr.j_transform(kr.underline_prelimit_window(kernel_n, XiParams(base, xi), tol=tol))
             v = expectation_det(f, wk)
             rows.append([xi, v, limit_val, abs(v - limit_val)])
-    else:
-        raise CliError(
-            "converge_report",
-            "--report must be kernel, blocknorms, blockcauchy, or expectation",
-        )
     cfg = _run_config(args, {
-        "z": _fmt(base.z), "zp": _fmt(base.z_prime), "sweep": list(sweep),
-        "report": args.report, "window": N, "tol": args.tol,
+        "z": _fmt(base.z), "zp": _fmt(base.z_prime), "report": args.report, **opts,
     })
     return cfg, header, rows
 
@@ -601,8 +602,8 @@ def _cmd_sample(args) -> tuple[RunConfig, list[str] | None, list[list]]:
 # Parser assembly and entry point
 # ---------------------------------------------------------------------------
 
-def _run_config(args, options: dict) -> RunConfig:
-    return RunConfig(args.command, options, args.format, args.output)
+def _run_config(args, options: dict, certificate: dict | None = None) -> RunConfig:
+    return RunConfig(args.command, options, args.format, args.output, certificate)
 
 
 def _add_common(sub: argparse.ArgumentParser, xi_help: str = "pre-limit parameter in (0, 1)"):
@@ -670,11 +671,12 @@ def _build_parser() -> _Parser:
 
     g = subs.add_parser("converge", help="xi-sweep and window-doubling tables")
     _add_common(g)
-    g.add_argument("--sweep", default="0.9,0.99,0.999", help="comma list of xi values")
+    g.add_argument("--sweep", type=_parse_sweep,
+                   help="comma list of xi values (default 0.9,0.99,0.999; not blockcauchy)")
     g.add_argument("--report", default="blocknorms",
                    help="kernel | blocknorms | blockcauchy | expectation")
-    g.add_argument("--window", type=int, default=64)
-    g.add_argument("--tol", type=float, default=1e-7, help="pre-limit window stabilization")
+    g.add_argument("--window", type=int, help="window half-width (default 64; not expectation)")
+    g.add_argument("--tol", type=float, help="pre-limit window stabilization (default 1e-7)")
 
     s = subs.add_parser("sample", help="exact determinantal window samples")
     _add_common(s)

@@ -16,16 +16,17 @@ its xi -> 1 limit (the Gamma kernel).  Four evaluation methods are provided:
   * underline_limit_contour    -- double contour integral over hairpin
     contours [+inf - i rho, 0-, +inf + i rho], in two variants ("sum"
     denominator u1+u2+1, and "difference" denominator u1-u2 with rho1 < rho2
-    and outer rays tilted away from the inner ones, which halves its nodes),
-    the 1x1 case of _limit_contour_grid: one block per variant, factor rows
-    times one Cauchy matrix per node doubling, built in row blocks and never
-    kept (_coupled_sum), on arcs whose rule is built once (_gauss_legendre);
+    and outer rays tilted away from the inner ones, which halves its nodes):
+    factor rows times one Cauchy matrix per node doubling, built in row
+    blocks and never kept (_coupled_sum), on arcs whose rule is built once;
   * underline_prelimit_contour -- double contour integral over origin-centered
-    circles, again in "sum" (omega1 omega2 - 1) and "difference"
-    (omega1 - omega2, inner second circle) variants, whose equispaced
-    trapezoid sums are exact DFT products in O(n log n) (_circle_sum); both
-    contour routes supply only their nodes and factors to one node-doubling
-    trapezoid driver (_contour_value);
+    circles, in the same two variants (omega1 omega2 - 1, and omega1 - omega2
+    with an inner second circle), whose equispaced trapezoid sums are exact
+    DFT products, A diag(g) B^T in O(n log n) per factor row (_circle_sum);
+    both are the 1x1 case of one grid driver (_contour_grid: one block per
+    variant, the contour picked by the type of the parameters), which
+    supplies each route's nodes and factor rows to one node-doubling
+    trapezoid loop (_contour_value);
   * underline_prelimit_spectral -- direct tridiagonal diagonalization on a
     window; underline_prelimit_window instead takes the center block of
     P+ = (I + sign D)/2 on padded windows [-M, M] from a certified trapezoid
@@ -271,7 +272,7 @@ def underline_limit_window(N: int, p: Params) -> WindowKernel:
 # Gamma prefactor and quadrature driver shared by the contour routes
 # ---------------------------------------------------------------------------
 
-def _gamma_prefactor(x: float, y: float, p: Params) -> complex:
+def _gamma_prefactor(x: float, y: float, p: Params | XiParams) -> complex:
     """Gamma(-z'-x+1/2) Gamma(-z-y+1/2) divided by the positive square root of
     Gamma(-z-x+1/2) Gamma(-z'-x+1/2) Gamma(-z-y+1/2) Gamma(-z'-y+1/2);
     assembled in log space (the four-factor product is strictly positive for
@@ -303,64 +304,39 @@ def _coupled_sum(a: np.ndarray, b: np.ndarray, u1: np.ndarray, u2: np.ndarray, m
     return total
 
 
-def _circle_sum(a: np.ndarray, b: np.ndarray, u1: np.ndarray, u2: np.ndarray,
-                mode: str) -> complex:
+def _circle_sum(a: np.ndarray, b: np.ndarray, u1: np.ndarray, u2: np.ndarray, mode: str):
     """The same sum over n equispaced nodes u = r e^(2 pi i k/n) per circle
-    (as _circle_contour makes them), exactly in O(n log n): expanding 1/denom
-    in powers of the node ratio gives DFT products whose aliased geometric
-    tails sum in closed form.  With A = fft(a), B = fft(b), B' = n ifft(b):
-      'sum_circle' (u1 u2 - 1, one radius r, t = r^2 > 1):
-          sum_m A_m B_m t^(-m') / (1 - t^(-n)),  m' = m for m >= 1, m' = n for m = 0;
-      'difference_circle' (u1 - u2, radii r2 < r1, rho = r2/r1):
-          sum_m A_((m+1) mod n) B'_m rho^m / (r1 (1 - rho^n))."""
-    n, r1, r2 = len(a), u1[0].real, u2[0].real
+    (as _circle_contour makes them), exactly in O(n log n) per factor row:
+    expanding 1/denom in powers of the node ratio gives DFT products whose
+    aliased geometric tails sum in closed form, so with A = fft(a),
+    B = fft(b), B' = n ifft(b) along the rows the matrix is A diag(g) B^T:
+      'sum' (u1 u2 - 1, one radius r, t = r^2 > 1):
+          g_m = t^(-m') / (1 - t^(-n)),  m' = m for m >= 1, m' = n for m = 0;
+      'difference' (u1 - u2, radii r2 < r1, rho = r2/r1), A shifted by one:
+          A_((m+1) mod n) B'_m with g_m = rho^m / (r1 (1 - rho^n))."""
+    n, r1, r2 = a.shape[-1], u1[0].real, u2[0].real
     fa = np.fft.fft(a)
-    if mode == "sum_circle":
+    if mode == "sum":
         t = r1 * r2
-        return complex(np.sum(fa * np.fft.fft(b) * t ** -np.r_[n, 1:n]) / (1.0 - t**-n))
+        return (fa * (t ** -np.r_[n, 1:n] / (1.0 - t**-n))) @ np.fft.fft(b).T
     rho = r2 / r1
-    total = np.sum(np.roll(fa, -1) * np.fft.ifft(b) * rho ** np.arange(n)) * n
-    return complex(total / (r1 * (1.0 - rho**n)))
-
-
-def _contour_exponents(xv, yv, variant: str, p) -> tuple:
-    """The exponents (a1, b1, a2, b2) of the two contour factors at x = xv and
-    y = yv (floats or arrays), the same for hairpins and circles."""
-    z, zp = p.z, p.z_prime
-    pair2 = (z + yv - 0.5, -zp - yv - 0.5)
-    a2, b2 = pair2 if variant == "sum" else pair2[::-1]
-    return zp + xv - 0.5, -z - xv - 0.5, a2, b2
-
-
-def _contour_setup(xv, yv, variant: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validate the variant and resolve it for every pair (xv[i], yv[j]) of
-    half-integers: 'auto' picks 'difference' for a mixed-sign pair, ordered
-    (positive, negative) by the kernels' symmetry, and 'sum' otherwise.
-    Returns the grids of ordered x and y and the variant per pair."""
-    if variant not in ("auto", "sum", "difference"):
-        raise ValueError(f"unknown variant {variant!r}")
-    x, y = np.meshgrid(np.asarray(xv, float), np.asarray(yv, float), indexing="ij")
-    if variant != "auto":
-        return x, y, np.full(x.shape, variant)
-    swap = (x < 0) & (y > 0)
-    x, y = np.where(swap, y, x), np.where(swap, x, y)
-    return x, y, np.where((x > 0) & (y < 0), "difference", "sum")
+    g = rho ** np.arange(n) * (n / (r1 * (1.0 - rho**n)))
+    return (np.roll(fa, -1, axis=-1) * g) @ np.fft.ifft(b).T
 
 
 def _contour_value(op: str, q: QuadratureConfig, pref, mode: str,
-                   contours: Callable[[int], tuple]) -> tuple:
-    """pref times the coupled trapezoid sum over two contours, divided by
-    (2 pi i)^2.  contours(n) returns (u1, f1, u2, f2): the nodes of each
-    contour at n nodes per ray / circle and the weighted factors there; mode
-    names the denominator, and the '_circle' modes sum by FFT.  On a hairpin
-    grid block pref is a matrix (0 off the block) and f1, f2 hold one row per
-    grid row and column.  n doubles from q.nodes until successive values
+                   contours: Callable[[int], tuple], coupled: Callable = _coupled_sum) -> tuple:
+    """pref (a matrix, 0 off the requested pairs) times the coupled trapezoid
+    sum over two contours, divided by (2 pi i)^2.  contours(n) returns
+    (u1, f1, u2, f2): the nodes of each contour at n nodes per ray / circle
+    and the weighted factors there, one row per grid row and column, which
+    coupled (_coupled_sum on hairpins, _circle_sum on circles) sums over the
+    denominator mode names.  n doubles from q.nodes until successive values
     agree within q.tol on every entry (past q.max_nodes NonConvergenceError
     carries the largest last increment); each value must then be real within
     max(1e-9, 50 tol).  Returns the real values, nodes per contour and last
     increments."""
     n, prev = q.nodes, None  # max_nodes >= 2 nodes: an increment precedes the cap
-    coupled = _circle_sum if mode.endswith("_circle") else _coupled_sum
     while True:
         u1, f1, u2, f2 = contours(n)
         val = pref * coupled(f1, f2, u1, u2, mode) / (2j * math.pi) ** 2
@@ -460,43 +436,105 @@ def _auto_u_max(tail_exp: float, tol: float) -> float:
     return u if u < 1e33 else math.inf
 
 
-def _limit_contour_grid(xv, yv, p: Params, q: QuadratureConfig | None = None,
-                        variant: str = "auto") -> dict:
-    """The limit kernel at every pair (xv[i], yv[j]) of half-integers by the
-    hairpin route, one block per variant (_contour_setup): every entry of a
-    block shares the nodes of each doubling level, as the ray cutoffs depend
-    only on the parameters and tol, and the block runs until its last entry
-    stabilizes.  Returns arrays over the grid: value, nodes_per_contour,
-    variant, tail_bound (the analytic ray-tail envelope), last_increment."""
-    q = q or QuadratureConfig()
-    x, y, modes = _contour_setup(xv, yv, variant)
-    out = {"value": np.zeros(x.shape), "nodes_per_contour": np.zeros(x.shape, int),
-           "variant": modes, "tail_bound": np.zeros(x.shape), "last_increment": np.zeros(x.shape)}
-    mu = (p.z_prime - p.z).real
-    for mode in np.unique(modes).tolist():
-        sel = modes == mode
-        rows, ri = np.unique(x[sel], return_inverse=True)
-        cols, ci = np.unique(y[sel], return_inverse=True)
+# ---------------------------------------------------------------------------
+# Route 3: pre-limit kernel via circle contour integrals
+# ---------------------------------------------------------------------------
+
+def _circle_contour(radius: float, n: int, sq: float, alpha: np.ndarray, beta: np.ndarray,
+                    power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """n trapezoid nodes omega on the positively oriented origin-centered
+    circle, starting at omega = radius, and there one row per entry of the
+    exponent arrays: the weighted factor (1 - sq*omega)^alpha
+    (1 - sq/omega)^beta omega^power (2 pi i/n) omega.  On a legal circle both
+    bases have positive real part, so principal logarithms implement the
+    required branches; the omega powers are integers, single-valued."""
+    om = radius * np.exp(2j * math.pi * np.arange(n) / n)
+    f = np.exp(np.multiply.outer(alpha, np.log1p(-sq * om))
+               + np.multiply.outer(beta, np.log1p(-sq / om))) * om ** power[:, None]
+    return om, f * ((2j * math.pi / n) * om)
+
+
+# ---------------------------------------------------------------------------
+# Routes 2 and 3: one grid driver, single entries as its 1x1 case
+# ---------------------------------------------------------------------------
+
+def _distinct(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of v ascending and each entry's index among them:
+    np.unique(v, return_inverse=True) without its fixed cost on a few values."""
+    vals = np.array(sorted(set(v.tolist())))
+    return vals, np.searchsorted(vals, v)
+
+
+def _contour_grid(xv, yv, p: Params | XiParams, q: QuadratureConfig | None = None,
+                  variant: str = "auto") -> dict:
+    """The kernel at every pair (xv[i], yv[j]) of half-integers by its double
+    contour integral: over circles (the pre-limit kernel) if p is an XiParams,
+    over hairpins (the limit kernel) if it is a Params.  'auto' picks the
+    variant 'difference' for a mixed-sign pair, ordered (positive, negative)
+    by the kernels' symmetry, and 'sum' otherwise.  One block per variant:
+    its entries share the nodes of each doubling level, as the contours
+    depend only on the parameters and tol, until its last entry stabilizes.
+    Returns arrays over the grid: value, nodes_per_circle or
+    nodes_per_contour, variant, last_increment and, on hairpins, tail_bound
+    (the analytic ray-tail envelope)."""
+    if variant not in ("auto", "sum", "difference"):
+        raise ValueError(f"unknown variant {variant!r}")
+    q, circles = q or QuadratureConfig(), isinstance(p, XiParams)
+    x, y = np.asarray(xv, float)[:, None], np.asarray(yv, float)[None, :]
+    diff = x * y < 0 if variant == "auto" else np.full((x.size, y.size), variant == "difference")
+    swap = diff & (x < 0) if variant == "auto" else np.zeros(diff.shape, bool)
+    x, y = np.where(swap, y, x), np.where(swap, x, y)
+    z, zp, scale = p.z, p.z_prime, 1.0 - p.xi if circles else 1.0  # pre-limit factor 1 - xi
+    nodes = np.zeros(x.shape, int)
+    out = {"value": np.zeros(x.shape), "variant": np.where(diff, "difference", "sum"),
+           "nodes_per_circle" if circles else "nodes_per_contour": nodes,
+           "last_increment": np.zeros(x.shape)}
+    for mode, sel in (("sum", ~diff), ("difference", diff)):
+        if not sel.any():
+            continue
+        (rows, ri), (cols, ci) = _distinct(x[sel]), _distinct(y[sel])
         pref = np.zeros((len(rows), len(cols)), complex)  # 0 off the requested pairs
         for i, j in set(zip(ri.tolist(), ci.tolist())):
-            pref[i, j] = _gamma_prefactor(rows[i], cols[j], p)
-        rho_2, decay2, slope2 = (RHO1, mu - 1.0, 0.0) if mode == "sum" else (RHO2, -mu - 1.0, SLOPE2)
-        decays = (mu - 1.0, decay2)
-        umax1, umax2 = (_auto_u_max(d, q.tol) for d in decays)
-        a1, b1, a2, b2 = _contour_exponents(rows, cols, mode, p)
+            pref[i, j] = _gamma_prefactor(rows[i], cols[j], p) * scale
+        a1, b1 = zp + rows - 0.5, -z - rows - 0.5
+        a2, b2 = (z + cols - 0.5, -zp - cols - 0.5)[:: 1 if mode == "sum" else -1]
+        if circles:
+            sq, (r1, r_inner) = math.sqrt(p.xi), _circle_radii(p.xi)
+            r2, pow2 = (r1, -cols - 0.5) if mode == "sum" else (r_inner, cols - 0.5)
 
-        def contours(n):
-            u1, w1 = _hairpin_nodes(RHO1, n, umax1)
-            u2, w2 = _hairpin_nodes(rho_2, n, umax2, slope=slope2)
-            return u1, _log_factor(u1, a1, b1) * w1, u2, _log_factor(u2, a2, b2) * w2
+            def contours(n):
+                inner = _circle_contour(r2, n, sq, a2, b2, pow2)
+                return (*_circle_contour(r1, n, sq, a1, b1, -rows - 0.5), *inner)
 
-        val, nodes, achieved = _contour_value("underline_limit_contour", q, pref, mode, contours)
-        tail = sum(u**d / -d for u, d in zip((umax1, umax2), decays)
-                   if math.isfinite(u) and d < -1e-12)
-        out["value"][sel], out["nodes_per_contour"][sel] = val[ri, ci], nodes
-        out["tail_bound"][sel] = tail * np.abs(pref[ri, ci])
-        out["last_increment"][sel] = achieved[ri, ci]
+            val, n, achieved = _contour_value("underline_prelimit_contour", q, pref, mode,
+                                              contours, _circle_sum)
+        else:
+            mu = (zp - z).real
+            rho_2, slope2, sign = (RHO1, 0.0, 1.0) if mode == "sum" else (RHO2, SLOPE2, -1.0)
+            decays = (mu - 1.0, sign * mu - 1.0)
+            umax1, umax2 = (_auto_u_max(d, q.tol) for d in decays)
+
+            def contours(n):
+                u1, w1 = _hairpin_nodes(RHO1, n, umax1)
+                u2, w2 = _hairpin_nodes(rho_2, n, umax2, slope=slope2)
+                return u1, _log_factor(u1, a1, b1) * w1, u2, _log_factor(u2, a2, b2) * w2
+
+            val, n, achieved = _contour_value("underline_limit_contour", q, pref, mode, contours)
+            tail = sum(u**d / -d for u, d in zip((umax1, umax2), decays)
+                       if math.isfinite(u) and d < -1e-12)
+            out.setdefault("tail_bound", np.zeros(x.shape))[sel] = tail * np.abs(pref[ri, ci])
+        out["value"][sel], nodes[sel], out["last_increment"][sel] = val[ri, ci], n, achieved[ri, ci]
     return out
+
+
+def _contour_entry(x, y, p, q, variant: str, full_output: bool, kind: type):
+    """One entry, the 1x1 case of _contour_grid; p's type, kind, picks the contour."""
+    if not isinstance(p, kind):
+        raise TypeError(f"expected {kind.__name__} parameters, got {type(p).__name__}")
+    grid = _contour_grid(*([float(HalfInt.make(t))] for t in (x, y)), p, q, variant)
+    info = {key: arr[0, 0].item() for key, arr in grid.items()}
+    value = info.pop("value")
+    return (value, info) if full_output else value
 
 
 def underline_limit_contour(x, y, p: Params, q: QuadratureConfig | None = None,
@@ -508,28 +546,10 @@ def underline_limit_contour(x, y, p: Params, q: QuadratureConfig | None = None,
     with offsets RHO1 < RHO2; 'auto' picks 'difference' for mixed-sign
     (positive, negative) pairs and 'sum' otherwise.  Node counts double from
     q.nodes until the value stabilizes within q.tol.  The 1x1 case of
-    _limit_contour_grid.
+    _contour_grid; full_output adds nodes_per_contour, variant, tail_bound
+    and last_increment.
     """
-    grid = _limit_contour_grid(*([float(HalfInt.make(t))] for t in (x, y)), p, q, variant)
-    info = {key: arr[0, 0].item() for key, arr in grid.items()}
-    value = info.pop("value")
-    return (value, info) if full_output else value
-
-
-# ---------------------------------------------------------------------------
-# Route 3: pre-limit kernel via circle contour integrals
-# ---------------------------------------------------------------------------
-
-def _circle_contour(radius: float, n: int, sq: float, alpha: complex, beta: complex,
-                    power: float) -> tuple[np.ndarray, np.ndarray]:
-    """n trapezoid nodes omega on the positively oriented origin-centered
-    circle, starting at omega = radius, and there the weighted factor
-    (1 - sq*omega)^alpha (1 - sq/omega)^beta omega^power (2 pi i/n) omega.
-    On a legal circle both bases have positive real part, so principal
-    logarithms implement the required branches."""
-    om = radius * np.exp(2j * math.pi * np.arange(n) / n)
-    f = np.exp(alpha * np.log1p(-sq * om) + beta * np.log1p(-sq / om)) * om**power
-    return om, f * ((2j * math.pi / n) * om)
+    return _contour_entry(x, y, p, q, variant, full_output, Params)
 
 
 def underline_prelimit_contour(x, y, p: XiParams, q: QuadratureConfig | None = None,
@@ -541,33 +561,10 @@ def underline_prelimit_contour(x, y, p: XiParams, q: QuadratureConfig | None = N
     omega1 - omega2 with the second circle strictly inside the first.
     Trapezoid rule is spectrally accurate here, and each node count costs
     O(n log n) (_circle_sum); node counts double from q.nodes until
-    stabilization within q.tol.
+    stabilization within q.tol.  The 1x1 case of _contour_grid; full_output
+    adds nodes_per_circle, variant and last_increment.
     """
-    q = q or QuadratureConfig()
-    pair = (np.array([float(HalfInt.make(t))]) for t in (x, y))
-    x, y, variant = (v[0, 0].item() for v in _contour_setup(*pair, variant))
-    a1, b1, a2, b2 = _contour_exponents(x, y, variant, p)
-    xi, sq = p.xi, math.sqrt(p.xi)
-    r1, r_inner = _circle_radii(xi)
-
-    # omega powers are integers: single-valued, no branch issues.
-    pow1 = -x - 0.5
-    if variant == "sum":
-        r2, pow2, mode = r1, -y - 0.5, "sum_circle"
-    else:
-        r2, pow2, mode = r_inner, y - 0.5, "difference_circle"
-
-    def contours(n):
-        inner = _circle_contour(r2, n, sq, a2, b2, pow2)
-        return (*_circle_contour(r1, n, sq, a1, b1, pow1), *inner)
-
-    pref = _gamma_prefactor(x, y, p.base) * (1.0 - xi)
-    result, n, achieved = _contour_value("underline_prelimit_contour", q, pref, mode, contours)
-    if full_output:
-        variant = "sum_circle" if variant == "sum" else variant
-        info = {"nodes_per_circle": n, "variant": variant, "last_increment": float(achieved)}
-        return result, info
-    return result
+    return _contour_entry(x, y, p, q, variant, full_output, XiParams)
 
 
 # ---------------------------------------------------------------------------

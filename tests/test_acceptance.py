@@ -27,15 +27,13 @@ from gammakernel.kernels import (
     WindowKernel,
     density_constant,
     j_transform,
-    underline_limit_contour,
-    underline_limit_integrable,
     underline_limit_window,
-    underline_prelimit_contour,
     underline_prelimit_spectral,
     underline_prelimit_window,
     weighted_blocks,
     window_points,
 )
+from gammakernel.kernels import _contour_grid, _limit_closed_form
 from gammakernel.fredholm import (
     InverseDecay,
     TestFunction,
@@ -70,6 +68,11 @@ def crop(wk: WindowKernel, n: int) -> WindowKernel:
     return WindowKernel(n, wk.kind, wk.values[np.ix_(idx, idx)], wk.params, xi=wk.xi)
 
 
+def _floats(pts) -> np.ndarray:
+    """Half-integer points as the float array the grid routines take."""
+    return np.array([float(t) for t in pts])
+
+
 def balanced_window_configs(N: int) -> list[FiniteConfig]:
     """All configurations in [-N, N] with equal counts on each half-lattice."""
     pts = window_points(N)
@@ -91,10 +94,7 @@ def test_criterion_1_oracle_correlation_agreement():
     checked = 0
     for p in BOTH_SERIES:
         xp = XiParams(p, 0.2)
-        m = np.empty((len(pts), len(pts)))
-        for i, x in enumerate(pts):
-            for j in range(i, len(pts)):
-                m[i, j] = m[j, i] = underline_prelimit_contour(x, pts[j], xp)
+        m = _contour_grid(_floats(pts), _floats(pts), xp)["value"]
         for size in (1, 2, 3):
             for idx in itertools.combinations(range(len(pts)), size):
                 subset = [pts[i] for i in idx]
@@ -116,42 +116,35 @@ def test_criterion_1_oracle_correlation_agreement():
 def test_criterion_2_four_method_kernel_consistency():
     """The integrable form, both contour representations, and the spectral
     projections all produce the same kernels at their stated accuracies."""
-    # Limit kernel: integrable closed form vs contour integration, both
-    # contour representations on mixed-sign pairs.
-    grid = window_points(5)
+    # Limit kernel: integrable closed form vs contour integration on grids,
+    # both contour representations on the mixed-sign (positive, negative)
+    # block.
+    xv = _floats(window_points(5))
+    hi, lo = xv[xv > 0], xv[xv < 0]
     worst_contour = 0.0
     for p in BOTH_SERIES:
-        for i, x in enumerate(grid):
-            for y in grid[i:]:
-                ref = underline_limit_integrable(x, y, p)
-                worst_contour = max(
-                    worst_contour, abs(underline_limit_contour(x, y, p) - ref)
-                )
-                hi, lo = (x, y) if x.twice > 0 else (y, x)
-                if hi.twice > 0 > lo.twice:
-                    for variant in ("sum", "difference"):
-                        val = underline_limit_contour(hi, lo, p, variant=variant)
-                        worst_contour = max(worst_contour, abs(val - ref))
+        got = _contour_grid(xv, xv, p)["value"]
+        worst_contour = max(worst_contour, np.max(np.abs(got - _limit_closed_form(xv, xv, p))))
+        for variant in ("sum", "difference"):
+            got = _contour_grid(hi, lo, p, variant=variant)["value"]
+            worst_contour = max(worst_contour, np.max(np.abs(got - _limit_closed_form(hi, lo, p))))
     assert worst_contour <= 1e-8
 
     # Pre-limit kernel: contour integration vs tridiagonal spectral
     # projection, on interiors where the window restriction is certified.
+    xv = _floats(window_points(6))
     worst_spectral = 0.0
     for p in BOTH_SERIES:
         for xi in (0.5, 0.9):
             xp = XiParams(p, xi)
             wnd = underline_prelimit_window(6, xp, tol=1e-9)
-            for i, x in enumerate(wnd.points):
-                for y in wnd.points[i:]:
-                    diff = abs(wnd.entry(x, y) - underline_prelimit_contour(x, y, xp))
-                    worst_spectral = max(worst_spectral, diff)
-        # Raw fixed-window diagonalization is already interior-accurate at
-        # moderate xi (correlation scale 1/(1-xi) << window).
-        xp = XiParams(p, 0.5)
-        raw = underline_prelimit_spectral(32, xp)
-        for x in window_points(6):
-            diff = abs(raw.entry(x, x) - underline_prelimit_contour(x, x, xp))
-            worst_spectral = max(worst_spectral, diff)
+            got = _contour_grid(xv, xv, xp)["value"]
+            worst_spectral = max(worst_spectral, np.max(np.abs(wnd.values - got)))
+            if xi == 0.5:
+                # Raw fixed-window diagonalization is already interior-accurate
+                # at moderate xi (correlation scale 1/(1-xi) << window).
+                raw = underline_prelimit_spectral(32, xp).submatrix(window_points(6))
+                worst_spectral = max(worst_spectral, np.max(np.abs(np.diag(raw) - np.diag(got))))
     assert worst_spectral <= 1e-6
     print(
         f"\n[criterion 2] limit integrable vs contour (both representations): "

@@ -162,8 +162,8 @@ def test_kernel_prelimit_contour_window_vs_spectral():
 
 def test_kernel_spectral_prints_its_certificate():
     # The padding ladder's meta follows the config echo: a '# certificate:'
-    # line in CSV, a "certificate" key in the JSONL header; no other method
-    # prints one.
+    # line in CSV, a "certificate" key in the JSONL header; the closed form
+    # prints none.
     from gammakernel import Params, XiParams, underline_prelimit_window
 
     meta = underline_prelimit_window(4, XiParams(Params(0.5, 0.5), 0.9), tol=1e-9).meta
@@ -179,10 +179,41 @@ def test_kernel_spectral_prints_its_certificate():
     assert parse_csv(res.stdout)[0] == ["x", "y", "value"]
     res = run_cli(*common, "--method", "spectral", "--format", "jsonl")
     assert json.loads(res.stdout.splitlines()[0])["certificate"] == meta
-    res = run_cli(*common, "--method", "contour-prelimit")
+    res = run_cli("kernel", "--x", "1/2", "--method", "integrable")
     assert res.returncode == 0 and "# certificate" not in res.stdout
-    res = run_cli(*common, "--method", "contour-prelimit", "--format", "jsonl")
+    res = run_cli("kernel", "--x", "1/2", "--method", "integrable", "--format", "jsonl")
     assert "certificate" not in json.loads(res.stdout.splitlines()[0])
+
+
+@pytest.mark.parametrize("method, nodes, flags", [
+    ("contour-limit", "nodes_per_contour", ()),
+    ("contour-prelimit", "nodes_per_circle", ("--xi", "0.9")),
+], ids=["contour-limit", "contour-prelimit"])
+def test_kernel_contour_prints_its_certificate(method, nodes, flags):
+    # Per variant block of the grid: its node count, its largest last
+    # increment and, on hairpins, its largest ray-tail bound, as the library
+    # reports them.
+    from gammakernel import HalfInt, Params, XiParams
+    from gammakernel.kernels import _contour_grid
+
+    args = ("kernel", "--method", method, "--x=-3/2,1/2", "--y=-1/2,5/2", *flags)
+    res = run_cli(*args)
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert lines[1].startswith("# config: ") and lines[2].startswith("# certificate: ")
+    cert = json.loads(lines[2][len("# certificate: "):])
+    p = Params(0.5, 0.5)
+    grid = _contour_grid(*([float(HalfInt.parse(t)) for t in ts.split(",")]
+                           for ts in ("-3/2,1/2", "-1/2,5/2")), XiParams(p, 0.9) if flags else p)
+    keys = {nodes, "last_increment"} | (set() if flags else {"tail_bound"})
+    assert set(cert) == {"sum", "difference"}
+    for mode, block in cert.items():
+        sel = grid["variant"] == mode
+        assert set(block) == keys
+        assert block[nodes] == grid[nodes][sel][0] and len(set(grid[nodes][sel])) == 1
+        assert block["last_increment"] == grid["last_increment"][sel].max() < 1e-10
+    res = run_cli(*args, "--format", "jsonl")
+    assert json.loads(res.stdout.splitlines()[0])["certificate"] == cert
 
 
 def test_kernel_xi_flag_validation():
@@ -369,6 +400,32 @@ def test_converge_blockcauchy_rejects_window_below_first_row():
     res = run_cli("converge", "--report", "blockcauchy", "--window", "8")
     assert res.returncode == 2
     assert stderr_error(res)["name"] == "blockcauchy_window"
+
+
+@pytest.mark.parametrize("report, flags, unread", [
+    ("blockcauchy", ("--window", "16", "--tol", "5", "--sweep", "0.5"), "--sweep, --tol"),
+    ("blockcauchy", ("--tol", "1e-9"), "--tol"),
+    ("expectation", ("--window", "5"), "--window"),
+], ids=["blockcauchy-sweep-tol", "blockcauchy-tol", "expectation-window"])
+def test_converge_rejects_flags_its_report_does_not_read(report, flags, unread):
+    res = run_cli("converge", "--report", report, *flags)
+    assert res.returncode == 2
+    err = stderr_error(res)
+    assert err["name"] == "converge_forbidden"
+    assert err["message"] == f"report {report} reads no {unread}"
+
+
+def test_converge_echo_holds_only_the_options_its_report_reads():
+    res = run_cli("converge", "--report", "blockcauchy", "--window", "16")
+    assert res.returncode == 0, res.stderr
+    config = json.loads(res.stdout.splitlines()[1][len("# config: "):])
+    assert config == {"command": "converge", "z": "0.5+0j", "zp": "0.5-0j",
+                      "report": "blockcauchy", "window": 16}
+    res = run_cli("converge", "--report", "expectation", "--sweep", "0.9")
+    assert res.returncode == 0, res.stderr
+    config = json.loads(res.stdout.splitlines()[1][len("# config: "):])
+    assert config == {"command": "converge", "z": "0.5+0j", "zp": "0.5-0j",
+                      "report": "expectation", "sweep": [0.9], "tol": 1e-7}
 
 
 # ---------------------------------------------------------------------------

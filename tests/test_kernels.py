@@ -46,7 +46,7 @@ from gammakernel.kernels import (
     _eigen_count,
     _gamma_prefactor,
     _gauss_legendre,
-    _limit_contour_grid,
+    _contour_grid,
     _sign_quadrature,
     _spectral_center,
 )
@@ -210,45 +210,73 @@ def test_gauss_legendre_one_entry_per_size():
     # blocks, so it needs the arc rules of sizes n/4 = 16, ..., 128 once each.
     _gauss_legendre.cache_clear()
     xv = np.arange(-9, 10, 2) / 2.0
-    _limit_contour_grid(xv, xv, EQUAL)
+    _contour_grid(xv, xv, EQUAL)
     info = _gauss_legendre.cache_info()
     assert info.currsize == info.misses == 4
     assert info.hits > 0
 
 
-@pytest.mark.parametrize("p", [EQUAL, Params(0.3 + 0.5j, 0.3 - 0.5j), Params(0.3, 0.7)],
-                         ids=["equal", "principal", "distinct"])
-def test_limit_contour_grid_matches_entries(p):
+def _route(p, xi):
+    """The grid parameters, 1x1 entry function and node-count key of the
+    hairpin route (xi None, the limit kernel) or the circle route at xi."""
+    if xi is None:
+        return p, underline_limit_contour, "nodes_per_contour"
+    return XiParams(p, xi), underline_prelimit_contour, "nodes_per_circle"
+
+
+_GRID_PAIRS = {"equal": EQUAL, "principal": Params(0.3 + 0.5j, 0.3 - 0.5j),
+               "distinct": Params(0.3, 0.7)}
+
+
+@pytest.mark.parametrize("p, xi", [
+    *((p, None) for p in _GRID_PAIRS.values()),
+    *((p, xi) for xi in (0.5, 0.9) for p in _GRID_PAIRS.values()),
+], ids=[*_GRID_PAIRS, *(f"xi{xi}-{name}" for xi in (0.5, 0.9) for name in _GRID_PAIRS)])
+def test_limit_contour_grid_matches_entries(p, xi):
     # One block per variant over the window [-5, 5] against the entries one
-    # at a time (the 1x1 grids).  An entry and its transpose share one
-    # computation, so the upper triangle covers the window.  Each block runs
-    # to the node count of its slowest entry.
+    # at a time (the 1x1 grids), on hairpins (the limit kernel; the bare ids)
+    # and on circles (the pre-limit kernel at xi).  An entry and its
+    # transpose share one computation, so the upper triangle covers the
+    # window.  Each block runs to the node count of its slowest entry.
+    pp, entry, nodes = _route(p, xi)
     pts = window_points(5)
     xv = np.array([float(t) for t in pts])
-    grid = _limit_contour_grid(xv, xv, p)
+    grid = _contour_grid(xv, xv, pp)
     for i, x in enumerate(pts):
         for j in range(i, len(pts)):
-            val, info = underline_limit_contour(x, pts[j], p, full_output=True)
+            val, info = entry(x, pts[j], pp, full_output=True)
             for a, b in ((i, j), (j, i)):
                 assert abs(grid["value"][a, b] - val) <= 1e-10, (x, pts[j])
                 assert grid["variant"][a, b] == info["variant"]
-                assert grid["nodes_per_contour"][a, b] >= info["nodes_per_contour"]
+                assert grid[nodes][a, b] >= info[nodes]
     for mode in ("sum", "difference"):
-        assert len(set(grid["nodes_per_contour"][grid["variant"] == mode])) == 1
+        assert len(set(grid[nodes][grid["variant"] == mode])) == 1
 
 
 def test_limit_contour_grid_non_square():
     # Rows and columns of both signs: all four sign blocks, each entry
-    # against its 1x1 grid, under 'auto' and a fixed variant.
+    # against its 1x1 grid, under 'auto' and a fixed variant, on hairpins
+    # and on circles.
     xs, ys = [H(t) for t in (-7, -1, 3)], [H(t) for t in (-5, 1, 9, 11)]
     xv, yv = (np.array([float(t) for t in ts]) for ts in (xs, ys))
-    for variant in ("auto", "sum"):
-        grid = _limit_contour_grid(xv, yv, PRINCIPAL, variant=variant)
-        assert grid["value"].shape == (3, 4)
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                want = underline_limit_contour(x, y, PRINCIPAL, variant=variant)
-                assert abs(grid["value"][i, j] - want) <= 1e-10, (variant, x, y)
+    for xi in (None, 0.5, 0.9):
+        pp, entry, _ = _route(PRINCIPAL, xi)
+        for variant in ("auto", "sum"):
+            grid = _contour_grid(xv, yv, pp, variant=variant)
+            assert grid["value"].shape == (3, 4)
+            for i, x in enumerate(xs):
+                for j, y in enumerate(ys):
+                    want = entry(x, y, pp, variant=variant)
+                    assert abs(grid["value"][i, j] - want) <= 1e-10, (xi, variant, x, y)
+
+
+def test_contour_entries_take_their_own_route_params():
+    # The type of the parameters picks the contour, so each public entry
+    # refuses the other route's parameters instead of switching routes.
+    with pytest.raises(TypeError, match="expected Params parameters"):
+        underline_limit_contour(H(1), H(1), XiParams(EQUAL, 0.5))
+    with pytest.raises(TypeError, match="expected XiParams parameters"):
+        underline_prelimit_contour(H(1), H(1), EQUAL)
 
 
 def test_limit_diagonal_in_unit_interval():
@@ -315,10 +343,10 @@ def _explicit_circle_sum(a, b, r1, r2, mode):
     relative at xi = 0.99, where the circles nearly meet the poles."""
     n = len(a)
     i, j = np.ogrid[:n, :n]
-    k = i + j if mode == "sum_circle" else j - i
+    k = i + j if mode == "sum" else j - i
     s = 2 * math.pi * ((k + n // 2) % n - n // 2) / n
     em1 = 2j * np.sin(s / 2) * np.exp(0.5j * s)
-    if mode == "sum_circle":
+    if mode == "sum":
         denom = (r1 * r2 - 1.0) * np.exp(1j * s) + em1
     else:
         denom = np.exp(2j * math.pi * i / n) * ((r1 - r2) - r2 * em1)
@@ -329,15 +357,22 @@ def _explicit_circle_sum(a, b, r1, r2, mode):
 @pytest.mark.parametrize("n", [8, 64, 512])
 def test_circle_sums_match_explicit_double_sum(n, xi):
     # Both FFT circle sums against the double sum they replace, on the radii
-    # _circle_radii picks at this xi, with seeded random factors.
+    # _circle_radii picks at this xi, with seeded random factors: one factor
+    # on each circle (a value), then 3 and 2 factor rows (a 3x2 matrix).
     r1, r2 = _circle_radii(xi)
     rng = np.random.default_rng([n, round(1000 * xi)])
     a, b = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    fa, fb = (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)) for k in (3, 2))
     ring = np.exp(2j * math.pi * np.arange(n) / n)
-    for mode, rb in (("sum_circle", r1), ("difference_circle", r2)):
+    for mode, rb in (("sum", r1), ("difference", r2)):
         want = _explicit_circle_sum(a, b, r1, rb, mode)
         got = _circle_sum(a, b, r1 * ring, rb * ring, mode)
         assert abs(got - want) <= 1e-13 * abs(want), (mode, got, want)
+        rows = _circle_sum(fa, fb, r1 * ring, rb * ring, mode)
+        assert rows.shape == (3, 2)
+        for r, s in np.ndindex(rows.shape):
+            want = _explicit_circle_sum(fa[r], fb[s], r1, rb, mode)
+            assert abs(rows[r, s] - want) <= 1e-13 * abs(want), (mode, r, s, rows[r, s], want)
 
 
 def test_prelimit_contour_variants_agree():
