@@ -1,8 +1,9 @@
 """Partitions, their lattice encodings, and the two-parameter measure.
 
 Walks through the basic objects: Young diagrams with modified Frobenius
-coordinates, the two point-configuration encodings (semi-infinite Maya
-diagram and finite balanced configuration), and the probability weights
+coordinates, the two point-configuration encodings (finite balanced
+configuration, and the semi-infinite Maya diagram as its occupancy row under
+the particle/hole involution), and the probability weights
 the measure assigns to partitions.  Everything here is exact integer /
 log-space arithmetic; run it with
 
@@ -11,6 +12,8 @@ log-space arithmetic; run it with
 
 import math
 
+import numpy as np
+
 from gammakernel import (
     HalfInt,
     Params,
@@ -18,10 +21,10 @@ from gammakernel import (
     XiParams,
     correlation_oracle,
     enumerate_weights,
+    log_weight_partition,
     to_balanced_config,
-    to_maya,
-    weight_partition,
 )
+from gammakernel.lattice import involute_occupancy
 
 H = HalfInt
 
@@ -37,10 +40,12 @@ config = to_balanced_config(lam)
 print(f"balanced configuration X(lambda): {[str(x) for x in config.points]}")
 print(f"  balanced: {config.is_balanced()}")
 
-maya = to_maya(lam)
+# The Maya diagram {lambda_i - i + 1/2} is X(lambda) XOR the negative half:
+# the involution of X(lambda)'s occupancy row on the probed points.
 probe = [H(-7), H(-5), H(-3), H(-1), H(1), H(3), H(5), H(7)]
+maya = involute_occupancy(np.array([[x in config for x in probe]]), probe)[0]
 print("Maya diagram membership on |x| <= 7/2:")
-print("  " + "  ".join(f"{str(x)}:{'*' if x in maya else '.'}" for x in probe))
+print("  " + "  ".join(f"{str(x)}:{'*' if b else '.'}" for x, b in zip(probe, maya)))
 
 print()
 print("=" * 72)
@@ -53,7 +58,7 @@ for params in (Params(0.5, 0.5), Params(0.3 + 0.5j, 0.3 - 0.5j)):
     xp = XiParams(params, 0.4)
     print(f"\nparameters {params}, xi = {xp.xi}")
     for rows in ((), (1,), (2,), (1, 1), (2, 1)):
-        w = weight_partition(Partition(rows), xp)
+        w = math.exp(log_weight_partition(Partition(rows), xp))
         print(f"  weight{str(rows):12s} = {w:.12f}")
     items, tail = enumerate_weights(xp, max_size=24)
     total = math.fsum(w for _, w in items)

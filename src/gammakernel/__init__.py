@@ -15,15 +15,10 @@ from .lattice import (
     FiniteConfig,
     FinitaryPermutation,
     HalfInt,
-    MayaDiagram,
     Partition,
-    apply_sigma,
     apply_sigma_modified,
     dim_ratio,
-    from_balanced_config,
-    particle_hole_involution,
     to_balanced_config,
-    to_maya,
 )
 from .zmeasure import (
     OracleValue,
@@ -33,7 +28,6 @@ from .zmeasure import (
     enumerate_weights,
     log_weight_config,
     log_weight_partition,
-    weight_partition,
 )
 from .kernels import (
     NonConvergenceError,
@@ -64,7 +58,6 @@ from .fredholm import (
 from .rn import (
     CylinderFunction,
     RnExpression,
-    rn_closed_form,
     rn_compose,
     rn_exact,
     rn_limit,

@@ -328,13 +328,16 @@ def expectation_det(f: TestFunction, kernel: WindowKernel, tol: float = 1e-8,
     zero-tail f enters as a row on its support, with no LU, and is exact
     once the chain covers that support; a decaying f costs one r x r LU per
     window (r the block's certified rank, _factor) and must stabilize below
-    tol on two consecutive doublings within the kernel window.
+    tol > 0 on two consecutive doublings within the kernel window (tol = 0
+    runs a zero-tail f to its cover).
     """
     if not kernel.kind.startswith("k_"):
         raise ValueError(
             f"expectation_det requires a finitary-process kernel, got {kernel.kind!r}"
         )
     zero_tail = isinstance(f.tail, ZeroTail)
+    if not (tol > 0 or zero_tail and tol == 0):
+        raise ValueError(f"tol must be > 0, got {tol}")
     cover = int(math.ceil(f.support_radius)) if zero_tail else None
     if zero_tail and f.support_radius > kernel.N:
         raise ValueError(

@@ -131,7 +131,7 @@ class QuadratureConfig:
                 f"max_nodes must be at least 2 * nodes = {2 * self.nodes} so that two "
                 f"refinements can be compared, got {self.max_nodes}"
             )
-        if self.tol <= 0:
+        if not self.tol > 0:  # nan too: no increment is ever below it
             raise ValueError("tol must be positive")
 
 
@@ -696,6 +696,8 @@ def underline_prelimit_window(N: int, p: XiParams, tol: float = 1e-9,
     quadrature_nodes and quadrature_bound."""
     if N < 1:
         raise ValueError("window half-width must be a positive integer")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     pad = max(16, N // 2, math.ceil(1.0 / (1.0 - p.xi)))
     if N + pad > max_pad:
         need = f"the first rung needs padding {pad} (half-width {N + pad}), none ran,"

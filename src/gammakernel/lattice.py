@@ -1,15 +1,17 @@
 """Exact combinatorics of the half-integer lattice Z' = Z + 1/2.
 
 Provides half-integer points, Young diagrams with modified Frobenius
-coordinates, finite configurations, Maya diagrams (as finite symmetric
-differences with the negative half-lattice Z'_-), the particle/hole
-involution, and the finitary permutation group generated by the adjacent
+coordinates, finite configurations, the balanced configuration X(lambda) of
+a partition, and the finitary permutation group generated by the adjacent
 transpositions sigma_n of the pair (n - 1/2, n + 1/2).
 
 An ensemble of configurations inside a window [-N, N] is stored as a boolean
 occupancy matrix: one row per configuration, one column per window point in
-ascending order (``window_index``).  The particle/hole involution is one XOR
-with its negative half, and the modified action sigma~ swaps or flips columns.
+ascending order (``window_index``).  Maya diagrams are involuted occupancy
+rows: the Maya diagram {lambda_i - i + 1/2 : i >= 1} of a partition is its
+X(lambda) XOR the negative half Z'_- (``involute_occupancy``, the
+particle/hole involution), and the modified action sigma~ = inv o sigma o inv
+swaps or flips columns (``_modified_occupancy``).
 
 All arithmetic in this module is exact: half-integers store twice their value
 as a Python int and dimension ratios are Fractions.
@@ -30,15 +32,10 @@ __all__ = [
     "HalfInt",
     "Partition",
     "FiniteConfig",
-    "MayaDiagram",
     "FinitaryPermutation",
-    "to_maya",
     "to_balanced_config",
-    "from_balanced_config",
-    "particle_hole_involution",
     "window_index",
     "involute_occupancy",
-    "apply_sigma",
     "apply_sigma_modified",
     "dim_ratio",
     "partitions_of",
@@ -136,14 +133,6 @@ class Partition:
         self.rows = rows
         self._frobenius: tuple[tuple[HalfInt, HalfInt], ...] | None = None
 
-    @classmethod
-    def parse(cls, text: str) -> "Partition":
-        """Parse the external comma-separated form, e.g. '3,1,1'; '' is empty."""
-        s = text.strip()
-        if not s:
-            return cls(())
-        return cls(int(part) for part in s.split(","))
-
     def __str__(self) -> str:
         return ",".join(str(r) for r in self.rows)
 
@@ -213,14 +202,6 @@ class FiniteConfig:
         pts = sorted({HalfInt.make(p) for p in points})
         self.points = tuple(pts)
 
-    @classmethod
-    def parse(cls, text: str) -> "FiniteConfig":
-        """Parse comma-separated 'n/2' strings; '' is the empty configuration."""
-        s = text.strip()
-        if not s:
-            return cls(())
-        return cls(HalfInt.parse(part) for part in s.split(","))
-
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.points)
 
@@ -258,33 +239,6 @@ class FiniteConfig:
         return FiniteConfig(p for p in self.points if abs(p.twice) <= 2 * window)
 
 
-class MayaDiagram:
-    """A subset of Z' equal to Z'_- up to a finite symmetric difference.
-
-    Membership: x belongs to the diagram iff (x < 0) XOR (x in diff).  The
-    Maya diagram of a partition differs from Z'_- in finitely many points, so
-    this representation is always finite and membership queries exact.
-    """
-
-    __slots__ = ("diff",)
-
-    def __init__(self, diff: Iterable = ()):
-        self.diff = FiniteConfig(diff)
-
-    def __contains__(self, x) -> bool:
-        x = HalfInt.make(x)
-        return (x.twice < 0) != (x in self.diff)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MayaDiagram) and self.diff == other.diff
-
-    def __hash__(self) -> int:
-        return hash(("maya", self.diff))
-
-    def __repr__(self) -> str:
-        return f"MayaDiagram(diff=[{', '.join(str(p) for p in self.diff)}])"
-
-
 @dataclass(frozen=True)
 class FinitaryPermutation:
     """A word in the elementary transpositions sigma_n, rightmost acting first.
@@ -318,17 +272,8 @@ class FinitaryPermutation:
 
 
 # ---------------------------------------------------------------------------
-# Partition <-> configuration conversions
+# Balanced configurations, occupancy rows and the modified action
 # ---------------------------------------------------------------------------
-
-def to_maya(lam: Partition) -> MayaDiagram:
-    """Maya diagram {lambda_i - i + 1/2 : i >= 1} of a partition.
-
-    It differs from Z'_- exactly at the p_i (extra positive points) and the
-    -q_i (holes), so it is the particle/hole involution of X(lambda).
-    """
-    return particle_hole_involution(to_balanced_config(lam))
-
 
 def to_balanced_config(lam: Partition) -> FiniteConfig:
     """X(lambda) = {-q_d, ..., -q_1, p_1, ..., p_d}; always balanced."""
@@ -339,41 +284,15 @@ def to_balanced_config(lam: Partition) -> FiniteConfig:
     return FiniteConfig(pts)
 
 
-def from_balanced_config(config: FiniteConfig) -> Partition:
-    """Inverse of to_balanced_config; rejects non-balanced input.
-
-    With the arms p_i - 1/2 and legs q_i - 1/2 in descending order, row i of
-    lambda (i <= d) has arm + i boxes and column j (j <= d) has leg + j; each
-    row below the diagonal counts the columns that reach it.
-    """
-    if not config.is_balanced():
-        raise ValueError(f"configuration {config} is not balanced")
-    arms = sorted(((x.twice - 1) // 2 for x in config.positives), reverse=True)
-    legs = sorted(((-x.twice - 1) // 2 for x in config.negatives), reverse=True)
-    rows = [a + i for i, a in enumerate(arms, start=1)]
-    cols = [b + j for j, b in enumerate(legs, start=1)]
-    below = range(len(rows) + 1, max(cols, default=0) + 1)
-    return Partition(rows + [sum(c >= i for c in cols) for i in below])
-
-
-def particle_hole_involution(obj):
-    """Symmetric difference with Z'_-; maps finite configs to Maya diagrams
-    and back, with the same underlying difference set.  inv o inv = id."""
-    if isinstance(obj, FiniteConfig):
-        return MayaDiagram(obj.points)
-    if isinstance(obj, MayaDiagram):
-        return FiniteConfig(obj.diff.points)
-    raise TypeError(f"cannot involute {type(obj).__name__}")
-
-
 def window_index(x: HalfInt, N: int) -> int | None:
     """Column of x among the 2N ascending points of [-N, N]; None outside."""
     return (x.twice + 2 * N - 1) // 2 if abs(x.twice) < 2 * N else None
 
 
 def involute_occupancy(occupancy: np.ndarray, points: Sequence[HalfInt]) -> np.ndarray:
-    """particle_hole_involution of every row of an occupancy matrix whose
-    columns are the given points: XOR with the negative half Z'_-."""
+    """The particle/hole involution of every row of an occupancy matrix whose
+    columns are the given points: XOR with the negative half Z'_-.  It maps
+    the row of X(lambda) to the Maya diagram of lambda and back."""
     return occupancy ^ np.array([x.twice < 0 for x in points], dtype=bool)
 
 
@@ -394,32 +313,6 @@ def _modified_occupancy(sigma: FinitaryPermutation, occupancy: np.ndarray,
         else:
             out[:, [i, j]] ^= (out[:, i] == out[:, j])[:, None]
     return out
-
-
-# ---------------------------------------------------------------------------
-# Permutation actions
-# ---------------------------------------------------------------------------
-
-def _sigma_on_maya(n: int, maya: MayaDiagram) -> MayaDiagram:
-    """Natural action of sigma_n on a Maya diagram: swap occupation of the
-    points n - 1/2 and n + 1/2 (a no-op when both or neither are occupied)."""
-    lo = HalfInt(2 * n - 1)
-    hi = HalfInt(2 * n + 1)
-    if (lo in maya) == (hi in maya):
-        return maya
-    return MayaDiagram(set(maya.diff.points) ^ {lo, hi})
-
-
-def apply_sigma(sigma: FinitaryPermutation, lam: Partition) -> Partition:
-    """Action of a word on a partition through its Maya diagram.
-
-    Each generator either fixes the partition or adds/removes one box on the
-    diagonal j - i = n.
-    """
-    maya = to_maya(lam)
-    for n in sigma.generators_in_order():
-        maya = _sigma_on_maya(n, maya)
-    return from_balanced_config(particle_hole_involution(maya))
 
 
 def apply_sigma_modified(sigma: FinitaryPermutation, config: FiniteConfig) -> FiniteConfig:

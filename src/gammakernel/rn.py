@@ -50,7 +50,6 @@ __all__ = [
     "RnLimitValue",
     "word_window",
     "rn_exact",
-    "rn_closed_form",
     "rn_compose",
     "rn_limit",
     "CylinderFunction",
@@ -246,20 +245,6 @@ def _compose(perm: FinitaryPermutation, row: np.ndarray, p: Params, grid: np.nda
     return a, k, f, c
 
 
-def rn_closed_form(n: int, window_config, p: Params, N: int | None = None,
-                   radius: int | None = None) -> RnExpression:
-    """Single-generator density as one term a * xi^k * Phi_f, conditioned on
-    the configuration inside [-N, N] (N > |n|, by default |n| + 1).
-
-    The generator either fixes the window pattern (term (1, 0, 0)), moves
-    one particle by 1, or adds/removes the central pair {-1/2, 1/2} (n = 0);
-    then k = +-1, and a and f are one factor const * (1 + g) read inside
-    and beyond the window (see _step).  This is rn_compose of the one-letter
-    word (n,).
-    """
-    return rn_compose((int(n),), window_config, p, N=N, radius=radius)
-
-
 def rn_compose(sigma, window_config, p: Params, N: int | None = None,
                radius: int | None = None) -> RnExpression:
     """Density of a word of generators, folded into a single term for the
@@ -269,6 +254,9 @@ def rn_compose(sigma, window_config, p: Params, N: int | None = None,
     factors evaluated along the trajectory of the window configuration;
     constants multiply, xi exponents add, and the tail functionals combine
     through (1 + f)(1 + g) = 1 + (f + g + fg), as arrays on the outside grid.
+    A single generator n (or the word (n,)) either fixes the window pattern,
+    term (1, 0, 0), or moves one particle by 1 or adds or removes the central
+    pair {-1/2, 1/2} (n = 0), with k = +-1 (see _step).
     """
     perm = _as_permutation(sigma)
     min_N = perm.max_index + 1
@@ -278,6 +266,8 @@ def rn_compose(sigma, window_config, p: Params, N: int | None = None,
         raise ValueError(f"window too small: the word needs N >= {min_N}, got {N}")
     if radius is None:
         radius = max(2 * N, 16)
+    if radius < N:
+        raise ValueError(f"radius {radius} smaller than the window {N}")
     W = _as_config(window_config)
     row, cols = np.zeros(2 * N, dtype=bool), [window_index(x, N) for x in W.points]
     if None in cols:  # window_index marks a point outside the window
@@ -493,6 +483,8 @@ def verify_limit_transport(sigma, F: CylinderFunction, p: Params, kernel: Window
     not vanish serves every job.  The last per-doubling increment of the
     Richardson-accelerated sum is the reported residual.
     """
+    if not atol >= 0:
+        raise ValueError(f"atol must be >= 0, got {atol}")
     perm = _as_permutation(sigma)
     if kernel is None:
         kernel = j_transform(underline_limit_window(kernel_window, p))

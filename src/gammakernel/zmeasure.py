@@ -39,7 +39,6 @@ __all__ = [
     "XiParams",
     "pair_product",
     "log_weight_partition",
-    "weight_partition",
     "log_weight_config",
     "enumerate_weights",
     "OracleValue",
@@ -164,14 +163,10 @@ def _box_log_weights(contents: np.ndarray, counts: np.ndarray, logdim: np.ndarra
 
 
 def log_weight_partition(lam: Partition, p: XiParams) -> float:
-    """log M(lambda), accumulated in log space to survive |lambda| ~ 30: the
-    one-row case of the ensemble's box formula."""
+    """log M(lambda), M(lambda) = (1-xi)^(zz') xi^|lambda| (z)_lam (z')_lam
+    (dim/|lam|!)^2 > 0, accumulated in log space to survive |lambda| ~ 30:
+    the one-row case of the ensemble's box formula."""
     return float(_box_log_weights(*_box_rows([lam]), p)[0])
-
-
-def weight_partition(lam: Partition, p: XiParams) -> float:
-    """M(lambda) = (1-xi)^(zz') xi^|lambda| (z)_lam (z')_lam (dim/|lam|!)^2 > 0."""
-    return math.exp(log_weight_partition(lam, p))
 
 
 def _log_weight_form(rows: np.ndarray, cols: np.ndarray, p: XiParams) -> np.ndarray:

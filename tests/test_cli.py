@@ -486,6 +486,26 @@ def test_invalid_params_exit_2():
     assert stderr_error(res)["name"] == "params_admissible"
 
 
+@pytest.mark.parametrize("args, name, message", [
+    (("converge", "--report", "kernel", "--window", "4", "--sweep", "0.5", "--tol", "-1"),
+     "value", "tol must be > 0, got -1.0"),
+    (("fredholm", "--xi", "0.5", "--f", '{"1/2": -0.5}', "--tail-c", "0.3", "--det-tol", "0",
+      "--window", "8", "--max-size", "4"), "value", "tol must be > 0, got 0.0"),
+    (("transport", "--word", "[1,0]", "--f-contains", "1/2", "--atol", "nan"),
+     "value", "atol must be >= 0, got nan"),
+    (("rn", "--word", "[1]", "--radius", "-4"), "rn_expression", "radius -4 smaller than the window 2"),
+    (("kernel", "--method", "contour-limit", "--x", "1/2", "--tol", "nan"),
+     "quadrature_config", "tol must be positive"),
+], ids=["converge-tol", "fredholm-det-tol", "transport-atol", "rn-radius", "contour-tol"])
+def test_tolerance_and_radius_out_of_range_exit_2(args, name, message):
+    # Each is an invalid argument (exit 2), not a non-convergence (exit 3) nor
+    # a report checked against a nan tolerance (exit 0).
+    res = run_cli(*args)
+    assert res.returncode == 2, res.stderr
+    err = stderr_error(res)
+    assert (err["name"], err["message"]) == (name, message)
+
+
 
 @pytest.mark.parametrize("rows", [
     [["-1/2", "3/2", 0.1], ["1/2", "-3/2", -2.5e-300], ["5/2", "1/2", float("inf")]],

@@ -231,6 +231,23 @@ def test_expectation_det_support_must_fit():
         expectation_det(f, K)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+def test_expectation_det_rejects_tol_not_above_zero(tol):
+    # A decaying f can never meet increment < tol when tol <= 0 or nan.
+    K = k_window(EQUAL, 0.3, 8)
+    f = TestFunction.from_map({H(1): -0.3}, tail=InverseDecay(0.3))
+    with pytest.raises(ValueError, match="tol must be > 0"):
+        expectation_det(f, K, tol=tol)
+    # A zero-tail f is exact once the chain covers its support, so tol = 0
+    # (run to the cover) stays valid for it; a negative or nan tol does not.
+    zero = TestFunction.from_map({H(1): -1.0})
+    if tol == 0.0:
+        assert expectation_det(zero, K, tol=tol) == pytest.approx(1.0 - K.entry(H(1), H(1)), abs=1e-14)
+    else:
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            expectation_det(zero, K, tol=tol)
+
+
 def test_expectation_det_full_output():
     K = k_window(EQUAL, 0.3, 8)
     f = TestFunction.from_map({H(1): 0.5, H(-3): -0.5})

@@ -479,6 +479,16 @@ def test_prelimit_window_rejects_non_positive_half_width(N):
         underline_prelimit_window(N, XiParams(EQUAL, 0.5))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+def test_prelimit_window_rejects_tol_not_above_zero(monkeypatch, tol):
+    # The ladder stops at residual <= tol, which a tol <= 0 or nan never
+    # reliably meets, so the check comes before the first rung: the
+    # eigensolver is never reached.
+    monkeypatch.setattr(kernels_module, "_spectral_center", None)
+    with pytest.raises(ValueError, match="tol must be > 0"):
+        underline_prelimit_window(4, XiParams(EQUAL, 0.5), tol=tol)
+
+
 def test_prelimit_window_padding_cap_reports_residual():
     px = XiParams(EQUAL, 0.99)
     with pytest.raises(NonConvergenceError) as exc:
@@ -846,8 +856,9 @@ def test_reflection_symmetry_prelimit(p):
 def test_quadrature_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(nodes=4)
-    with pytest.raises(ValueError):
-        QuadratureConfig(tol=0.0)
+    for tol in (0.0, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            QuadratureConfig(tol=tol)
     # Stabilization compares two node counts, so the cap must allow a doubling.
     for cap in (32, 64, 127):
         with pytest.raises(ValueError, match="max_nodes"):

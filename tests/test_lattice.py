@@ -1,5 +1,7 @@
 """Tests for exact lattice combinatorics: half-integers, partitions, Frobenius
-coordinates, Maya diagrams, the particle/hole involution, permutation actions,
+coordinates, balanced configurations, Maya diagrams as involuted occupancy
+rows (checked against the definition {lambda_i - i + 1/2}), the modified
+action sigma~ (checked against a set-based reference, ``modified_by_maya``),
 and the dimension ratio (checked against the hook-length formula)."""
 
 import itertools
@@ -13,19 +15,14 @@ from gammakernel.lattice import (
     FiniteConfig,
     FinitaryPermutation,
     HalfInt,
-    MayaDiagram,
     Partition,
     _modified_occupancy,
-    _sigma_on_maya,
-    apply_sigma,
     apply_sigma_modified,
     dim_ratio,
-    from_balanced_config,
-    particle_hole_involution,
+    involute_occupancy,
     partitions_of,
     partitions_up_to,
     to_balanced_config,
-    to_maya,
 )
 from gammakernel.kernels import window_points
 from gammakernel.zmeasure import Params, XiParams, partition_ensemble
@@ -38,6 +35,25 @@ def hook_dim(lam: Partition) -> Fraction:
     for i, j in lam.boxes():
         hooks *= (lam[i] - j) + (t[j] - i) + 1
     return Fraction(factorial(lam.size), hooks)
+
+
+def modified_by_maya(word, X):
+    """inv o sigma o inv on a finite set X of twice-values, balanced or not,
+    through the natural action on its Maya diagram (x < 0) XOR (x in X):
+    sigma_n swaps the Maya occupations of n -+ 1/2, so X flips the pair
+    exactly when one of the two is in the diagram; rightmost generator
+    first.  The reference for sigma~."""
+    X = set(X)
+    for n in reversed(tuple(word)):
+        pair = {2 * n - 1, 2 * n + 1}
+        if sum((t < 0) != (t in X) for t in pair) == 1:
+            X ^= pair
+    return X
+
+
+def _balanced(*rows):
+    """X(lambda) of the partition with these rows."""
+    return to_balanced_config(Partition(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +97,6 @@ def test_partition_validation():
         Partition([1, 2])
     with pytest.raises(ValueError):
         Partition([3, 0])
-    assert Partition.parse("") == Partition(())
-    assert Partition.parse("3,1,1").rows == (3, 1, 1)
 
 
 def test_frobenius_examples():
@@ -105,57 +119,64 @@ def test_frobenius_transpose_swaps_pq(lam):
 
 
 def test_balanced_config_examples():
-    assert to_balanced_config(Partition([2, 1])) == FiniteConfig.parse("-3/2,3/2")
+    assert to_balanced_config(Partition([2, 1])) == FiniteConfig(["-3/2", "3/2"])
     assert to_balanced_config(Partition(())) == FiniteConfig(())
-    assert to_balanced_config(Partition([1])) == FiniteConfig.parse("-1/2,1/2")
+    assert to_balanced_config(Partition([1])) == FiniteConfig(["-1/2", "1/2"])
+
+
+BALANCED_UP_TO_10 = {lam: to_balanced_config(lam) for lam in partitions_up_to(10)}
 
 
 @pytest.mark.parametrize("lam", list(partitions_up_to(10)))
 def test_balanced_roundtrip(lam):
-    cfg = to_balanced_config(lam)
+    # X(lambda) is balanced, and no other partition of size <= 10 has it.
+    cfg = BALANCED_UP_TO_10[lam]
     assert cfg.is_balanced()
-    assert from_balanced_config(cfg) == lam
-
-
-def test_from_balanced_rejects_unbalanced():
-    with pytest.raises(ValueError):
-        from_balanced_config(FiniteConfig.parse("1/2"))
+    assert [mu for mu, other in BALANCED_UP_TO_10.items() if other == cfg] == [lam]
 
 
 # ---------------------------------------------------------------------------
-# Maya diagrams and the involution
+# Maya diagrams: the involuted occupancy rows
 # ---------------------------------------------------------------------------
+
+def _occupancy_row(lam, n):
+    """X(lambda)'s occupancy row on the window [-n, n], with its points."""
+    pts = window_points(n)
+    cfg = to_balanced_config(lam)
+    return np.array([[x in cfg for x in pts]]), pts
+
 
 @pytest.mark.parametrize("lam", list(partitions_up_to(10)))
 def test_maya_diff_equals_balanced_config(lam):
-    # The symmetric difference of the Maya diagram with Z'_- is exactly X(lambda),
-    # and membership follows the definition {lambda_i - i + 1/2 : i >= 1}.
-    assert to_maya(lam).diff == to_balanced_config(lam)
+    # On a window [-n, n] with n > |lambda|, the involuted row of X(lambda)
+    # holds exactly the points of the definition {lambda_i - i + 1/2 : i >= 1},
+    # so the Maya diagram differs from Z'_- exactly at X(lambda).
     n = lam.size + 1
+    row, pts = _occupancy_row(lam, n)
     defined = {HalfInt(2 * (lam[i] - i) + 1) for i in range(1, 2 * n + 1)}
-    for t in range(-2 * n + 1, 2 * n, 2):
-        assert (HalfInt(t) in to_maya(lam)) == (HalfInt(t) in defined)
+    maya = involute_occupancy(row, pts)[0]
+    assert [x for x, b in zip(pts, maya) if b] == [x for x in pts if x in defined]
+    assert FiniteConfig(x for x in pts if (x in defined) != (x.twice < 0)) == to_balanced_config(lam)
 
 
 def test_maya_membership():
-    maya = to_maya(Partition([2, 1]))
+    row, pts = _occupancy_row(Partition([2, 1]), 500)
+    maya = dict(zip(pts, involute_occupancy(row, pts)[0].tolist()))
     # Points lambda_i - i + 1/2: 3/2, -1/2, -5/2, -7/2, ...
-    assert HalfInt(3) in maya
-    assert HalfInt(-1) in maya
-    assert HalfInt(1) not in maya
-    assert HalfInt(-3) not in maya  # the hole at -3/2
-    assert HalfInt(-5) in maya
-    assert HalfInt(-999) in maya
+    assert maya[HalfInt(3)]
+    assert maya[HalfInt(-1)]
+    assert not maya[HalfInt(1)]
+    assert not maya[HalfInt(-3)]  # the hole at -3/2
+    assert maya[HalfInt(-5)]
+    assert maya[HalfInt(-999)]
 
 
 @pytest.mark.parametrize("lam", list(partitions_up_to(8)))
 def test_involution_roundtrip(lam):
-    cfg = to_balanced_config(lam)
-    maya = particle_hole_involution(cfg)
-    assert isinstance(maya, MayaDiagram)
-    assert maya == to_maya(lam)
-    back = particle_hole_involution(maya)
-    assert back == cfg
+    row, pts = _occupancy_row(lam, lam.size + 1)
+    maya = involute_occupancy(row, pts)
+    assert not np.array_equal(maya, row)
+    assert np.array_equal(involute_occupancy(maya, pts), row)
 
 
 # ---------------------------------------------------------------------------
@@ -174,68 +195,58 @@ def test_word_algebra():
 def test_apply_sigma_examples():
     # sigma_1 on (1): Maya has 1/2 occupied, 3/2 empty -> adds the box on
     # diagonal j - i = 1, giving (2).
-    assert apply_sigma(FinitaryPermutation([1]), Partition([1])) == Partition([2])
+    assert apply_sigma_modified(FinitaryPermutation([1]), _balanced(1)) == _balanced(2)
     # sigma_0 on the empty partition: -1/2 occupied, 1/2 empty -> (1).
-    assert apply_sigma(FinitaryPermutation([0]), Partition(())) == Partition([1])
+    assert apply_sigma_modified(FinitaryPermutation([0]), _balanced()) == _balanced(1)
     # sigma_2 fixes (1): both 3/2 and 5/2 empty.
-    assert apply_sigma(FinitaryPermutation([2]), Partition([1])) == Partition([1])
+    assert apply_sigma_modified(FinitaryPermutation([2]), _balanced(1)) == _balanced(1)
     # sigma_(-1) on (1,1): transpose behaviour on the column diagonal.
-    assert apply_sigma(FinitaryPermutation([-1]), Partition([1, 1])) == Partition([1])
+    assert apply_sigma_modified(FinitaryPermutation([-1]), _balanced(1, 1)) == _balanced(1)
 
 
 def test_apply_sigma_rightmost_first():
     # word [1, 0]: apply sigma_0 (empty -> (1)), then sigma_1 ((1) -> (2)).
-    assert apply_sigma(FinitaryPermutation([1, 0]), Partition(())) == Partition([2])
+    assert apply_sigma_modified(FinitaryPermutation([1, 0]), _balanced()) == _balanced(2)
     # word [0, 1]: sigma_1 fixes empty, then sigma_0 gives (1).
-    assert apply_sigma(FinitaryPermutation([0, 1]), Partition(())) == Partition([1])
+    assert apply_sigma_modified(FinitaryPermutation([0, 1]), _balanced()) == _balanced(1)
 
 
 def test_apply_sigma_modified_examples():
     # sigma~_0 toggles {-1/2, 1/2} as a pair.
     assert apply_sigma_modified(FinitaryPermutation([0]), FiniteConfig(())) == (
-        FiniteConfig.parse("-1/2,1/2")
+        FiniteConfig(["-1/2", "1/2"])
     )
     assert apply_sigma_modified(
-        FinitaryPermutation([0]), FiniteConfig.parse("-1/2,1/2")
+        FinitaryPermutation([0]), FiniteConfig(["-1/2", "1/2"])
     ) == FiniteConfig(())
+    # On X(2,1) = {-3/2, 3/2} it adds the pair: the diagonal box of (2,2).
+    assert apply_sigma_modified(FinitaryPermutation([0]), _balanced(2, 1)) == _balanced(2, 2)
     # With exactly one of the pair present, sigma~_0 fixes the configuration.
-    cfg = to_balanced_config(apply_sigma(FinitaryPermutation([0]), Partition([2, 1])))
-    assert apply_sigma_modified(
-        FinitaryPermutation([0]), to_balanced_config(Partition([2, 1]))
-    ) == cfg
+    assert apply_sigma_modified(FinitaryPermutation([0]), _balanced(2)) == _balanced(2)
     # For n != 0 the modified action is the plain set action.
     assert apply_sigma_modified(
-        FinitaryPermutation([1]), FiniteConfig.parse("-1/2,1/2")
-    ) == FiniteConfig.parse("-1/2,3/2")
+        FinitaryPermutation([1]), FiniteConfig(["-1/2", "1/2"])
+    ) == FiniteConfig(["-1/2", "3/2"])
 
 
 @pytest.mark.parametrize("lam", list(partitions_up_to(8)))
 @pytest.mark.parametrize("n", [-2, -1, 0, 1, 2])
 def test_modified_action_is_conjugated_action(lam, n):
-    # sigma~ = inv o sigma o inv: acting on X(lambda) must match acting on the
-    # Maya diagram and converting back.
+    # sigma~ = inv o sigma o inv: acting on X(lambda) must match the natural
+    # action on the Maya diagram, conjugated by the involution.
     sigma = FinitaryPermutation([n])
     lhs = apply_sigma_modified(sigma, to_balanced_config(lam))
-    rhs = to_balanced_config(apply_sigma(sigma, lam))
-    assert lhs == rhs
+    rhs = modified_by_maya(sigma.word, {x.twice for x in to_balanced_config(lam)})
+    assert {x.twice for x in lhs} == rhs
 
 
 @pytest.mark.parametrize("lam", list(partitions_up_to(6)))
 @pytest.mark.parametrize("n", [-2, -1, 0, 1, 2])
 def test_generators_are_involutions(lam, n):
     sigma = FinitaryPermutation([n, n])
-    assert apply_sigma(sigma, lam) == lam
     cfg = to_balanced_config(lam)
     assert apply_sigma_modified(sigma, cfg) == cfg
-
-
-def _modified_by_maya(sigma, X):
-    """inv o sigma o inv on any finite set, balanced or not, through the
-    natural action on its Maya diagram: the reference for sigma~."""
-    maya = particle_hole_involution(X)
-    for n in sigma.generators_in_order():
-        maya = _sigma_on_maya(n, maya)
-    return particle_hole_involution(maya)
+    assert modified_by_maya(sigma.word, {x.twice for x in cfg}) == {x.twice for x in cfg}
 
 
 def test_modified_occupancy_matches_set_action():
@@ -255,7 +266,9 @@ def test_modified_occupancy_matches_set_action():
         for word in itertools.product(range(-3, 4), repeat=length):
             sigma = FinitaryPermutation(word)
             moved = _modified_occupancy(sigma, occ, [x.twice for x in pts])
-            assert [as_config(row) for row in moved] == [_modified_by_maya(sigma, X) for X in configs]
+            assert [as_config(row) for row in moved] == [
+                FiniteConfig(HalfInt(t) for t in modified_by_maya(word, {x.twice for x in X}))
+                for X in configs]
 
 
 def test_modified_occupancy_rejects_missing_columns():
@@ -267,10 +280,14 @@ def test_modified_occupancy_rejects_missing_columns():
 
 
 def test_sigma_changes_size_by_at_most_one():
+    # |lambda| is the sum of |x| over X(lambda) (the arms and legs plus 1/2
+    # each, d of them on each side), so it reads the size off the moved X.
     for lam in partitions_up_to(7):
+        cfg = to_balanced_config(lam)
+        assert sum(abs(x.twice) for x in cfg) == 2 * lam.size
         for n in range(-4, 5):
-            mu = apply_sigma(FinitaryPermutation([n]), lam)
-            assert abs(mu.size - lam.size) <= 1
+            moved = apply_sigma_modified(FinitaryPermutation([n]), cfg)
+            assert abs(sum(abs(x.twice) for x in moved) - 2 * lam.size) <= 2
 
 
 # ---------------------------------------------------------------------------

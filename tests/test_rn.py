@@ -19,9 +19,7 @@ from gammakernel.lattice import (
     FiniteConfig,
     HalfInt,
     Partition,
-    _sigma_on_maya,
     apply_sigma_modified,
-    particle_hole_involution,
     partitions_up_to,
     to_balanced_config,
 )
@@ -55,7 +53,6 @@ from gammakernel.rn import (
     _avoidance_rows,
     _compose,
     _limit_groups,
-    rn_closed_form,
     rn_compose,
     rn_exact,
     rn_limit,
@@ -63,6 +60,7 @@ from gammakernel.rn import (
     verify_transport,
     word_window,
 )
+from test_lattice import modified_by_maya
 
 H = HalfInt
 EQUAL = Params(0.5, 0.5)
@@ -71,13 +69,10 @@ PRINCIPAL = Params(0.4 + 0.7j, 0.4 - 0.7j)
 BALANCED = [to_balanced_config(lam) for lam in partitions_up_to(7)]
 
 
-def _modified_by_maya(sigma, X):
-    """inv o sigma o inv on any finite set, balanced or not, through the
-    natural action on its Maya diagram: the reference for sigma~."""
-    maya = particle_hole_involution(X)
-    for n in FinitaryPermutation(sigma).generators_in_order():
-        maya = _sigma_on_maya(n, maya)
-    return particle_hole_involution(maya)
+def _modified_by_maya(word, X):
+    """The set reference for sigma~ (test_lattice.modified_by_maya) on a
+    FiniteConfig."""
+    return FiniteConfig(H(t) for t in modified_by_maya(word, {x.twice for x in X}))
 
 
 def xi_params(base, xi):
@@ -154,17 +149,17 @@ def test_word_window():
 
 def test_closed_form_identity_patterns():
     # A generator whose window pattern it fixes contributes the unit density.
-    expr = rn_closed_form(1, FiniteConfig(()), EQUAL, N=2)
+    expr = rn_compose((1,), FiniteConfig(()), EQUAL, N=2)
     assert (expr.a, expr.k, expr.f) == (1.0, 0, TestFunction(()))
     # Mixed central pair is fixed by sigma_0.
-    expr = rn_closed_form(0, FiniteConfig((H(1),)), EQUAL, N=1)
+    expr = rn_compose((0,), FiniteConfig((H(1),)), EQUAL, N=1)
     assert expr.k == 0 and expr.a == 1.0
 
 
 def test_closed_form_add_case_constants():
     # sigma_0 on the empty window restriction: k = 1, a = zz'.
     for base in (EQUAL, PRINCIPAL):
-        expr = rn_closed_form(0, FiniteConfig(()), base, N=1)
+        expr = rn_compose((0,), FiniteConfig(()), base, N=1)
         assert expr.k == 1
         assert expr.a == pytest.approx(base.zz, rel=1e-14)
         # The tail functional is inverse-decay bounded, not zero:
@@ -177,7 +172,7 @@ def test_closed_form_add_case_constants():
 def test_closed_form_shift_case_constants():
     # sigma_1 moving 1/2 -> 3/2 on W = {-1/2, 1/2}: a = (z+1)(z'+1)/4, k = 1.
     W = FiniteConfig((H(-1), H(1)))
-    expr = rn_closed_form(1, W, EQUAL, N=2)
+    expr = rn_compose((1,), W, EQUAL, N=2)
     assert expr.k == 1
     # (z+1)(z'+1)/n^2 from the moved pair, over the squared interaction with
     # the in-window point at -1/2: net (z+1)(z'+1)/4.
@@ -197,7 +192,7 @@ def test_closed_form_matches_exact():
             for X in BALANCED:
                 if X.restrict(16) != X:
                     continue
-                expr = rn_closed_form(n, X.restrict(N), base, N=N, radius=24)
+                expr = rn_compose((n,), X.restrict(N), base, N=N, radius=24)
                 got = expr.evaluate(X, xi=xi)
                 want = rn_exact(n, X, p)
                 worst = max(worst, abs(got - want) / abs(want))
@@ -209,7 +204,7 @@ def test_closed_form_negative_n_by_reflection():
     # both parameters negated; spot-check against the exact route.
     p = xi_params(PRINCIPAL, 0.5)
     X = to_balanced_config(Partition((3, 1)))
-    expr = rn_closed_form(-1, X.restrict(2), PRINCIPAL, N=2, radius=24)
+    expr = rn_compose((-1,), X.restrict(2), PRINCIPAL, N=2, radius=24)
     assert expr.evaluate(X, xi=0.5) == pytest.approx(rn_exact(-1, X, p), rel=1e-12)
 
 
@@ -222,7 +217,7 @@ def test_closed_form_tail_bound_certified():
                 for i, x in enumerate((H(2 * abs(n) - 1), H(2 * abs(n) + 1)))
                 if bits >> i & 1
             )
-            expr = rn_closed_form(n, W, EQUAL, radius=64)
+            expr = rn_compose((n,), W, EQUAL, radius=64)
             if isinstance(expr.f.tail, ZeroTail):
                 continue
             c = expr.f.tail.c
@@ -232,11 +227,20 @@ def test_closed_form_tail_bound_certified():
 
 def test_closed_form_validation():
     with pytest.raises(ValueError):
-        rn_closed_form(2, FiniteConfig(()), EQUAL, N=2)  # need N > |n|
+        rn_compose((2,), FiniteConfig(()), EQUAL, N=2)  # need N > |n|
     with pytest.raises(ValueError):
-        rn_closed_form(0, FiniteConfig((H(5),)), EQUAL, N=1)  # point outside window
+        rn_compose((0,), FiniteConfig((H(5),)), EQUAL, N=1)  # point outside window
     with pytest.raises(ValueError):
         RnExpression(1.0, 0, TestFunction(()), 4, FiniteConfig(()), 2)
+
+
+@pytest.mark.parametrize("radius", [-4, 0, 1])
+def test_rn_compose_rejects_radius_inside_window(radius):
+    # Checked before the tail table of 2 * radius points is built; radius == N
+    # tabulates no tail.
+    with pytest.raises(ValueError, match=f"radius {radius} smaller than the window 2"):
+        rn_compose((1,), FiniteConfig(()), EQUAL, N=2, radius=radius)
+    assert rn_compose((1,), FiniteConfig(()), EQUAL, N=2, radius=2).radius == 2
 
 
 @pytest.mark.parametrize("outside", [H(-5), H(5)], ids=["left", "right"])
@@ -259,12 +263,12 @@ def test_window_restriction_outside_the_window_raises(outside):
 # ---------------------------------------------------------------------------
 
 def test_expression_window_mismatch_evaluates_to_zero():
-    expr = rn_closed_form(0, FiniteConfig(()), EQUAL, N=1)
+    expr = rn_compose((0,), FiniteConfig(()), EQUAL, N=1)
     assert expr.evaluate(FiniteConfig((H(-1), H(1))), xi=0.5) == 0.0
 
 
 def test_expression_xi_validation():
-    expr = rn_closed_form(0, FiniteConfig(()), EQUAL, N=1)
+    expr = rn_compose((0,), FiniteConfig(()), EQUAL, N=1)
     with pytest.raises(ValueError):
         expr.evaluate(FiniteConfig(()), xi=0.0)
     with pytest.raises(ValueError):
@@ -272,7 +276,7 @@ def test_expression_xi_validation():
 
 
 def test_expression_radius_guard():
-    expr = rn_closed_form(0, FiniteConfig(()), EQUAL, N=1, radius=8)
+    expr = rn_compose((0,), FiniteConfig(()), EQUAL, N=1, radius=8)
     far = FiniteConfig((H(2 * 40 + 1), H(-(2 * 40 + 1))))
     with pytest.raises(ValueError):
         expr.evaluate(far, xi=0.5)
@@ -282,7 +286,7 @@ def test_expression_xi_isolation():
     """The expression scales as xi^k: dividing the evaluation by xi^k gives a
     constant across xi."""
     X = to_balanced_config(Partition((2, 1)))
-    expr = rn_closed_form(1, X.restrict(2), EQUAL, N=2, radius=24)
+    expr = rn_compose((1,), X.restrict(2), EQUAL, N=2, radius=24)
     ref = expr.evaluate(X, xi=1.0)
     for xi in (0.1, 0.35, 0.8):
         assert expr.evaluate(X, xi=xi) / xi**expr.k == pytest.approx(ref, rel=1e-10)
@@ -337,7 +341,7 @@ def _fold(f, g):
 
 
 def test_compose_bit_identical_to_closed_form_fold():
-    # rn_compose multiplies tail arrays.  The reference folds rn_closed_form
+    # rn_compose multiplies tail arrays.  The reference folds its one-letter
     # steps through the explicit product _fold along the modified-action
     # trajectory of W, one word prefix at a time.  Values, tail constant, a
     # and k must agree bit for bit on every word of length <= 3 over
@@ -351,7 +355,7 @@ def test_compose_bit_identical_to_closed_form_fold():
         folds = {(): (1.0, 0, TestFunction(()), W)}
         for word in words:  # every prefix comes before its extensions
             a, k, f, cur = folds[word[:-1]]
-            step = rn_closed_form(word[-1], cur, PRINCIPAL, N=N)
+            step = rn_compose((word[-1],), cur, PRINCIPAL, N=N)
             a, k, f = a * step.a, k + step.k, _fold(f, step.f)
             folds[word] = (a, k, f, _modified_by_maya(word[-1:], cur))
         for word, (a, k, f, _) in folds.items():
@@ -452,19 +456,19 @@ def test_compose_window_too_small():
 # ---------------------------------------------------------------------------
 
 def test_rn_limit_add_case():
-    expr = rn_closed_form(0, FiniteConfig(()), EQUAL, N=1)
+    expr = rn_compose((0,), FiniteConfig(()), EQUAL, N=1)
     out = rn_limit(expr, FiniteConfig(()))
     assert out.value == pytest.approx(EQUAL.zz, rel=1e-14)
     assert out.bound == 0.0  # fully materialized, zero certified tail
 
 
 def test_rn_limit_window_mismatch():
-    expr = rn_closed_form(0, FiniteConfig(()), EQUAL, N=1)
+    expr = rn_compose((0,), FiniteConfig(()), EQUAL, N=1)
     assert rn_limit(expr, FiniteConfig((H(1), H(-1)))) == (0.0, 0.0)
 
 
 def test_rn_limit_sparse_bound_positive():
-    expr = rn_closed_form(0, FiniteConfig(()), EQUAL, N=1, radius=16)
+    expr = rn_compose((0,), FiniteConfig(()), EQUAL, N=1, radius=16)
     sparse = SparseConfig((H(29), H(-29)), tail_sum_bound=0.05)
     out = rn_limit(expr, sparse)
     # value = zz' * prod (1 + f(x)) over the two materialized points.
@@ -486,7 +490,7 @@ def test_rn_limit_is_xi_to_one_limit():
 
 
 def test_rn_limit_radius_guard():
-    expr = rn_closed_form(0, FiniteConfig(()), EQUAL, N=1, radius=8)
+    expr = rn_compose((0,), FiniteConfig(()), EQUAL, N=1, radius=8)
     with pytest.raises(ValueError):
         rn_limit(expr, SparseConfig((H(101),), tail_sum_bound=0.01))
 
@@ -828,6 +832,16 @@ def test_verify_limit_transport_f_exceeds_kernel():
     small = j_transform(underline_limit_window(8, EQUAL))
     with pytest.raises(ValueError, match="too small"):
         verify_limit_transport((0,), CylinderFunction.contains(H(21)), EQUAL, kernel=small)
+
+
+@pytest.mark.parametrize("atol", [-1e-5, math.nan], ids=["negative", "nan"])
+def test_verify_limit_transport_rejects_atol_below_zero(atol):
+    # A nan floor compares false against every difference; atol = 0 is a
+    # valid floor.
+    F = CylinderFunction.contains(H(1))
+    with pytest.raises(ValueError, match="atol must be >= 0"):
+        verify_limit_transport((0,), F, EQUAL, kernel=K64, atol=atol)
+    assert verify_limit_transport((), F, EQUAL, kernel=K64, atol=0.0).tolerance >= 0.0
 
 
 F_HALF = CylinderFunction.contains(H(1))
