@@ -1,9 +1,10 @@
 """Command-line front end: every computation as a reproducible run.
 
-Each subcommand resolves its options into a single configuration mapping,
-echoes that mapping into the output header (a ``#``-prefixed comment block
-atop CSV, or the first object of a JSON-lines file) with the route's accuracy
-certificate where it reports one, and emits rows whose
+Each subcommand handler resolves its options and returns them with the
+table's header, its rows and the route's accuracy certificate where it
+reports one (only ``kernel`` does).  One writer echoes the options into the
+output header (a ``#``-prefixed comment block atop CSV, or the first object
+of a JSON-lines file), the certificate after them, and then the rows, whose
 floating-point cells carry 17 significant digits, so re-running the echoed
 configuration reproduces the numeric columns bit for bit.
 
@@ -21,8 +22,20 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations
+
+import numpy as np
+
+from . import __version__
+from . import kernels as kr
+from .fredholm import InverseDecay, TestFunction, ZeroTail, expectation_det, expectation_sum
+from .lattice import FiniteConfig, HalfInt, Partition
+from .rn import (
+    CylinderFunction, rn_compose, rn_exact, rn_limit, verify_limit_transport, verify_transport,
+    word_window,
+)
+from .sampler import point_names, sample_underline_then_involute, sample_window
+from .zmeasure import Params, XiParams, correlation_oracle, log_weight_config, log_weight_partition
 
 __all__ = ["CliError", "main"]
 
@@ -85,8 +98,6 @@ def _parse_complex(text: str, flag: str) -> complex:
 
 
 def _parse_half(text: str):
-    from .lattice import HalfInt
-
     try:
         return HalfInt.parse(text)
     except ValueError as e:
@@ -101,8 +112,6 @@ def _parse_half_list(text: str) -> tuple:
 
 
 def _parse_partition(text: str):
-    from .lattice import Partition
-
     text = text.strip()
     rows: list[int] = []
     if text:
@@ -139,8 +148,6 @@ def _parse_sweep(text: str) -> tuple[float, ...]:
 
 
 def _build_params(args):
-    from .zmeasure import Params
-
     z = _parse_complex(args.z, "z")
     if args.zp.strip().lower() == "conj":
         zp = z.conjugate()
@@ -164,20 +171,16 @@ def _xi_value(args, required: bool):
 
 
 def _xi_params(args):
-    from .zmeasure import XiParams
-
     return XiParams(_build_params(args), _xi_value(args, required=True))
 
 
 def _quadrature(args):
-    from .kernels import QuadratureConfig
-
     overrides = {key: getattr(args, key) for key in ("nodes", "tol", "max_nodes")
                  if getattr(args, key, None) is not None}
     if not overrides:
         return None
     try:
-        return QuadratureConfig(**overrides)
+        return kr.QuadratureConfig(**overrides)
     except ValueError as e:
         raise CliError("quadrature_config", str(e))
 
@@ -186,42 +189,25 @@ def _quadrature(args):
 # Output
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunConfig:
-    """A fully resolved run: the command, its options, and the output plan."""
-
-    command: str
-    options: dict
-    fmt: str
-    output: str
-    certificate: dict | None = None  # a route's accuracy record, echoed after the config
-
-    def echo(self) -> dict:
-        return {"command": self.command, **self.options}
+# A handler's run: its echoed options, header (None for bare JSON rows), rows
+# and accuracy certificate (None where the route reports none).
+_Run = tuple[dict, list[str] | None, list[list], dict | None]
 
 
-def _write_output(cfg: RunConfig, header: list[str] | None, rows: list[list]) -> None:
-    from . import __version__
-
-    if cfg.output == "-":
-        _write_stream(cfg, header, rows, sys.stdout, __version__)
-    else:
-        with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
-            _write_stream(cfg, header, rows, fh, __version__)
-
-
-def _write_stream(cfg, header, rows, fh, version) -> None:
-    if cfg.fmt == "csv":
-        fh.write(f"# gammakernel {version}\n")
-        fh.write(f"# config: {json.dumps(cfg.echo(), sort_keys=True)}\n")
-        if cfg.certificate is not None:
-            fh.write(f"# certificate: {json.dumps(cfg.certificate, sort_keys=True)}\n")
+def _write(fh, args, run: _Run) -> None:
+    options, header, rows, certificate = run
+    echo = {"command": args.command, **options}
+    if args.format == "csv":
+        fh.write(f"# gammakernel {__version__}\n")
+        fh.write(f"# config: {json.dumps(echo, sort_keys=True)}\n")
+        if certificate is not None:
+            fh.write(f"# certificate: {json.dumps(certificate, sort_keys=True)}\n")
         csv.writer(fh, lineterminator="\n").writerow(header)
         fh.write(_csv_rows(rows))
     else:
-        head = {"gammakernel": version, "config": cfg.echo()}
-        if cfg.certificate is not None:
-            head["certificate"] = cfg.certificate
+        head = {"gammakernel": __version__, "config": echo}
+        if certificate is not None:
+            head["certificate"] = certificate
         fh.write(json.dumps(head, sort_keys=True) + "\n")
         # Each row as json.dumps of its dict writes it, the keys encoded once.
         keys = [json.dumps(key) + ": " for key in header or ()]
@@ -247,9 +233,7 @@ def _emit_error(name: str, code: int, message: str) -> None:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_weight(args) -> tuple[RunConfig, list[str], list[list]]:
-    from .zmeasure import log_weight_config, log_weight_partition
-
+def _cmd_weight(args) -> _Run:
     p = _xi_params(args)
     if (args.partition is None) == (args.config is None):
         raise CliError("weight_input", "give exactly one of --lambda or --config")
@@ -261,13 +245,9 @@ def _cmd_weight(args) -> tuple[RunConfig, list[str], list[list]]:
         config = _balanced_config(args)
         label, kind = ",".join(str(x) for x in config.points) or "(empty)", "config"
         logw = log_weight_config(config, p)
-    cfg = _run_config(args, {
-        "z": _fmt(p.base.z), "zp": _fmt(p.base.z_prime), "xi": args.xi,
-        "object": label, "kind": kind,
-    })
-    return cfg, ["kind", "object", "log_weight", "weight"], [
-        [kind, label, logw, math.exp(logw)]
-    ]
+    opts = {"z": _fmt(p.base.z), "zp": _fmt(p.base.z_prime), "xi": args.xi,
+            "object": label, "kind": kind}
+    return opts, ["kind", "object", "log_weight", "weight"], [[kind, label, logw, math.exp(logw)]], None
 
 
 _METHODS = ("integrable", "contour-limit", "contour-prelimit", "spectral")
@@ -275,8 +255,6 @@ _QUADRATURE_READ = {"integrable": (), "spectral": ("tol",)}  # the contour metho
 
 
 def _kernel_grid(args) -> tuple[tuple, tuple]:
-    from .kernels import window_points
-
     if args.x is None and args.window is None:
         raise CliError("kernel_grid", "give --x (and optionally --y) or --window")
     if args.x is not None:
@@ -285,16 +263,11 @@ def _kernel_grid(args) -> tuple[tuple, tuple]:
         if not xs or not ys:
             raise CliError("kernel_grid", "empty point list")
         return xs, ys
-    pts = window_points(args.window)
+    pts = kr.window_points(args.window)
     return pts, pts
 
 
-def _cmd_kernel(args) -> tuple[RunConfig, list[str], list[list]]:
-    import numpy as np
-
-    from . import kernels as kr
-    from .zmeasure import XiParams
-
+def _cmd_kernel(args) -> _Run:
     if args.method not in _METHODS:
         raise CliError("kernel_method", f"--method must be one of {_METHODS}")
     xs, ys = _kernel_grid(args)
@@ -330,48 +303,35 @@ def _cmd_kernel(args) -> tuple[RunConfig, list[str], list[list]]:
                 for mode in ("sum", "difference") if (sel := out["variant"] == mode).any()}
         grid = out["value"].tolist()
     rows = [[a, b, v] for a, row in zip(sx, grid) for b, v in zip(sy, row)]
-    cfg = _run_config(args, {
-        "method": args.method, "z": _fmt(base.z), "zp": _fmt(base.z_prime),
-        "xi": xi, "x": sx, "y": sy,
-        **{key: getattr(args, key) for key in ("nodes", "tol", "max_nodes")},
-    }, certificate=cert)
-    return cfg, ["x", "y", "value"], rows
+    opts = {"method": args.method, "z": _fmt(base.z), "zp": _fmt(base.z_prime),
+            "xi": xi, "x": sx, "y": sy,
+            **{key: getattr(args, key) for key in ("nodes", "tol", "max_nodes")}}
+    return opts, ["x", "y", "value"], rows, cert
 
 
-def _cmd_correlate(args) -> tuple[RunConfig, list[str], list[list]]:
-    from itertools import combinations
-
-    from . import kernels as kr
-    from .zmeasure import correlation_oracle
-
+def _cmd_correlate(args) -> _Run:
     p = _xi_params(args)
     if args.order < 1 or args.order > 3:
         raise CliError("correlate_order", "--order must be 1, 2, or 3")
     under = kr.underline_prelimit_window(args.window, p)
     wk = under if args.process == "maya" else kr.j_transform(under)
     rows: list[list] = []
-    worst = 0.0
     for size in range(1, args.order + 1):
         for pts in combinations(wk.points, size):
             oracle = correlation_oracle(pts, p, args.max_size, process=args.process)
             minor = wk.minor(pts)
             diff = abs(oracle.value - minor)
-            worst = max(worst, diff - oracle.tail_mass)
             rows.append([
                 ";".join(str(t) for t in pts), oracle.value, oracle.tail_mass,
                 minor, diff, diff <= oracle.tail_mass + 1e-7,
             ])
-    cfg = _run_config(args, {
-        "z": _fmt(p.base.z), "zp": _fmt(p.base.z_prime), "xi": args.xi,
-        "window": args.window, "order": args.order, "max_size": args.max_size,
-        "process": args.process,
-    })
-    return cfg, ["points", "oracle", "tail_mass", "minor", "abs_diff", "passed"], rows
+    opts = {"z": _fmt(p.base.z), "zp": _fmt(p.base.z_prime), "xi": args.xi,
+            "window": args.window, "order": args.order, "max_size": args.max_size,
+            "process": args.process}
+    return opts, ["points", "oracle", "tail_mass", "minor", "abs_diff", "passed"], rows, None
 
 
 def _parse_test_function(args):
-    from .fredholm import InverseDecay, TestFunction
-
     try:
         mapping = json.loads(args.f)
     except json.JSONDecodeError:
@@ -388,10 +348,7 @@ def _parse_test_function(args):
         raise CliError("f_values", str(e))
 
 
-def _cmd_fredholm(args) -> tuple[RunConfig, list[str], list[list]]:
-    from . import kernels as kr
-    from .fredholm import ZeroTail, expectation_det, expectation_sum
-
+def _cmd_fredholm(args) -> _Run:
     p = _xi_params(args)
     f, f_echo = _parse_test_function(args)
     s = expectation_sum(f, p, max_size=args.max_size)
@@ -406,17 +363,13 @@ def _cmd_fredholm(args) -> tuple[RunConfig, list[str], list[list]]:
         ["det", d.value, det_err],
         ["difference", diff, combined],
     ]
-    cfg = _run_config(args, {
-        "z": _fmt(p.base.z), "zp": _fmt(p.base.z_prime), "xi": args.xi,
-        "f": f_echo, "tail_c": args.tail_c,
-        "window": args.window, "max_size": args.max_size, "det_tol": args.det_tol,
-    })
-    return cfg, ["route", "value", "error"], rows
+    opts = {"z": _fmt(p.base.z), "zp": _fmt(p.base.z_prime), "xi": args.xi,
+            "f": f_echo, "tail_c": args.tail_c,
+            "window": args.window, "max_size": args.max_size, "det_tol": args.det_tol}
+    return opts, ["route", "value", "error"], rows, None
 
 
 def _balanced_config(args):
-    from .lattice import FiniteConfig
-
     pts = _parse_half_list(args.config)
     config = FiniteConfig(pts)
     if len(config.positives) != len(config.negatives):
@@ -427,10 +380,7 @@ def _balanced_config(args):
     return config
 
 
-def _cmd_rn(args) -> tuple[RunConfig, list[str], list[list]]:
-    from .rn import rn_compose, rn_exact, rn_limit, word_window
-    from .zmeasure import XiParams
-
+def _cmd_rn(args) -> _Run:
     word = _parse_word(args.word)
     config = _balanced_config(args)
     base = _build_params(args)
@@ -439,27 +389,20 @@ def _cmd_rn(args) -> tuple[RunConfig, list[str], list[list]]:
     N = args.window if args.window is not None else max(word_window(word), pts_n, 1)
     if N < word_window(word):
         raise CliError("rn_window", f"--window must be >= {word_window(word)} for this word")
-    try:
-        expr = rn_compose(word, config.restrict(N), base, N=N, radius=args.radius)
-    except ValueError as e:
-        raise CliError("rn_expression", str(e))
+    # Tabulate the tail out to the farthest point, so every point is evaluated.
+    expr = rn_compose(word, config.restrict(N), base, N=N, radius=max(2 * N, 16, pts_n))
     rows: list[list] = []
     if xi is not None:
         rows.append(["exact", xi, rn_exact(word, config, XiParams(base, xi)), 0.0])
         rows.append(["closed_form", xi, expr.evaluate(config, xi=xi), 0.0])
     limit = rn_limit(expr, config)
     rows.append(["limit", 1.0, limit.value, limit.bound])
-    cfg = _run_config(args, {
-        "z": _fmt(base.z), "zp": _fmt(base.z_prime), "xi": xi,
-        "word": list(word), "config": [str(x) for x in config.points],
-        "window": N, "radius": args.radius,
-    })
-    return cfg, ["route", "xi", "value", "bound"], rows
+    opts = {"z": _fmt(base.z), "zp": _fmt(base.z_prime), "xi": xi,
+            "word": list(word), "config": [str(x) for x in config.points], "window": N}
+    return opts, ["route", "xi", "value", "bound"], rows, None
 
 
 def _cylinder(args):
-    from .rn import CylinderFunction
-
     if (args.f_contains is None) == (args.f_const is None):
         raise CliError("transport_f", "give exactly one of --f-contains or --f-const")
     if args.f_const is not None:
@@ -471,10 +414,7 @@ def _cylinder(args):
     return F, "contains:" + ",".join(str(t) for t in pts)
 
 
-def _cmd_transport(args) -> tuple[RunConfig, list[str], list[list]]:
-    from .rn import verify_limit_transport, verify_transport
-    from .zmeasure import XiParams
-
+def _cmd_transport(args) -> _Run:
     word = _parse_word(args.word)
     base = _build_params(args)
     F, f_label = _cylinder(args)
@@ -487,14 +427,14 @@ def _cmd_transport(args) -> tuple[RunConfig, list[str], list[list]]:
     if xi is not None:
         rep = verify_transport(word, F, XiParams(base, xi), max_size=args.max_size)
         rows = [["prelimit", rep.lhs, rep.rhs, rep.difference, rep.bound, rep.passed]]
-        cfg = _run_config(args, {**common, "max_size": args.max_size})
+        opts = {**common, "max_size": args.max_size}
     else:
         rep = verify_limit_transport(
             word, F, base, kernel_window=args.window, atol=args.atol
         )
         rows = [["limit", rep.lhs, rep.rhs, rep.difference, rep.tolerance, rep.passed]]
-        cfg = _run_config(args, {**common, "window": args.window, "atol": args.atol})
-    return cfg, header, rows
+        opts = {**common, "window": args.window, "atol": args.atol}
+    return opts, header, rows, None
 
 
 # The options each converge report reads, and their defaults.
@@ -503,11 +443,7 @@ _CONVERGE_READS = {"kernel": ("sweep", "window", "tol"), "blocknorms": ("sweep",
 _CONVERGE_DEFAULTS = {"sweep": (0.9, 0.99, 0.999), "window": 64, "tol": 1e-7}
 
 
-def _cmd_converge(args) -> tuple[RunConfig, list[str], list[list]]:
-    from . import kernels as kr
-    from .fredholm import TestFunction, expectation_det
-    from .zmeasure import XiParams
-
+def _cmd_converge(args) -> _Run:
     base = _build_params(args)
     if args.xi is not None:
         raise CliError("xi_forbidden", "--xi does not apply to converge; give --sweep")
@@ -561,17 +497,11 @@ def _cmd_converge(args) -> tuple[RunConfig, list[str], list[list]]:
             wk = kr.j_transform(kr.underline_prelimit_window(kernel_n, XiParams(base, xi), tol=tol))
             v = expectation_det(f, wk)
             rows.append([xi, v, limit_val, abs(v - limit_val)])
-    cfg = _run_config(args, {
-        "z": _fmt(base.z), "zp": _fmt(base.z_prime), "report": args.report, **opts,
-    })
-    return cfg, header, rows
+    echo = {"z": _fmt(base.z), "zp": _fmt(base.z_prime), "report": args.report, **opts}
+    return echo, header, rows, None
 
 
-def _cmd_sample(args) -> tuple[RunConfig, list[str] | None, list[list]]:
-    from . import kernels as kr
-    from .sampler import point_names, sample_underline_then_involute, sample_window
-    from .zmeasure import XiParams
-
+def _cmd_sample(args) -> _Run:
     base = _build_params(args)
     xi = _xi_value(args, required=False)
     if xi is None:
@@ -581,30 +511,21 @@ def _cmd_sample(args) -> tuple[RunConfig, list[str] | None, list[list]]:
     sample = sample_underline_then_involute if args.involute else sample_window
     batch = sample(under, args.count, args.seed)
     exact = kr.j_transform(under) if args.involute else under
-    cfg = _run_config(args, {
-        "z": _fmt(base.z), "zp": _fmt(base.z_prime), "xi": xi,
-        "window": args.window, "count": args.count, "seed": args.seed,
-        "involute": bool(args.involute),
-        "kind": batch.kind, "algorithm": batch.algorithm, "rng": batch.rng,
-        "max_clamp": batch.max_clamp,
-    })
-    if cfg.fmt == "jsonl":
+    opts = {"z": _fmt(base.z), "zp": _fmt(base.z_prime), "xi": xi,
+            "window": args.window, "count": args.count, "seed": args.seed,
+            "involute": bool(args.involute),
+            "kind": batch.kind, "algorithm": batch.algorithm, "rng": batch.rng,
+            "max_clamp": batch.max_clamp}
+    if args.format == "jsonl":
         # No header: one configuration per line, as the sorted "n/2" strings.
-        return cfg, None, list(point_names(batch))
-    header = ["point", "estimate", "se", "exact"]
-    rows = [
-        [str(x), est.value, est.se, exact.entry(x, x)] for x, est in batch.diagonal
-    ]
-    return cfg, header, rows
+        return opts, None, list(point_names(batch)), None
+    rows = [[str(x), est.value, est.se, exact.entry(x, x)] for x, est in batch.diagonal]
+    return opts, ["point", "estimate", "se", "exact"], rows, None
 
 
 # ---------------------------------------------------------------------------
 # Parser assembly and entry point
 # ---------------------------------------------------------------------------
-
-def _run_config(args, options: dict, certificate: dict | None = None) -> RunConfig:
-    return RunConfig(args.command, options, args.format, args.output, certificate)
-
 
 def _add_common(sub: argparse.ArgumentParser, xi_help: str = "pre-limit parameter in (0, 1)"):
     sub.add_argument("--z", default="0.5", help="parameter z, e.g. 0.5 or 0.3+0.5j")
@@ -657,7 +578,6 @@ def _build_parser() -> _Parser:
     r.add_argument("--config", default="",
                    help="balanced config; use --config='-1/2,1/2' (leading dash)")
     r.add_argument("--window", type=int, default=None)
-    r.add_argument("--radius", type=int, default=None, help="tail tabulation radius")
 
     t = subs.add_parser("transport", help="transport identity verification report")
     _add_common(t, xi_help="verify the pre-limit measure at this xi (omit for the limit)")
@@ -703,8 +623,12 @@ _DISPATCH = {
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        cfg, header, rows = _DISPATCH[args.command](args)
-        _write_output(cfg, header, rows)
+        run = _DISPATCH[args.command](args)
+        if args.output == "-":
+            _write(sys.stdout, args, run)
+        else:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                _write(fh, args, run)
         return 0
     except CliError as e:
         _emit_error(e.name, _EXIT_INVALID, str(e))
@@ -712,14 +636,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         _emit_error("value", _EXIT_INVALID, str(e))
         return _EXIT_INVALID
-    except Exception as e:  # numerical non-convergence from any module
-        from .kernels import NonConvergenceError
-
-        if isinstance(e, (NonConvergenceError, OverflowError)):
-            name = getattr(e, "op", "overflow")
-            _emit_error(f"non_convergence:{name}", _EXIT_NONCONVERGED, str(e))
-            return _EXIT_NONCONVERGED
-        raise
+    except (kr.NonConvergenceError, OverflowError) as e:  # from any module
+        _emit_error(f"non_convergence:{getattr(e, 'op', 'overflow')}", _EXIT_NONCONVERGED, str(e))
+        return _EXIT_NONCONVERGED
 
 
 if __name__ == "__main__":

@@ -191,20 +191,23 @@ class PhiValue(NamedTuple):
 def phi_eval(f: TestFunction, X, full_output: bool = False):
     """Phi_f(X) = prod over x in X of (1 + f(x)).
 
-    For a SparseConfig with a nonzero tail bound, the unlisted remainder can
-    change log Phi_f by at most c * tail_sum_bound when |f| <= c/|x| out
-    there (log(1+t) <= t); the certified relative bound is returned with
-    full_output=True.  Any other X is read as a FiniteConfig, a set; this is
-    the one-row case of phi_rows on f's window.
+    When |f| <= c/|x| beyond f's table, the points there can change log Phi_f
+    by at most c times their sum of 1/|x| (log(1+t) <= t): the listed points
+    beyond the table and, for a SparseConfig, the unlisted remainder's
+    tail_sum_bound.  The certified relative bound is returned with
+    full_output=True.  Any other X is read as a FiniteConfig, a set; the value
+    is the one-row case of phi_rows on f's window.
     """
     pts = X.points if isinstance(X, (SparseConfig, FiniteConfig)) else FiniteConfig(X).points
     R = len(f.table) // 2
+    cols = [window_index(x, R) for x in pts]
     row = np.zeros((1, 2 * R), dtype=bool)
-    row[0, [j for j in (window_index(x, R) for x in pts) if j is not None]] = True
+    row[0, [j for j in cols if j is not None]] = True
     value = float(phi_rows(f, row, R)[0])
     if not full_output:
         return value
-    tail_sum = X.tail_sum_bound if isinstance(X, SparseConfig) else 0.0
+    tail_sum = math.fsum([1.0 / abs(float(x)) for x, j in zip(pts, cols) if j is None]
+                         + [X.tail_sum_bound if isinstance(X, SparseConfig) else 0.0])
     return PhiValue(value, math.expm1(f.tail.c * tail_sum) if isinstance(f.tail, InverseDecay) else 0.0)
 
 

@@ -719,14 +719,6 @@ def underline_prelimit_window(N: int, p: XiParams, tol: float = 1e-9,
 # Transforms and block data
 # ---------------------------------------------------------------------------
 
-def epsilon_sign(x: HalfInt) -> float:
-    """The sign function: 1 on positive half-integers, (-1)^(|x|-1/2) below."""
-    x = HalfInt.make(x)
-    if x.twice > 0:
-        return 1.0
-    return -1.0 if ((-x.twice - 1) // 2) % 2 else 1.0
-
-
 def j_transform(wk: WindowKernel) -> WindowKernel:
     """Convert an underline kernel into the kernel of the finitary process:
 
@@ -741,7 +733,7 @@ def j_transform(wk: WindowKernel) -> WindowKernel:
         raise ValueError(f"j_transform requires an underline kernel, got {wk.kind!r}")
     N = wk.N  # the negative points are the first N, -1/2 the last of them
     eps = np.ones(2 * N)
-    eps[:N][::-1][1::2] = -1.0  # epsilon_sign at -3/2, -7/2, ...
+    eps[:N][::-1][1::2] = -1.0  # -1 at -3/2, -7/2, ...
     inner = wk.values.copy()
     inner[:N] *= -1.0
     inner[np.arange(N), np.arange(N)] += 1.0

@@ -252,16 +252,9 @@ class FinitaryPermutation:
     def __init__(self, word: Iterable[int] = ()):
         object.__setattr__(self, "word", tuple(int(n) for n in word))
 
-    def __mul__(self, other: "FinitaryPermutation") -> "FinitaryPermutation":
-        return FinitaryPermutation(self.word + other.word)
-
     def inverse(self) -> "FinitaryPermutation":
         """Generators are involutions, so the inverse is the reversed word."""
         return FinitaryPermutation(tuple(reversed(self.word)))
-
-    def generators_in_order(self) -> tuple[int, ...]:
-        """Generator indices in the order they are applied (rightmost first)."""
-        return tuple(reversed(self.word))
 
     @property
     def max_index(self) -> int:
@@ -299,12 +292,13 @@ def involute_occupancy(occupancy: np.ndarray, points: Sequence[HalfInt]) -> np.n
 def _modified_occupancy(sigma: FinitaryPermutation, occupancy: np.ndarray,
                         twice: Sequence[int]) -> np.ndarray:
     """sigma~ on every row of an occupancy matrix on the ascending points
-    twice / 2, balanced or not (window restrictions too): sigma~_n swaps the
-    columns of n -+ 1/2 for n != 0; sigma~_0 flips both central columns in
-    the rows where they agree.  The one implementation of the modified action."""
+    twice / 2, balanced or not (window restrictions too), the word's
+    generators applied from the rightmost: sigma~_n swaps the columns of
+    n -+ 1/2 for n != 0; sigma~_0 flips both central columns in the rows where
+    they agree.  The one implementation of the modified action."""
     col = {t: i for i, t in enumerate(twice)}
     out = occupancy.copy()
-    for n in sigma.generators_in_order():
+    for n in reversed(sigma.word):
         if 2 * n - 1 not in col or 2 * n + 1 not in col:
             raise ValueError(f"sigma_{n} moves a point with no column")
         i, j = col[2 * n - 1], col[2 * n + 1]

@@ -24,7 +24,7 @@ on [-N, N], and sigma~ moves them by lattice._modified_occupancy.
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -297,20 +297,13 @@ class CylinderFunction:
     with a finite window of m points, stored as one array of 2^m values
     indexed by bit pattern: table[b] is the value on the subset holding
     points[i] exactly when bit i of b is set.  The constructor takes that
-    array over the sorted points, or a mapping from every subset to its value."""
+    array over the sorted points; from_callable fills it from a function of
+    subsets."""
 
     __slots__ = ("points", "table")
 
     def __init__(self, points: Iterable, table):
         pts = tuple(sorted({HalfInt.make(x) for x in points}))
-        if isinstance(table, Mapping):
-            bit, tab = {x: 1 << i for i, x in enumerate(pts)}, {}
-            for key, v in table.items():
-                key = {HalfInt.make(x) for x in key}
-                if not key <= bit.keys():
-                    raise ValueError(f"table key {sorted(key)} leaves the window")
-                tab[sum(bit[x] for x in key)] = float(v)
-            table = [tab[b] for b in sorted(tab)]
         table = np.array(table, dtype=float)
         if len(table) != 1 << len(pts):
             raise ValueError("table must cover every subset of the window")

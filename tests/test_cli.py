@@ -332,6 +332,16 @@ def test_rn_limit_add_value():
     ]
 
 
+def test_rn_tabulates_out_to_the_farthest_point():
+    # 99/2 lies beyond max(2N, 16) for N = 2; the tail is tabulated out to
+    # it, so the narrow window gives the rows of a window holding every point.
+    args = ("rn", "--word=[1]", "--config=-3/2,-1/2,1/2,99/2")
+    narrow, wide = run_cli(*args, "--window=2"), run_cli(*args, "--window=50")
+    assert narrow.returncode == 0, narrow.stderr
+    assert parse_csv(narrow.stdout) == parse_csv(wide.stdout)
+    assert config_echo(narrow.stdout)["window"] == 2
+
+
 def test_rn_bad_word():
     res = run_cli("rn", "--word", "[1, oops]", "--config", "")
     assert res.returncode == 2
@@ -493,10 +503,9 @@ def test_invalid_params_exit_2():
       "--window", "8", "--max-size", "4"), "value", "tol must be > 0, got 0.0"),
     (("transport", "--word", "[1,0]", "--f-contains", "1/2", "--atol", "nan"),
      "value", "atol must be >= 0, got nan"),
-    (("rn", "--word", "[1]", "--radius", "-4"), "rn_expression", "radius -4 smaller than the window 2"),
     (("kernel", "--method", "contour-limit", "--x", "1/2", "--tol", "nan"),
      "quadrature_config", "tol must be positive"),
-], ids=["converge-tol", "fredholm-det-tol", "transport-atol", "rn-radius", "contour-tol"])
+], ids=["converge-tol", "fredholm-det-tol", "transport-atol", "contour-tol"])
 def test_tolerance_and_radius_out_of_range_exit_2(args, name, message):
     # Each is an invalid argument (exit 2), not a non-convergence (exit 3) nor
     # a report checked against a nan tolerance (exit 0).

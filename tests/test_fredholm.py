@@ -107,7 +107,13 @@ def test_phi_sparse_certified():
     out = phi_eval(f, X, full_output=True)
     assert isinstance(out, PhiValue)
     assert out.value == pytest.approx(1.5)
-    assert out.relative_bound == pytest.approx(math.expm1(0.2))
+    # The listed point 3/2 lies beyond f's table, where f is known only
+    # through its envelope 2/|x|; it enters the bound with the unlisted tail.
+    assert out.relative_bound == pytest.approx(math.expm1(2.0 * (0.1 + 2.0 / 3.0)))
+    # On a finite configuration only the points beyond the table count.
+    fin = phi_eval(f, FiniteConfig((H(1), H(3), H(-5))), full_output=True)
+    assert fin == (pytest.approx(1.5), pytest.approx(math.expm1(2.0 * (2.0 / 3.0 + 2.0 / 5.0))))
+    assert phi_eval(f, FiniteConfig((H(1), H(-1))), full_output=True) == (1.5, 0.0)
     # A zero-tail function is unaffected by the unlisted remainder.
     g = TestFunction.from_map({H(1): 0.5})
     assert phi_eval(g, X, full_output=True).relative_bound == 0.0

@@ -27,7 +27,6 @@ from gammakernel.kernels import (
     NonConvergenceError,
     QuadratureConfig,
     density_constant,
-    epsilon_sign,
     j_transform,
     underline_limit_contour,
     underline_limit_integrable,
@@ -713,12 +712,10 @@ def test_sturm_count_matches_numpy_on_random_shifts():
 # J-transform and blocks
 # ---------------------------------------------------------------------------
 
-def test_epsilon_sign_values():
-    assert [epsilon_sign(H(t)) for t in (1, 3, 5)] == [1.0, 1.0, 1.0]
-    assert epsilon_sign(H(-1)) == 1.0
-    assert epsilon_sign(H(-3)) == -1.0
-    assert epsilon_sign(H(-5)) == 1.0
-    assert epsilon_sign(H(-7)) == -1.0
+def _eps(x):
+    # The J-transform's sign reference: 1 on positives, (-1)^(|x| - 1/2) on
+    # negatives, so -1 at -3/2, -7/2, ...
+    return -1.0 if x.twice < 0 and (-x.twice - 1) // 2 % 2 else 1.0
 
 
 def test_j_transform_blocks():
@@ -728,7 +725,7 @@ def test_j_transform_blocks():
     assert K.kind == "k_prelimit"
     for x in K.points:
         for y in K.points:
-            e = epsilon_sign(x) * epsilon_sign(y)
+            e = _eps(x) * _eps(y)
             base = un.entry(x, y)
             if float(x) < 0:
                 base = (1.0 if x == y else 0.0) - base
@@ -784,7 +781,7 @@ def test_weighted_blocks_structure():
 def _reference_j_transform(wk):
     # Per-point signs and sides, the J-transform's defining formula.
     pts = wk.points
-    eps = np.array([epsilon_sign(t) for t in pts])
+    eps = np.array([_eps(t) for t in pts])
     neg = np.array([t.twice < 0 for t in pts])
     inner = wk.values.copy()
     inner[neg, :] *= -1.0

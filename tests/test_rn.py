@@ -530,15 +530,9 @@ def test_cylinder_basics():
 
 def test_cylinder_validation():
     with pytest.raises(ValueError):
-        CylinderFunction((H(1),), {frozenset(): 1.0})  # missing the singleton
+        CylinderFunction((H(1),), [1.0])  # missing the singleton
     with pytest.raises(ValueError):
-        CylinderFunction(
-            (H(1),), {frozenset(): 0.0, frozenset((H(3),)): 1.0}
-        )  # key outside
-    with pytest.raises(ValueError):
-        CylinderFunction(
-            (H(1),), {frozenset(): 0.0, frozenset((H(1),)): math.inf}
-        )
+        CylinderFunction((H(1),), [0.0, math.inf])
 
 
 def test_cylinder_transform():
@@ -576,7 +570,7 @@ def test_expand_cylinder_reconstructs():
         sub = frozenset(p for i, p in enumerate(pts) if bits >> i & 1)
         subsets.append(sub)
         table[sub] = rng.uniform(-2, 2)
-    F = CylinderFunction(pts, table)
+    F = CylinderFunction.from_callable(pts, table.__getitem__)
     terms = _expand_cylinder(F)
     for sub in subsets:
         got = math.fsum(
@@ -598,12 +592,11 @@ def test_expand_cylinder_indicator():
 
 def test_cylinder_array_matches_mapping():
     # The array constructor is indexed by bit pattern over the sorted points,
-    # the order the mapping constructor fills it in.
+    # the order from_callable fills it in from a function of subsets.
     pts = (H(5), H(-3), H(1))
     F = CylinderFunction.from_callable(pts, lambda s: sum(float(x) ** 2 for x in s))
-    table = {frozenset(x for i, x in enumerate(F.points) if b >> i & 1): v
-             for b, v in enumerate(F.table.tolist())}
-    G = CylinderFunction(pts, table)
+    squares = [float(x) ** 2 for x in sorted(pts)]
+    G = CylinderFunction(pts, [sum(v for i, v in enumerate(squares) if b >> i & 1) for b in range(8)])
     assert G.points == F.points == (H(-3), H(1), H(5))
     assert np.array_equal(G.table, F.table)
     assert F(FiniteConfig((H(5), H(-3), H(7)))) == 34.0 / 4
