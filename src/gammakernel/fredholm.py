@@ -166,15 +166,6 @@ class SparseConfig:
                 f"got {self.tail_sum_bound}"
             )
 
-    @property
-    def partial_inverse_sum(self) -> float:
-        return math.fsum(1.0 / abs(float(x)) for x in self.points)
-
-    @property
-    def inverse_sum_bound(self) -> float:
-        """Certified upper bound on sum over the whole configuration of 1/|x|."""
-        return self.partial_inverse_sum + self.tail_sum_bound
-
 
 # ---------------------------------------------------------------------------
 # Phi_f evaluation

@@ -30,7 +30,7 @@ its xi -> 1 limit (the Gamma kernel).  Four evaluation methods are provided:
   * underline_prelimit_spectral -- direct tridiagonal diagonalization on a
     window; underline_prelimit_window instead takes the center block of
     P+ = (I + sign D)/2 on padded windows [-M, M] from a certified trapezoid
-    rule over resolvents, in O(M) work per node and no O(M^2) array.
+    rule over resolvents, in O(M + N^2) work per node and no O(M^2) array.
 
 The J-transform converts underline kernels into the kernels of the finitary
 process (delta - underline on negative rows, with alternating signs), and
@@ -99,6 +99,7 @@ class NonConvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 RHO1, RHO2, SLOPE2 = 0.2, 0.4, 2.0  # hairpin offsets; slope of the outer "difference" rays
+_TILE = 16  # rows per tile of the ladder's center block (timed against 8, 32 and 64)
 
 
 def _circle_radii(xi: float) -> tuple[float, float]:
@@ -651,13 +652,15 @@ def _sign_quadrature(diag: np.ndarray, off: np.ndarray, tol: float) -> tuple:
 
 def _spectral_center(N: int, M: int, p: XiParams, tol: float) -> tuple[np.ndarray, dict]:
     """Center [-N, N] block of the positive spectral projection of the
-    difference operator on [-M, M], M > N, by the sign quadrature.  Resolvent
-    diagonals come from one two-ended pivot sweep, the entries right of them
-    from running products of right-sweep ratios, one row at a time: O(M nodes)
-    work, O(N nodes) memory."""
+    difference operator on [-M, M], M > N, by the sign quadrature.  One
+    two-ended pivot sweep gives the resolvent's diagonal g and the ratios of
+    G(i, j > i) = g_i prod_{k=i}^{j-1} ratio_k, so tile (I, J > I) of b x b tiles
+    is Re(A_I diag(w c_IJ) B_J^T) (suffix, gap and prefix products; no division)
+    and the b diagonals that hold the diagonal tiles are running products over
+    all rows.  O(b + N/b) steps, O(N nodes) memory besides the block."""
     diag, off = _difference_operator(M, p)
     t, w, positive, cert = _sign_quadrature(diag, off, tol)
-    z = 1j * t
+    z, w = 1j * t, 0.5 * w  # P+ = (I + sign D)/2: half weights, then 1/2 on the diagonal
     lo, m = M - N, 2 * N
     off2 = off * off
     # LDL^T pivots d_k = diag_k - z - off2_(k-1)/d_(k-1), |d_k| >= |Im z|: row k steps the
@@ -672,14 +675,30 @@ def _spectral_center(N: int, M: int, p: XiParams, tol: float) -> tuple[np.ndarra
         for a, b2 in zip((ends[rows, :, None] - z).reshape(len(b2s), -1), b2s):
             kept.append(a - b2 / kept[-1])
     pivots = np.array(kept).reshape(m, 2, len(z))
+    del kept  # stacked above: freeing it lowers the peak by 2N x 2T complex
     left, right = pivots[:, 0], pivots[::-1, 1]  # right ones at indices lo+1 .. lo+m
     g = 1.0 / (diag[lo : lo + m, None] - z - off2[lo - 1 : lo + m - 1, None] / left
                - off2[lo : lo + m, None] / right)
     ratio = -off[lo : lo + m - 1, None] / right[:-1]
-    sign = np.diag(g.real @ w)
-    for i in range(m - 1):
-        sign[i, i + 1 :] = sign[i + 1 :, i] = (g[i] * np.cumprod(ratio[i:], axis=0)).real @ w
-    return 0.5 * (np.eye(m) + sign), dict(cert, positive_eigenvalues=positive)
+    b, T = min(_TILE, m), len(z)
+    nt, n = -(-m // b), (m - 1) // b * b  # tiles, rows of the tiles with one to their right
+    suffix = np.cumprod(ratio[:n].reshape(nt - 1, b, T)[:, ::-1], axis=1)  # [I, -1]: whole tile
+    A = np.multiply(g[:n].reshape(nt - 1, b, T), suffix[:, ::-1], order="C")
+    wc = np.full((nt - 1, T), w, complex)  # w c_IJ for tile rows I < J
+    sign = np.empty((m, m))
+    for J in range(1, nt):
+        wc[: J - 1] *= suffix[J - 1, -1]
+        s, e = J * b, min(J * b + b, m)
+        B = np.cumprod(np.vstack([np.ones(T), ratio[s : e - 1]]), axis=0)
+        # Re(X B^T) as one real product: X's (re, im) pairs against B's (re, -im).
+        tile = (A[:J] * wc[:J, None]).reshape(s, T).view(np.float64) @ B.conj().view(np.float64).T
+        sign[:s, s:e], sign[s:e, :s] = tile, tile.T
+    flat, y = sign.reshape(-1), g
+    for d in range(b):
+        flat[d : (m - d) * m : m + 1] = flat[d * m :: m + 1] = y.real @ w
+        y = y[:-1] * ratio[d:]
+    flat[:: m + 1] += 0.5
+    return sign, dict(cert, positive_eigenvalues=positive)
 
 
 def underline_prelimit_window(N: int, p: XiParams, tol: float = 1e-9,
@@ -688,12 +707,12 @@ def underline_prelimit_window(N: int, p: XiParams, tol: float = 1e-9,
 
     Center blocks of window projections on [-M, M] (boundary effects decay
     into the interior) come from a resolvent quadrature of the sign function
-    certified a priori to max(tol/1000, 1e-14); no O(M^2) array is formed.
-    The padding M - N doubles until successive blocks differ by at most tol;
-    a rung with M > max_pad is not run: NonConvergenceError carries the last
-    residual (inf if the first rung is past the cap).  meta records
-    padding, padding_residual, positive_eigenvalues, spectral_gap,
-    quadrature_nodes and quadrature_bound."""
+    certified a priori to max(tol/1000, 1e-14), in tiles of one semiseparable
+    product; no O(M^2) array is formed.  The padding M - N doubles until
+    successive blocks differ by at most tol; a rung with M > max_pad is not
+    run: NonConvergenceError carries the last residual (inf if the first rung
+    is past the cap).  meta records padding, padding_residual,
+    positive_eigenvalues, spectral_gap, quadrature_nodes and quadrature_bound."""
     if N < 1:
         raise ValueError("window half-width must be a positive integer")
     if not tol > 0:

@@ -98,16 +98,6 @@ class HalfInt:
     def __abs__(self) -> "HalfInt":
         return HalfInt(abs(self.twice))
 
-    def __add__(self, n: int) -> "HalfInt":
-        if not isinstance(n, int):
-            return NotImplemented
-        return HalfInt(self.twice + 2 * n)
-
-    def __sub__(self, n: int) -> "HalfInt":
-        if not isinstance(n, int):
-            return NotImplemented
-        return HalfInt(self.twice - 2 * n)
-
     @property
     def value(self) -> float:
         return self.twice / 2.0

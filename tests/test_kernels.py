@@ -435,16 +435,18 @@ def test_prelimit_pair_matches_maya_enumeration():
 def test_prelimit_center_block_matches_eigensolver(p, xi):
     # The quadrature center block of a padded window (the ladder's first
     # rung) against a dense eigensolve of the same window, and the
-    # certificate the ladder reports.
+    # certificate the ladder reports.  2N = 12 fills one tile; 2N = 40 and
+    # 80 span several and end in a ragged one.
     px = XiParams(p, xi)
-    N, tol = 6, 1e-9
-    M = N + 2 * max(16, math.ceil(1.0 / (1.0 - xi)))
-    block, cert = _spectral_center(N, M, px, tol)
-    w, v = eigh_tridiagonal(*_difference_operator(M, px))
-    rows = v[M - N : M + N, w > 0.0]
-    assert np.max(np.abs(block - rows @ rows.T)) <= 1e-10
-    assert cert["positive_eigenvalues"] == rows.shape[1]
-    assert 0.0 < cert["spectral_gap"] <= np.min(np.abs(w))
+    tol = 1e-9
+    for N in (6, 20, 40):
+        M = N + 2 * max(16, math.ceil(1.0 / (1.0 - xi)))
+        block, cert = _spectral_center(N, M, px, tol)
+        w, v = eigh_tridiagonal(*_difference_operator(M, px))
+        rows = v[M - N : M + N, w > 0.0]
+        assert np.max(np.abs(block - rows @ rows.T)) <= 1e-10, N
+        assert cert["positive_eigenvalues"] == rows.shape[1]
+        assert 0.0 < cert["spectral_gap"] <= np.min(np.abs(w))
     meta = underline_prelimit_window(4, px, tol=tol).meta
     assert meta["quadrature_bound"] <= tol / 1000
     assert meta["padding_residual"] <= tol
@@ -462,14 +464,19 @@ def test_prelimit_window_beyond_eigensolver_reach():
 
 
 def test_prelimit_center_block_memory_is_linear_in_padding():
-    # One rung at M = 8000: an M x M array alone would take 2 GB.
+    # One rung at M = 8000: an M x M array alone would take 2 GB.  At N = 256
+    # the tiled fill keeps O(N nodes) beside the 2 MB block (about 200 nodes).
     tracemalloc.start()
     try:
         _spectral_center(4, 8000, XiParams(PRINCIPAL, 0.999), 1e-6)
         peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        _spectral_center(256, 4352, XiParams(EQUAL, 0.999), 1e-8)
+        wide = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64e6, peak
+    assert wide < 32e6, wide
 
 
 @pytest.mark.parametrize("N", [0, -1])
@@ -534,9 +541,10 @@ def test_sign_quadrature_fails_without_spectral_gap():
 
 # The reference route: Sturm counts at 0 and at +-every trial gap from one
 # sweep vectorized over 161 shifts, and the center from two separate pivot
-# sweeps, one from each end.  The library bisects over the trial gaps with
-# compiled LAPACK counts (stebz) and runs both sweeps as one flat row per
-# step; its certificate, nodes and values must match this bit for bit.
+# sweeps, one from each end, and the block filled one row at a time.  The
+# library bisects over the trial gaps with compiled LAPACK counts (stebz),
+# runs both sweeps as one flat row per step and fills the block in tiles; its
+# certificate and nodes must match this bit for bit, its values within 1e-15.
 
 def _reference_pivot_sweep(diag, off2, shifts):
     d = diag[0] - shifts
@@ -619,7 +627,8 @@ def test_spectral_center_matches_reference_bit_for_bit(p, xi):
         block, meta = _spectral_center(N, M, px, tol)
         rblock, rmeta = _reference_center(N, M, px, tol)
         assert meta == rmeta
-        assert block.tobytes() == rblock.tobytes()
+        # The tiles group the products and sums differently from the row loop.
+        assert np.max(np.abs(block - rblock)) <= 1e-15, (N, M, tol)
 
 
 def test_prelimit_window_matches_reference_on_ladder_inputs():
@@ -633,8 +642,10 @@ def test_prelimit_window_matches_reference_on_ladder_inputs():
     for N, px, tol in cases + [(8, XiParams(equal, 0.99), 1e-6)]:
         wk = underline_prelimit_window(N, px, tol=tol)
         values, meta = _reference_window(N, px, tol)
+        residual = wk.meta.pop("padding_residual")
+        assert abs(residual - meta.pop("padding_residual")) <= 1e-15, (N, px, tol)
         assert wk.meta == meta, (N, px, tol)
-        assert wk.values.tobytes() == values.tobytes(), (N, px, tol)
+        assert np.max(np.abs(wk.values - values)) <= 1e-15, (N, px, tol)
 
 
 def _tail_start_case(j):
