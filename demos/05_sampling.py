@@ -17,7 +17,6 @@ from gammakernel import (
     TestFunction,
     expectation_det,
     j_transform,
-    phi_eval,
     sample_underline_then_involute,
     sample_window,
     underline_limit_window,

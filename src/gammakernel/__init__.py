@@ -31,7 +31,6 @@ from .zmeasure import (
 )
 from .kernels import (
     NonConvergenceError,
-    QuadratureConfig,
     WeightedBlocks,
     WindowKernel,
     density_constant,
@@ -40,7 +39,6 @@ from .kernels import (
     underline_limit_integrable,
     underline_limit_window,
     underline_prelimit_contour,
-    underline_prelimit_spectral,
     underline_prelimit_window,
     weighted_blocks,
     window_points,

@@ -2,11 +2,12 @@
 
 Each subcommand handler resolves its options and returns them with the
 table's header, its rows and the route's accuracy certificate where it
-reports one (only ``kernel`` does).  One writer echoes the options into the
-output header (a ``#``-prefixed comment block atop CSV, or the first object
-of a JSON-lines file), the certificate after them, and then the rows, whose
-floating-point cells carry 17 significant digits, so re-running the echoed
-configuration reproduces the numeric columns bit for bit.
+reports one (``kernel``, and ``transport`` in limit mode).  One writer
+echoes the options into the output header (a ``#``-prefixed comment block
+atop CSV, or the first object of a JSON-lines file), the certificate after
+them, and then the rows, whose floating-point cells carry 17 significant
+digits, so re-running the echoed configuration reproduces the numeric
+columns bit for bit.
 
 Exit codes: 0 success; 2 invalid parameters or arguments; 3 numerical
 non-convergence.  Failures print a machine-readable JSON object to stderr
@@ -174,17 +175,6 @@ def _xi_params(args):
     return XiParams(_build_params(args), _xi_value(args, required=True))
 
 
-def _quadrature(args):
-    overrides = {key: getattr(args, key) for key in ("nodes", "tol", "max_nodes")
-                 if getattr(args, key, None) is not None}
-    if not overrides:
-        return None
-    try:
-        return kr.QuadratureConfig(**overrides)
-    except ValueError as e:
-        raise CliError("quadrature_config", str(e))
-
-
 # ---------------------------------------------------------------------------
 # Output
 # ---------------------------------------------------------------------------
@@ -251,7 +241,7 @@ def _cmd_weight(args) -> _Run:
 
 
 _METHODS = ("integrable", "contour-limit", "contour-prelimit", "spectral")
-_QUADRATURE_READ = {"integrable": (), "spectral": ("tol",)}  # the contour methods read all
+_QUADRATURE_READ = {"integrable": (), "spectral": ("tol",)}  # the contour methods read both
 
 
 def _kernel_grid(args) -> tuple[tuple, tuple]:
@@ -276,12 +266,11 @@ def _cmd_kernel(args) -> _Run:
     xi = _xi_value(args, required=needs_xi)
     if not needs_xi and xi is not None:
         raise CliError("xi_forbidden", f"--xi does not apply to method {args.method}")
-    reads = _QUADRATURE_READ.get(args.method, ("nodes", "tol", "max_nodes"))
-    unread = [f"--{key.replace('_', '-')}" for key in ("nodes", "tol", "max_nodes")
-              if getattr(args, key) is not None and key not in reads]
+    given = {key: getattr(args, key) for key in ("tol", "max_nodes") if getattr(args, key) is not None}
+    unread = [f"--{key.replace('_', '-')}" for key in given
+              if key not in _QUADRATURE_READ.get(args.method, given)]
     if unread:
         raise CliError("quadrature_forbidden", f"method {args.method} reads no {', '.join(unread)}")
-    q = _quadrature(args)
 
     sx, sy = [str(t) for t in xs], [str(t) for t in ys]  # labels once per point
     xv, yv = (np.array([float(t) for t in ts]) for ts in (xs, ys))
@@ -290,13 +279,12 @@ def _cmd_kernel(args) -> _Run:
         # until the requested entries stabilize (--tol sets the residual).
         N = max(4, args.window or 0,
                 max((abs(t.twice) + 1) // 2 for t in (*xs, *ys)))
-        wk = kr.underline_prelimit_window(N, XiParams(base, xi),
-                                          tol=args.tol if args.tol is not None else 1e-9)
+        wk = kr.underline_prelimit_window(N, XiParams(base, xi), tol=given.get("tol", 1e-9))
         grid, cert = [[wk.entry(x, y) for y in ys] for x in xs], wk.meta
     elif args.method == "integrable":
         grid, cert = kr._limit_closed_form(xv, yv, base).tolist(), None
     else:  # circles for XiParams, hairpins for Params
-        out = kr._contour_grid(xv, yv, XiParams(base, xi) if needs_xi else base, q)
+        out = kr._contour_grid(xv, yv, XiParams(base, xi) if needs_xi else base, **given)
         # Per variant block: its nodes, largest last increment (and hairpin tail bound).
         cert = {mode: {key: arr[sel].max().item() for key, arr in out.items()
                        if key not in ("value", "variant")}
@@ -305,7 +293,7 @@ def _cmd_kernel(args) -> _Run:
     rows = [[a, b, v] for a, row in zip(sx, grid) for b, v in zip(sy, row)]
     opts = {"method": args.method, "z": _fmt(base.z), "zp": _fmt(base.z_prime),
             "xi": xi, "x": sx, "y": sy,
-            **{key: getattr(args, key) for key in ("nodes", "tol", "max_nodes")}}
+            "tol": args.tol, "max_nodes": args.max_nodes}
     return opts, ["x", "y", "value"], rows, cert
 
 
@@ -427,14 +415,12 @@ def _cmd_transport(args) -> _Run:
     if xi is not None:
         rep = verify_transport(word, F, XiParams(base, xi), max_size=args.max_size)
         rows = [["prelimit", rep.lhs, rep.rhs, rep.difference, rep.bound, rep.passed]]
-        opts = {**common, "max_size": args.max_size}
-    else:
-        rep = verify_limit_transport(
-            word, F, base, kernel_window=args.window, atol=args.atol
-        )
-        rows = [["limit", rep.lhs, rep.rhs, rep.difference, rep.tolerance, rep.passed]]
-        opts = {**common, "window": args.window, "atol": args.atol}
-    return opts, header, rows, None
+        return {**common, "max_size": args.max_size}, header, rows, None
+    rep = verify_limit_transport(word, F, base, kernel_window=args.window, atol=args.atol)
+    rows = [["limit", rep.lhs, rep.rhs, rep.difference, rep.tolerance, rep.passed]]
+    # The factored kernel's rank and the Richardson residual behind the tolerance.
+    opts = {**common, "window": args.window, "atol": args.atol}
+    return opts, header, rows, {"rank": rep.rank, "residual": rep.residual}
 
 
 # The options each converge report reads, and their defaults.
@@ -552,7 +538,6 @@ def _build_parser() -> _Parser:
     k.add_argument("--x", default=None, help="comma list of 'n/2' points")
     k.add_argument("--y", default=None, help="comma list of 'n/2' points (default: --x)")
     k.add_argument("--window", type=int, default=None, help="use all points of [-N, N]")
-    k.add_argument("--nodes", type=int, default=None, help="quadrature starting nodes")
     k.add_argument("--tol", type=float, default=None, help="quadrature or window-stabilization tolerance")
     k.add_argument("--max-nodes", type=int, default=None, help="quadrature node cap")
 

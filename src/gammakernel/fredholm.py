@@ -262,7 +262,9 @@ def _weighted_kernel(kernel: WindowKernel, n: int | None = None) -> np.ndarray:
     weighted operator A_g A_h K A_h of f = g h^2."""
     n, K = n or kernel.N, kernel.N
     s = np.sqrt(np.abs(np.arange(1 - 2 * n, 2 * n, 2)) / 2.0)
-    return s[:, None] * kernel.values[K - n : K + n, K - n : K + n] / s[None, :]
+    kw = kernel.values[K - n : K + n, K - n : K + n] * s[:, None]
+    kw /= s  # in place: no second 2n x 2n temporary
+    return kw
 
 
 def _factor(kw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -397,7 +399,9 @@ def sparseness_certificate(density) -> SparsenessReport:
     terms = rho / np.abs(np.arange(1 - 2 * n_max, 2 * n_max, 2) / 2.0)
     sums = tuple(math.fsum(terms[n_max - n : n_max + n].tolist()) for n in sizes)
     incs = tuple(b - a for a, b in zip(sums, sums[1:]))
-    ratios = tuple(b / a if a > 0.0 else 0.0 for a, b in zip(incs, incs[1:]))
+    # A rise after a flat doubling does not contract: only two flat ones give ratio 0.
+    ratios = tuple(b / a if a > 0.0 else math.inf if b > 0.0 else 0.0
+                   for a, b in zip(incs, incs[1:]))
     passed = len(ratios) >= 2 and all(r <= 0.75 for r in ratios)
     return SparsenessReport(window_sizes=tuple(sizes), partial_sums=sums, increments=incs,
                             ratios=ratios, passed=passed)

@@ -27,10 +27,10 @@ its xi -> 1 limit (the Gamma kernel).  Four evaluation methods are provided:
     variant, the contour picked by the type of the parameters), which
     supplies each route's nodes and factor rows to one node-doubling
     trapezoid loop (_contour_value);
-  * underline_prelimit_spectral -- direct tridiagonal diagonalization on a
-    window; underline_prelimit_window instead takes the center block of
-    P+ = (I + sign D)/2 on padded windows [-M, M] from a certified trapezoid
-    rule over resolvents, in O(M + N^2) work per node and no O(M^2) array.
+  * underline_prelimit_window   -- the spectral projection itself: the
+    center block of P+ = (I + sign D)/2 on padded windows [-M, M] from a
+    certified trapezoid rule over resolvents, in O(M + N^2) work per node and
+    no O(M^2) array, the padding doubled until the block stabilizes.
 
 The J-transform converts underline kernels into the kernels of the finitary
 process (delta - underline on negative rows, with alternating signs), and
@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dstebz
 from scipy.special import digamma as _sp_digamma
 from scipy.special import gammasgn as _sp_gammasgn
@@ -61,13 +60,11 @@ from .zmeasure import Params, XiParams
 
 __all__ = [
     "NonConvergenceError",
-    "QuadratureConfig",
     "WindowKernel",
     "window_points",
     "underline_limit_integrable",
     "underline_limit_contour",
     "underline_prelimit_contour",
-    "underline_prelimit_spectral",
     "underline_prelimit_window",
     "underline_limit_window",
     "j_transform",
@@ -99,6 +96,7 @@ class NonConvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 RHO1, RHO2, SLOPE2 = 0.2, 0.4, 2.0  # hairpin offsets; slope of the outer "difference" rays
+_START_NODES = 64  # nodes per ray / circle at the first contour level, doubled from there
 _TILE = 16  # rows per tile of the ladder's center block (timed against 8, 32 and 64)
 
 
@@ -106,34 +104,6 @@ def _circle_radii(xi: float) -> tuple[float, float]:
     """The pre-limit circles: xi^(-1/4), mid-band in (max(1, sqrt(xi)), 1/sqrt(xi)),
     and the "difference" variant's inner radius, inside (sqrt(xi), 1)."""
     return xi ** (-0.25), (1 + math.sqrt(xi)) / 2
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Contour-quadrature parameters.
-
-    nodes: starting node count per ray / per circle (doubled adaptively).
-    tol: stabilization tolerance for adaptive node doubling.
-    max_nodes: hard cap on nodes per ray / per circle; at least 2 * nodes,
-        since stabilization compares two successive node counts.
-    The contours are fixed: the circles of _circle_radii, hairpins at the
-    offsets RHO1 < RHO2 < 1/2 with rays cut by _auto_u_max.
-    """
-
-    nodes: int = 64
-    tol: float = 1e-10
-    max_nodes: int = 2**19
-
-    def __post_init__(self) -> None:
-        if self.nodes < 8:
-            raise ValueError("nodes must be at least 8")
-        if self.max_nodes < 2 * self.nodes:
-            raise ValueError(
-                f"max_nodes must be at least 2 * nodes = {2 * self.nodes} so that two "
-                f"refinements can be compared, got {self.max_nodes}"
-            )
-        if not self.tol > 0:  # nan too: no increment is ever below it
-            raise ValueError("tol must be positive")
 
 
 def window_points(N: int) -> tuple[HalfInt, ...]:
@@ -325,31 +295,31 @@ def _circle_sum(a: np.ndarray, b: np.ndarray, u1: np.ndarray, u2: np.ndarray, mo
     return (np.roll(fa, -1, axis=-1) * g) @ np.fft.ifft(b).T
 
 
-def _contour_value(op: str, q: QuadratureConfig, pref, mode: str,
-                   contours: Callable[[int], tuple], coupled: Callable = _coupled_sum) -> tuple:
+def _contour_value(op: str, pref, mode: str, contours: Callable[[int], tuple],
+                   coupled: Callable = _coupled_sum, *, tol: float, max_nodes: int) -> tuple:
     """pref (a matrix, 0 off the requested pairs) times the coupled trapezoid
     sum over two contours, divided by (2 pi i)^2.  contours(n) returns
     (u1, f1, u2, f2): the nodes of each contour at n nodes per ray / circle
     and the weighted factors there, one row per grid row and column, which
     coupled (_coupled_sum on hairpins, _circle_sum on circles) sums over the
-    denominator mode names.  n doubles from q.nodes until successive values
-    agree within q.tol on every entry (past q.max_nodes NonConvergenceError
+    denominator mode names.  n doubles from _START_NODES until successive
+    values agree within tol on every entry (past max_nodes NonConvergenceError
     carries the largest last increment); each value must then be real within
     max(1e-9, 50 tol).  Returns the real values, nodes per contour and last
     increments."""
-    n, prev = q.nodes, None  # max_nodes >= 2 nodes: an increment precedes the cap
+    n, prev = _START_NODES, None  # max_nodes >= 2 * _START_NODES: an increment precedes the cap
     while True:
         u1, f1, u2, f2 = contours(n)
         val = pref * coupled(f1, f2, u1, u2, mode) / (2j * math.pi) ** 2
         if prev is not None:
             achieved = np.abs(val - prev)
-            if np.all(achieved <= q.tol * np.maximum(1.0, np.abs(val))):
+            if np.all(achieved <= tol * np.maximum(1.0, np.abs(val))):
                 break
         prev = val
         n *= 2
-        if n > q.max_nodes:
-            raise NonConvergenceError(op, float(np.max(achieved)), q.tol, n // 2)
-    limit = max(1e-9, 50.0 * q.tol) * np.maximum(1.0, np.abs(val.real))
+        if n > max_nodes:
+            raise NonConvergenceError(op, float(np.max(achieved)), tol, n // 2)
+    limit = max(1e-9, 50.0 * tol) * np.maximum(1.0, np.abs(val.real))
     bad = np.abs(val.imag) > limit
     if np.any(bad):
         imag, limit = (float(np.ravel(v)[np.argmax(bad)]) for v in (np.abs(val.imag), limit))
@@ -466,8 +436,8 @@ def _distinct(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, np.searchsorted(vals, v)
 
 
-def _contour_grid(xv, yv, p: Params | XiParams, q: QuadratureConfig | None = None,
-                  variant: str = "auto") -> dict:
+def _contour_grid(xv, yv, p: Params | XiParams, variant: str = "auto", *,
+                  tol: float = 1e-10, max_nodes: int = 2**19) -> dict:
     """The kernel at every pair (xv[i], yv[j]) of half-integers by its double
     contour integral: over circles (the pre-limit kernel) if p is an XiParams,
     over hairpins (the limit kernel) if it is a Params.  'auto' picks the
@@ -475,12 +445,19 @@ def _contour_grid(xv, yv, p: Params | XiParams, q: QuadratureConfig | None = Non
     by the kernels' symmetry, and 'sum' otherwise.  One block per variant:
     its entries share the nodes of each doubling level, as the contours
     depend only on the parameters and tol, until its last entry stabilizes.
+    Nodes double from _START_NODES while an increment exceeds tol, up to
+    max_nodes per ray / circle, which must admit two levels to compare.
     Returns arrays over the grid: value, nodes_per_circle or
     nodes_per_contour, variant, last_increment and, on hairpins, tail_bound
     (the analytic ray-tail envelope)."""
     if variant not in ("auto", "sum", "difference"):
         raise ValueError(f"unknown variant {variant!r}")
-    q, circles = q or QuadratureConfig(), isinstance(p, XiParams)
+    if not tol > 0:  # nan too: no increment is ever below it
+        raise ValueError("tol must be positive")
+    if max_nodes < 2 * _START_NODES:
+        raise ValueError(f"max_nodes must be at least {2 * _START_NODES} so that two "
+                         f"refinements can be compared, got {max_nodes}")
+    circles, caps = isinstance(p, XiParams), {"tol": tol, "max_nodes": max_nodes}
     x, y = np.asarray(xv, float)[:, None], np.asarray(yv, float)[None, :]
     diff = x * y < 0 if variant == "auto" else np.full((x.size, y.size), variant == "difference")
     swap = diff & (x < 0) if variant == "auto" else np.zeros(diff.shape, bool)
@@ -507,20 +484,20 @@ def _contour_grid(xv, yv, p: Params | XiParams, q: QuadratureConfig | None = Non
                 inner = _circle_contour(r2, n, sq, a2, b2, pow2)
                 return (*_circle_contour(r1, n, sq, a1, b1, -rows - 0.5), *inner)
 
-            val, n, achieved = _contour_value("underline_prelimit_contour", q, pref, mode,
-                                              contours, _circle_sum)
+            val, n, achieved = _contour_value("underline_prelimit_contour", pref, mode,
+                                              contours, _circle_sum, **caps)
         else:
             mu = (zp - z).real
             rho_2, slope2, sign = (RHO1, 0.0, 1.0) if mode == "sum" else (RHO2, SLOPE2, -1.0)
             decays = (mu - 1.0, sign * mu - 1.0)
-            umax1, umax2 = (_auto_u_max(d, q.tol) for d in decays)
+            umax1, umax2 = (_auto_u_max(d, tol) for d in decays)
 
             def contours(n):
                 u1, w1 = _hairpin_nodes(RHO1, n, umax1)
                 u2, w2 = _hairpin_nodes(rho_2, n, umax2, slope=slope2)
                 return u1, _log_factor(u1, a1, b1) * w1, u2, _log_factor(u2, a2, b2) * w2
 
-            val, n, achieved = _contour_value("underline_limit_contour", q, pref, mode, contours)
+            val, n, achieved = _contour_value("underline_limit_contour", pref, mode, contours, **caps)
             tail = sum(u**d / -d for u, d in zip((umax1, umax2), decays)
                        if math.isfinite(u) and d < -1e-12)
             out.setdefault("tail_bound", np.zeros(x.shape))[sel] = tail * np.abs(pref[ri, ci])
@@ -528,44 +505,46 @@ def _contour_grid(xv, yv, p: Params | XiParams, q: QuadratureConfig | None = Non
     return out
 
 
-def _contour_entry(x, y, p, q, variant: str, full_output: bool, kind: type):
+def _contour_entry(x, y, p, variant: str, full_output: bool, kind: type, **caps):
     """One entry, the 1x1 case of _contour_grid; p's type, kind, picks the contour."""
     if not isinstance(p, kind):
         raise TypeError(f"expected {kind.__name__} parameters, got {type(p).__name__}")
-    grid = _contour_grid(*([float(HalfInt.make(t))] for t in (x, y)), p, q, variant)
+    grid = _contour_grid(*([float(HalfInt.make(t))] for t in (x, y)), p, variant, **caps)
     info = {key: arr[0, 0].item() for key, arr in grid.items()}
     value = info.pop("value")
     return (value, info) if full_output else value
 
 
-def underline_limit_contour(x, y, p: Params, q: QuadratureConfig | None = None,
-                            variant: str = "auto", full_output: bool = False):
+def underline_limit_contour(x, y, p: Params, variant: str = "auto", full_output: bool = False,
+                            *, tol: float = 1e-10, max_nodes: int = 2**19):
     """The limit kernel via the double hairpin-contour integral.
 
     variant='sum' uses the representation with denominator u1+u2+1 (equal
     contour offsets RHO1); variant='difference' uses the denominator u1-u2
     with offsets RHO1 < RHO2; 'auto' picks 'difference' for mixed-sign
     (positive, negative) pairs and 'sum' otherwise.  Node counts double from
-    q.nodes until the value stabilizes within q.tol.  The 1x1 case of
-    _contour_grid; full_output adds nodes_per_contour, variant, tail_bound
-    and last_increment.
+    64 per ray until the value stabilizes within tol, at most max_nodes.  The
+    1x1 case of _contour_grid; full_output adds nodes_per_contour, variant,
+    tail_bound and last_increment.
     """
-    return _contour_entry(x, y, p, q, variant, full_output, Params)
+    return _contour_entry(x, y, p, variant, full_output, Params, tol=tol, max_nodes=max_nodes)
 
 
-def underline_prelimit_contour(x, y, p: XiParams, q: QuadratureConfig | None = None,
-                               variant: str = "auto", full_output: bool = False):
+def underline_prelimit_contour(x, y, p: XiParams, variant: str = "auto",
+                               full_output: bool = False, *, tol: float = 1e-10,
+                               max_nodes: int = 2**19):
     """The pre-limit kernel via the double contour integral over circles.
 
     variant='sum' integrates over two circles of the same radius with
     denominator omega1*omega2 - 1; variant='difference' uses denominator
     omega1 - omega2 with the second circle strictly inside the first.
     Trapezoid rule is spectrally accurate here, and each node count costs
-    O(n log n) (_circle_sum); node counts double from q.nodes until
-    stabilization within q.tol.  The 1x1 case of _contour_grid; full_output
-    adds nodes_per_circle, variant and last_increment.
+    O(n log n) (_circle_sum); node counts double from 64 per circle until
+    stabilization within tol, at most max_nodes.  The 1x1 case of
+    _contour_grid; full_output adds nodes_per_circle, variant and
+    last_increment.
     """
-    return _contour_entry(x, y, p, q, variant, full_output, XiParams)
+    return _contour_entry(x, y, p, variant, full_output, XiParams, tol=tol, max_nodes=max_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -580,29 +559,6 @@ def _difference_operator(N: int, p: XiParams) -> tuple[np.ndarray, np.ndarray]:
     m = xv[:-1] + 0.5  # x + 1/2, integers
     off = np.sqrt(p.xi * np.real((p.z + m) * (p.z_prime + m)))  # pair_product, vectorized
     return diag, off
-
-
-def underline_prelimit_spectral(N: int, p: XiParams) -> WindowKernel:
-    """Projection onto the positive eigenvalues of the difference operator
-    truncated to the window [-N, N].
-
-    Interior entries approximate the pre-limit kernel; accuracy decays toward
-    the window boundary (use underline_prelimit_window for certified interior
-    values).
-    """
-    if N < 4:
-        raise ValueError("spectral window needs N >= 4")
-    diag, off = _difference_operator(N, p)
-    # The spectrum approximates (1-xi)Z', so eigenvalues cluster tightly for
-    # xi near 1; the MRRR driver handles those clusters in O(n^2) where the
-    # default bisection + inverse-iteration path degrades badly.
-    w, v = eigh_tridiagonal(diag, off, lapack_driver="stemr")
-    vp = v[:, w > 0.0]
-    proj = vp @ vp.T
-    meta = {"positive_eigenvalues": int(vp.shape[1])}
-    return WindowKernel(
-        N=N, kind="underline_prelimit", values=proj, params=p.base, xi=p.xi, meta=meta
-    )
 
 
 def _eigen_count(diag: np.ndarray, off: np.ndarray, lo: float, hi: float) -> int:

@@ -474,10 +474,15 @@ def verify_limit_transport(sigma, F: CylinderFunction, p: Params, kernel: Window
     avoidance functionals g, and sums h = f + g (1 + f) over nested central
     windows: one r x r LU of I + V^T D_f U per group and window where f does
     not vanish serves every job.  The last per-doubling increment of the
-    Richardson-accelerated sum is the reported residual.
+    Richardson-accelerated sum is the reported residual, so the chain needs
+    four windows (a kernel window K >= 5) to leave two accelerated values.
     """
     if not atol >= 0:
         raise ValueError(f"atol must be >= 0, got {atol}")
+    ns = _doubling_windows(kernel_window if kernel is None else kernel.N)
+    if len(ns) < 4:
+        raise ValueError(f"the window chain {ns} leaves no residual after two Richardson "
+                         "levels: the kernel window needs N >= 5")
     perm = _as_permutation(sigma)
     if kernel is None:
         kernel = j_transform(underline_limit_window(kernel_window, p))
@@ -494,7 +499,6 @@ def verify_limit_transport(sigma, F: CylinderFunction, p: Params, kernel: Window
     cs, us = _avoidance_rows(F.transform(perm), K)
     lhs = math.fsum(cs * _window_dets(np.zeros(2 * K), us, uv, [K])[:, 0])
 
-    ns = _doubling_windows(K)
     totals = np.zeros(len(ns))
     n_terms = 0
     for fw, cs, us in _limit_groups(perm, F, p, K):
@@ -506,11 +510,9 @@ def verify_limit_transport(sigma, F: CylinderFunction, p: Params, kernel: Window
     # 1/n accelerate the limit by two orders.
     seq = [float(v) for v in totals]
     for factor in (2.0, 4.0):
-        if len(seq) < 2:
-            break
         seq = [(factor * b - a) / (factor - 1.0) for a, b in zip(seq, seq[1:])]
     rhs = seq[-1]
-    residual = abs(seq[-1] - seq[-2]) if len(seq) >= 2 else 0.0
+    residual = abs(seq[-1] - seq[-2])
     tolerance = max(atol, 10.0 * residual)
     diff = abs(lhs - rhs)
     return LimitTransportReport(

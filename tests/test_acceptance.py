@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from gammakernel.lattice import (
     FiniteConfig,
@@ -28,12 +29,11 @@ from gammakernel.kernels import (
     density_constant,
     j_transform,
     underline_limit_window,
-    underline_prelimit_spectral,
     underline_prelimit_window,
     weighted_blocks,
     window_points,
 )
-from gammakernel.kernels import _contour_grid, _limit_closed_form
+from gammakernel.kernels import _contour_grid, _difference_operator, _limit_closed_form
 from gammakernel.fredholm import (
     InverseDecay,
     TestFunction,
@@ -143,7 +143,10 @@ def test_criterion_2_four_method_kernel_consistency():
             if xi == 0.5:
                 # Raw fixed-window diagonalization is already interior-accurate
                 # at moderate xi (correlation scale 1/(1-xi) << window).
-                raw = underline_prelimit_spectral(32, xp).submatrix(window_points(6))
+                # [-6, 6] rows of the eigensolver's projection on [-32, 32].
+                w, v = eigh_tridiagonal(*_difference_operator(32, xp))
+                rows = v[32 - 6 : 32 + 6, w > 0.0]
+                raw = rows @ rows.T
                 worst_spectral = max(worst_spectral, np.max(np.abs(np.diag(raw) - np.diag(got))))
     assert worst_spectral <= 1e-6
     print(

@@ -1,12 +1,16 @@
-"""End-to-end tests of the command-line front end via subprocess.
+"""End-to-end tests of the command-line front end.
 
 Every assertion parses the emitted CSV/JSONL rather than library objects, so
 these tests pin the external file formats: '#' config echo atop CSV, 17
 significant digits, "n/2" half-integers, JSON-array words, and the
-documented exit codes (2 invalid parameters, 3 non-convergence).
+documented exit codes (2 invalid parameters, 3 non-convergence).  The
+commands run in-process through ``cli.main``; three tests run
+``python -m gammakernel`` as a subprocess, one per exit code.
 """
 
+import contextlib
 import csv
+import io
 import json
 import math
 import subprocess
@@ -14,14 +18,20 @@ import sys
 
 import pytest
 
+from gammakernel import cli
+
 
 def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "gammakernel", *args],
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    """cli.main on the arguments, with its exit code and captured streams."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def run_module(*args):
+    return subprocess.run([sys.executable, "-m", "gammakernel", *args],
+                          capture_output=True, text=True, timeout=300)
 
 
 def parse_csv(text):
@@ -47,7 +57,7 @@ def stderr_error(res):
 # ---------------------------------------------------------------------------
 
 def test_weight_empty_partition():
-    res = run_cli("weight", "--z", "0.5", "--zp", "0.5", "--xi", "0.3", "--lambda", "")
+    res = run_module("weight", "--z", "0.5", "--zp", "0.5", "--xi", "0.3", "--lambda", "")
     assert res.returncode == 0, res.stderr
     header, rows = parse_csv(res.stdout)
     assert header == ["kind", "object", "log_weight", "weight"]
@@ -226,10 +236,9 @@ def test_kernel_xi_flag_validation():
 
 
 @pytest.mark.parametrize("method, flags", [
-    ("integrable", ("--nodes", "8", "--max-nodes", "16", "--tol", "1e-3")),
-    ("spectral", ("--xi", "0.5", "--nodes", "8")),
+    ("integrable", ("--max-nodes", "16", "--tol", "1e-3")),
     ("spectral", ("--xi", "0.5", "--max-nodes", "16")),
-], ids=["integrable", "spectral-nodes", "spectral-max-nodes"])
+], ids=["integrable", "spectral-max-nodes"])
 def test_kernel_rejects_quadrature_flags_it_does_not_read(method, flags):
     res = run_cli("kernel", "--method", method, "--x", "1/2", *flags)
     assert res.returncode == 2
@@ -237,8 +246,8 @@ def test_kernel_rejects_quadrature_flags_it_does_not_read(method, flags):
 
 
 def test_kernel_starved_quadrature_exits_3():
-    res = run_cli("kernel", "--method", "contour-limit", "--x", "1/2", "--y", "1/2",
-                  "--nodes", "8", "--tol", "1e-15", "--max-nodes", "16")
+    res = run_module("kernel", "--method", "contour-limit", "--x", "1/2", "--y", "1/2",
+                     "--tol", "1e-15", "--max-nodes", "128")
     assert res.returncode == 3
     err = stderr_error(res)
     assert err["name"].startswith("non_convergence:")
@@ -253,11 +262,10 @@ def test_kernel_bad_half_integer():
 
 
 def test_kernel_quadrature_cap_below_two_levels_exits_2():
-    res = run_cli("kernel", "--method", "contour-limit", "--x", "1/2",
-                  "--nodes", "64", "--max-nodes", "32")
+    res = run_cli("kernel", "--method", "contour-limit", "--x", "1/2", "--max-nodes", "32")
     assert res.returncode == 2
     err = stderr_error(res)
-    assert err["name"] == "quadrature_config"
+    assert err["name"] == "value"
     assert "max_nodes" in err["message"]
 
 
@@ -369,6 +377,36 @@ def test_transport_limit_passes():
     assert rows[0]["mode"] == "limit"
     assert rows[0]["passed"] == "true"
     assert float(rows[0]["difference"]) < 1e-3
+
+
+def test_transport_limit_prints_its_certificate():
+    # The factored kernel's rank and the Richardson residual, as the library
+    # reports them; the pre-limit mode prints none.
+    from gammakernel import CylinderFunction, HalfInt, Params, verify_limit_transport
+
+    rep = verify_limit_transport([0], CylinderFunction.contains(HalfInt(1)), Params(0.5, 0.5),
+                                 kernel_window=64, atol=1e-3)
+    args = ("transport", "--word", "[0]", "--f-contains", "1/2", "--window", "64", "--atol", "1e-3")
+    res = run_cli(*args)
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert lines[1].startswith("# config: ") and lines[2].startswith("# certificate: ")
+    cert = json.loads(lines[2][len("# certificate: "):])
+    assert cert == {"rank": rep.rank, "residual": rep.residual}
+    assert float(parse_csv(res.stdout)[1][0]["rhs"]) == rep.rhs
+    res = run_cli(*args, "--format", "jsonl")
+    assert json.loads(res.stdout.splitlines()[0])["certificate"] == cert
+    res = run_cli("transport", "--word", "[0]", "--f-contains", "1/2", "--xi", "0.2",
+                  "--max-size", "12")
+    assert res.returncode == 0 and "# certificate" not in res.stdout
+
+
+def test_transport_limit_window_without_residual_exits_2():
+    # The window chain 1, 2, 4 measures no residual.
+    res = run_cli("transport", "--word", "[1]", "--f-contains", "1/2", "--window", "4")
+    assert res.returncode == 2
+    err = stderr_error(res)
+    assert err["name"] == "value" and "N >= 5" in err["message"]
 
 
 def test_transport_needs_exactly_one_f():
@@ -491,7 +529,7 @@ def test_sample_output_file(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_invalid_params_exit_2():
-    res = run_cli("weight", "--z", "3", "--zp", "3", "--xi", "0.3", "--lambda", "")
+    res = run_module("weight", "--z", "3", "--zp", "3", "--xi", "0.3", "--lambda", "")
     assert res.returncode == 2
     assert stderr_error(res)["name"] == "params_admissible"
 
@@ -504,7 +542,7 @@ def test_invalid_params_exit_2():
     (("transport", "--word", "[1,0]", "--f-contains", "1/2", "--atol", "nan"),
      "value", "atol must be >= 0, got nan"),
     (("kernel", "--method", "contour-limit", "--x", "1/2", "--tol", "nan"),
-     "quadrature_config", "tol must be positive"),
+     "value", "tol must be positive"),
 ], ids=["converge-tol", "fredholm-det-tol", "transport-atol", "contour-tol"])
 def test_tolerance_and_radius_out_of_range_exit_2(args, name, message):
     # Each is an invalid argument (exit 2), not a non-convergence (exit 3) nor

@@ -427,6 +427,16 @@ def test_sparseness_certificate_fast_decay():
     assert all(r <= 0.30 for r in report.ratios)
 
 
+def test_sparseness_certificate_rise_after_flat_doubling_fails():
+    # rho = 1 on [-32, 32] but 0 on 8 < |x| <= 16: the increments are
+    # (1.38, 0, 1.39), and the rise after the flat doubling does not contract.
+    pts = [H(t) for t in range(-63, 64, 2)]
+    report = sparseness_certificate({x: 0.0 if 8 < abs(float(x)) <= 16 else 1.0 for x in pts})
+    assert report.increments[1] == 0.0 < report.increments[2]
+    assert report.ratios[1] == math.inf
+    assert not report.passed
+
+
 def test_sparseness_certificate_validation():
     with pytest.raises(ValueError):
         sparseness_certificate({})

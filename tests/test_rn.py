@@ -813,10 +813,25 @@ def test_verify_limit_transport_rejects_prelimit_kernel():
 
 
 def test_verify_limit_transport_word_exceeds_kernel():
-    small = j_transform(underline_limit_window(2, EQUAL))
+    # The smallest kernel window with a residual (N = 5), one short of the word's.
+    small = j_transform(underline_limit_window(5, EQUAL))
     F = CylinderFunction.contains(H(1))
-    with pytest.raises(ValueError):
-        verify_limit_transport((4,), F, EQUAL, kernel=small)
+    with pytest.raises(ValueError, match="too small"):
+        verify_limit_transport((5,), F, EQUAL, kernel=small)
+
+
+@pytest.mark.parametrize("K", [1, 2, 4])
+def test_verify_limit_transport_needs_a_measured_residual(K):
+    # The chains 1, 2, 4 and shorter leave one value after two Richardson
+    # levels, so no residual is measured: the check refuses them before it
+    # builds a kernel.  The chain 1, 2, 4, 5 is the shortest with one.
+    F = CylinderFunction.contains(H(1))
+    with pytest.raises(ValueError, match="N >= 5"):
+        verify_limit_transport((1,), F, EQUAL, kernel_window=K)
+    with pytest.raises(ValueError, match="N >= 5"):
+        verify_limit_transport((1,), F, EQUAL, kernel=j_transform(underline_limit_window(K, EQUAL)))
+    report = verify_limit_transport((1,), F, EQUAL, kernel_window=5)
+    assert report.windows == (1, 2, 4, 5) and report.residual > 0.0
 
 
 def test_verify_limit_transport_f_exceeds_kernel():
