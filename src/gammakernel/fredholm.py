@@ -271,15 +271,16 @@ def _factor(kw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """K_w = U V^T at its numerical rank: a finitary process holds few points
     in a window (rho_1 ~ c/|x|), so a seeded Gaussian sketch of width 64, U =
     qr(K_w Omega) and V^T = U^T K_w, doubles its width until the exact
-    residual max|K_w - U V^T| is at most 1e-12 max|K_w|.  A kernel of at most
+    residual max|K_w - U V^T| is at most 1e-12 max|K_w|, taken over row
+    blocks of about 2^17 entries (no n x n temporary).  A kernel of at most
     64 points, or a sketch reaching its full width, gives the pair (K_w, I)."""
     n, r, bound = len(kw), 64, 1e-12 * max(kw.max(), -kw.min())
+    step = max(1, 2**17 // n)
     while r < n:
         q = np.linalg.qr(kw @ np.random.default_rng(0).standard_normal((n, r)))[0]
         vt = q.T @ kw
-        res = q @ vt
-        res -= kw  # in place: a fresh 2K x 2K temporary costs more than the subtraction
-        if max(res.max(), -res.min()) <= bound:
+        res = (np.abs(q[s : s + step] @ vt - kw[s : s + step]).max() for s in range(0, n, step))
+        if max(res) <= bound:
             return q, vt.T
         r *= 2
     return kw, np.eye(n)

@@ -17,8 +17,9 @@ its xi -> 1 limit (the Gamma kernel).  Four evaluation methods are provided:
     contours [+inf - i rho, 0-, +inf + i rho], in two variants ("sum"
     denominator u1+u2+1, and "difference" denominator u1-u2 with rho1 < rho2
     and outer rays tilted away from the inner ones, which halves its nodes):
-    factor rows times one Cauchy matrix per node doubling, built in row
-    blocks and never kept (_coupled_sum), on arcs whose rule is built once;
+    factor rows times one Cauchy matrix per node doubling, of which the
+    conjugation-symmetric node order (_hairpin_nodes) lets only the first
+    half of the rows be built, in row blocks never kept (_coupled_sum);
   * underline_prelimit_contour -- double contour integral over origin-centered
     circles, in the same two variants (omega1 omega2 - 1, and omega1 - omega2
     with an inner second circle), whose equispaced trapezoid sums are exact
@@ -264,15 +265,21 @@ def _gamma_prefactor(x: float, y: float, p: Params | XiParams) -> complex:
 def _coupled_sum(a: np.ndarray, b: np.ndarray, u1: np.ndarray, u2: np.ndarray, mode: str):
     """sum_{i,j} a_i b_j C_ij over hairpin nodes, C_ij = 1/denom(u1_i, u2_j)
     with denom u1 + u2 + 1 ('sum') or u1 - u2 ('difference').  Factor rows a
-    (..., n1) and b (..., n2) give the matrix a C b^T.  C is built in row
-    blocks of about 2^18 entries, a_blk @ (C_blk @ b^T), and never kept."""
-    total = 0.0 + 0.0j
+    (..., n1) and b (..., n2) give the matrix a C b^T.  In _hairpin_nodes'
+    order, u[::-1] == conj(u), row n1-1-i of C is row i reversed and
+    conjugated, so the first ceil(n1/2) rows, built in row blocks of about 2^18
+    entries never kept, times [b, conj(b reversed)]^T serve both halves."""
+    bb = np.reshape(b, (-1, b.shape[-1]))
+    rhs = np.concatenate([bb, np.conj(bb[:, ::-1])]).T
+    k, half, mirrored, total = len(bb), (len(u1) + 1) // 2, len(u1) // 2, 0j  # odd n1: middle row once
     chunk = max(1, 2**18 // max(len(u2), 1))
     v2 = u2 + 1.0 if mode == "sum" else -u2
-    for s in range(0, len(u1), chunk):
-        denom = u1[s : s + chunk, None] + v2
-        total += a[..., s : s + chunk] @ (np.reciprocal(denom, out=denom) @ b.T)
-    return total
+    for s in range(0, half, chunk):
+        denom = u1[s : min(s + chunk, half), None] + v2
+        prod = np.reciprocal(denom, out=denom) @ rhs
+        total += a[..., s : s + len(prod)] @ prod[:, :k]
+        total += a[..., ::-1][..., s : min(s + chunk, mirrored)] @ np.conj(prod[: mirrored - s, k:])
+    return total if b.ndim > 1 else total[..., 0]
 
 
 def _circle_sum(a: np.ndarray, b: np.ndarray, u1: np.ndarray, u2: np.ndarray, mode: str):
@@ -284,15 +291,16 @@ def _circle_sum(a: np.ndarray, b: np.ndarray, u1: np.ndarray, u2: np.ndarray, mo
       'sum' (u1 u2 - 1, one radius r, t = r^2 > 1):
           g_m = t^(-m') / (1 - t^(-n)),  m' = m for m >= 1, m' = n for m = 0;
       'difference' (u1 - u2, radii r2 < r1, rho = r2/r1), A shifted by one:
-          A_((m+1) mod n) B'_m with g_m = rho^m / (r1 (1 - rho^n))."""
+          A_((m+1) mod n) B'_m with g_m = rho^m / (r1 (1 - rho^n)).
+    The complex rows a and b are transformed in place: they are overwritten."""
     n, r1, r2 = a.shape[-1], u1[0].real, u2[0].real
-    fa = np.fft.fft(a)
+    fa = np.fft.fft(a, out=a)
     if mode == "sum":
         t = r1 * r2
-        return (fa * (t ** -np.r_[n, 1:n] / (1.0 - t**-n))) @ np.fft.fft(b).T
+        return (fa * (t ** -np.r_[n, 1:n] / (1.0 - t**-n))) @ np.fft.fft(b, out=b).T
     rho = r2 / r1
     g = rho ** np.arange(n) * (n / (r1 * (1.0 - rho**n)))
-    return (np.roll(fa, -1, axis=-1) * g) @ np.fft.ifft(b).T
+    return (np.roll(fa, -1, axis=-1) * g) @ np.fft.ifft(b, out=b).T
 
 
 def _contour_value(op: str, pref, mode: str, contours: Callable[[int], tuple],
@@ -342,9 +350,11 @@ def _hairpin_nodes(
     Rays use the double-exponential map t = exp(pi sinh(tau)) on (0, u_max)
     (geometric convergence for power-law integrands); the semicircle around 0
     uses Gauss-Legendre.  Weights include the complex line element and the
-    traversal orientation: the lower ray runs from infinity to 0, the
-    semicircle clockwise from -i rho through -rho to +i rho, the upper ray
-    from 0 to infinity.
+    traversal orientation.  Nodes come in traversal order: the lower ray from
+    infinity to 0, the semicircle clockwise from -i rho through -rho to +i rho,
+    the upper ray from 0 to infinity.  The second half is built as the
+    conjugate of the first, so u[::-1] == conj(u) and w[::-1] == -conj(w)
+    exactly (which lets _coupled_sum form half its Cauchy block).
 
     slope > 0 tilts the rays outward, u = t +- i (rho + slope*t), a legal
     deformation (no cut or pole is crossed, the integrand still decays), for
@@ -353,31 +363,18 @@ def _hairpin_nodes(
     still bounds the tail: |u| >= t sqrt(1 + slope^2) gives |u|^(d-1) |du| past
     U the bound (1 + slope^2)^(d/2) U^d/(-d) <= U^d/(-d), as d < 0.
     """
-    tau_max = 3.9
-    h = 2.0 * tau_max / n_ray
-    k = np.arange(-(n_ray // 2), n_ray // 2 + 1)
-    tau = k * h
+    h = 2.0 * 3.9 / n_ray  # tau on [-3.9, 3.9], descending: t from +inf to 0
+    tau = np.arange(n_ray // 2, -(n_ray // 2) - 1, -1) * h
     t = np.exp(np.pi * np.sinh(tau))
     dt = h * np.pi * np.cosh(tau) * t
     keep = (t > 0) & (t <= u_max) & np.isfinite(dt)
     t, dt = t[keep], dt[keep]
-
-    lower_u = t - 1j * (rho + slope * t)
-    lower_w = -(1.0 - 1j * slope) * dt  # traversed from +inf to 0
-    upper_u = t + 1j * (rho + slope * t)
-    upper_w = (1.0 + 1j * slope) * dt
-
-    gx, gw = _gauss_legendre(max(16, n_ray // 4))
-    # theta from -pi/2 down to -3pi/2 (clockwise through the negative axis)
-    a, b = -0.5 * math.pi, -1.5 * math.pi
-    theta = 0.5 * (a + b) + 0.5 * (b - a) * gx
-    w_theta = 0.5 * (b - a) * gw
-    arc_u = rho * np.exp(1j * theta)
-    arc_w = 1j * arc_u * w_theta
-
-    u = np.concatenate([lower_u, arc_u, upper_u])
-    w = np.concatenate([lower_w, arc_w, upper_w])
-    return u, w
+    half_arc = max(8, n_ray // 8)  # half of the semicircle's nodes, theta from -pi/2 to -pi
+    gx, gw = (v[:half_arc] for v in _gauss_legendre(2 * half_arc))
+    arc_u = rho * np.exp(-1j * np.pi * (1.0 + 0.5 * gx))  # theta = -pi - (pi/2) gx
+    u = np.concatenate([t - 1j * (rho + slope * t), arc_u])
+    w = np.concatenate([-(1.0 - 1j * slope) * dt, -0.5j * np.pi * gw * arc_u])
+    return np.concatenate([u, np.conj(u[::-1])]), np.concatenate([w, -np.conj(w[::-1])])
 
 
 @functools.lru_cache(maxsize=None)
@@ -420,9 +417,11 @@ def _circle_contour(radius: float, n: int, sq: float, alpha: np.ndarray, beta: n
     bases have positive real part, so principal logarithms implement the
     required branches; the omega powers are integers, single-valued."""
     om = radius * np.exp(2j * math.pi * np.arange(n) / n)
-    f = np.exp(np.multiply.outer(alpha, np.log1p(-sq * om))
-               + np.multiply.outer(beta, np.log1p(-sq / om))) * om ** power[:, None]
-    return om, f * ((2j * math.pi / n) * om)
+    f = np.multiply.outer(alpha, np.log1p(-sq * om))  # one array, updated in place
+    f += np.multiply.outer(beta, np.log1p(-sq / om))
+    np.exp(f, out=f)
+    f *= om ** power[:, None]
+    return om, np.multiply(f, (2j * math.pi / n) * om, out=f)
 
 
 # ---------------------------------------------------------------------------

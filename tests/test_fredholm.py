@@ -5,6 +5,7 @@ on |Phi_f|), so route agreement is asserted against that self-reported bar.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -391,6 +392,25 @@ def test_factor_full_rank_reaches_full_width():
     u, v = _factor(eye)
     assert u.shape[1] == 130
     assert np.abs(u @ v.T - eye).max() <= 1e-15
+
+
+def test_factor_forms_no_full_block():
+    # A 2048 x 2048 kernel of rank 100 (singular values 0.8^k): the sketch
+    # certifies at width 128 after failing at 64, and the residual of each
+    # width is taken by row blocks, so the peak stays far below one n x n
+    # float64 array (33.5 MB).
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((2048, 100)) * 0.8 ** np.arange(100)
+    kw = x @ rng.standard_normal((100, 2048))
+    tracemalloc.start()
+    try:
+        u, v = _factor(kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert u.shape[1] == 128
+    assert np.abs(kw - u @ v.T).max() <= 1e-12 * np.abs(kw).max()
+    assert peak < 16e6, peak
 
 
 def test_factor_is_deterministic():

@@ -36,14 +36,21 @@ from gammakernel.kernels import (
     window_points,
 )
 from gammakernel.kernels import (
+    RHO1,
+    RHO2,
+    SLOPE2,
+    _auto_u_max,
     _circle_radii,
     _circle_sum,
     _contour_value,
+    _coupled_sum,
     _difference_operator,
     _eigen_count,
     _gamma_prefactor,
     _gauss_legendre,
     _contour_grid,
+    _hairpin_nodes,
+    _log_factor,
     _sign_quadrature,
     _spectral_center,
 )
@@ -213,6 +220,58 @@ def test_gauss_legendre_one_entry_per_size():
     assert info.hits > 0
 
 
+@pytest.mark.parametrize("n", [64, 128, 256, 512])
+@pytest.mark.parametrize("u_max", [math.inf, 1e12])
+def test_hairpin_nodes_conjugation_symmetric(n, u_max):
+    # Node n-1-k is the conjugate of node k, bit for bit, on the flat inner
+    # hairpin and the tilted outer one; the order runs lower ray (from +inf),
+    # arc through -rho, upper ray.
+    for rho, slope in ((RHO1, 0.0), (RHO2, SLOPE2)):
+        u, w = _hairpin_nodes(rho, n, u_max, slope=slope)
+        assert np.array_equal(u[::-1], np.conj(u)) and np.array_equal(w[::-1], -np.conj(w))
+        assert len(u) % 2 == 0 and np.all(u[: len(u) // 2].imag < 0)
+        assert u[0].real == np.max(u.real) and np.argmin(u.real) in (len(u) // 2 - 1, len(u) // 2)
+
+
+def _dense_coupled(a, b, u1, u2, mode):
+    """The plain double sum sum_ij a_i b_j / denom_ij and its absolute sum."""
+    c = 1.0 / (u1[:, None] + (u2 + 1.0 if mode == "sum" else -u2)[None, :])
+    a2, b2 = np.atleast_2d(a), np.atleast_2d(b)
+    return a2 @ c @ b2.T, np.abs(a2) @ np.abs(c) @ np.abs(b2).T
+
+
+@pytest.mark.parametrize("mode", ["sum", "difference"])
+@pytest.mark.parametrize("n", [64, 128])
+def test_coupled_sum_matches_dense_double_sum(n, mode):
+    # The half-block sum against the full double sum it replaces, on one real
+    # hairpin level: principal-series factor rows for a 1x1 entry (1-D rows)
+    # and a 3x4 grid, then seeded random factors (no symmetry of their own)
+    # with an odd first contour whose middle node -rho is self-conjugate.
+    p = Params(0.3 + 0.5j, 0.3 - 0.5j)
+    z, zp = p.z, p.z_prime
+    rho_2, slope2 = (RHO1, 0.0) if mode == "sum" else (RHO2, SLOPE2)
+    u1, w1 = _hairpin_nodes(RHO1, n, _auto_u_max(-1.0, 1e-10))
+    u2, w2 = _hairpin_nodes(rho_2, n, _auto_u_max(-1.0, 1e-10), slope=slope2)
+    for rows, cols in (([0.5], [1.5]), ([-2.5, 0.5, 3.5], [-1.5, 0.5, 1.5, 4.5])):
+        rows, cols = np.array(rows), np.array(cols)
+        a2, b2 = (z + cols - 0.5, -zp - cols - 0.5)[:: 1 if mode == "sum" else -1]
+        if len(rows) == 1:
+            rows, a2, b2 = rows[0], a2[0], b2[0]
+        a = _log_factor(u1, zp + rows - 0.5, -z - rows - 0.5) * w1
+        b = _log_factor(u2, a2, b2) * w2
+        got = _coupled_sum(a, b, u1, u2, mode)
+        want, scale = _dense_coupled(a, b, u1, u2, mode)
+        assert np.shape(got) == np.shape(np.squeeze(want))
+        assert np.all(np.abs(got - np.squeeze(want)) <= 1e-13 * np.squeeze(scale)), (got, want)
+    rng = np.random.default_rng([n, mode == "sum"])
+    m = len(u1) // 2
+    odd = np.concatenate([u1[:m], [-RHO1 + 0j], u1[m:]])
+    a, b = (rng.standard_normal((k, len(v))) + 1j * rng.standard_normal((k, len(v)))
+            for k, v in ((3, odd), (2, u2)))
+    want, scale = _dense_coupled(a, b, odd, u2, mode)
+    assert np.all(np.abs(_coupled_sum(a, b, odd, u2, mode) - want) <= 1e-13 * scale)
+
+
 def _route(p, xi):
     """The grid parameters, 1x1 entry function and node-count key of the
     hairpin route (xi None, the limit kernel) or the circle route at xi."""
@@ -363,9 +422,9 @@ def test_circle_sums_match_explicit_double_sum(n, xi):
     ring = np.exp(2j * math.pi * np.arange(n) / n)
     for mode, rb in (("sum", r1), ("difference", r2)):
         want = _explicit_circle_sum(a, b, r1, rb, mode)
-        got = _circle_sum(a, b, r1 * ring, rb * ring, mode)
+        got = _circle_sum(a.copy(), b.copy(), r1 * ring, rb * ring, mode)  # it overwrites its rows
         assert abs(got - want) <= 1e-13 * abs(want), (mode, got, want)
-        rows = _circle_sum(fa, fb, r1 * ring, rb * ring, mode)
+        rows = _circle_sum(fa.copy(), fb.copy(), r1 * ring, rb * ring, mode)
         assert rows.shape == (3, 2)
         for r, s in np.ndindex(rows.shape):
             want = _explicit_circle_sum(fa[r], fb[s], r1, rb, mode)
