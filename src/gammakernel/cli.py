@@ -275,8 +275,7 @@ def _cmd_kernel(args) -> _Run:
     sx, sy = [str(t) for t in xs], [str(t) for t in ys]  # labels once per point
     xv, yv = (np.array([float(t) for t in ts]) for ts in (xs, ys))
     if args.method == "spectral":
-        # The fixed-window diagonalization is interior-accurate only, so pad
-        # until the requested entries stabilize (--tol sets the residual).
+        # The smallest window holding every requested entry (--tol sets its residual).
         N = max(4, args.window or 0,
                 max((abs(t.twice) + 1) // 2 for t in (*xs, *ys)))
         wk = kr.underline_prelimit_window(N, XiParams(base, xi), tol=given.get("tol", 1e-9))

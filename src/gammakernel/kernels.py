@@ -29,9 +29,9 @@ its xi -> 1 limit (the Gamma kernel).  Four evaluation methods are provided:
     supplies each route's nodes and factor rows to one node-doubling
     trapezoid loop (_contour_value);
   * underline_prelimit_window   -- the spectral projection itself: the
-    center block of P+ = (I + sign D)/2 on padded windows [-M, M] from a
-    certified trapezoid rule over resolvents, in O(M + N^2) work per node and
-    no O(M^2) array, the padding doubled until the block stabilizes.
+    center block of P+ = (I + sign D)/2 on padded windows [-M, M] from
+    Zolotarev's certified rational sign over resolvents, O(M + N^2) work per
+    pole and no O(M^2) array, the padding doubled until the block stabilizes.
 
 The J-transform converts underline kernels into the kernels of the finitary
 process (delta - underline on negative rows, with alternating signs), and
@@ -52,6 +52,7 @@ from typing import Callable, Iterable
 import numpy as np
 from scipy.linalg.lapack import dstebz
 from scipy.special import digamma as _sp_digamma
+from scipy.special import ellipkm1 as _sp_ellipkm1
 from scipy.special import gammasgn as _sp_gammasgn
 from scipy.special import loggamma as _sp_loggamma
 from scipy.special import polygamma as _sp_polygamma
@@ -166,11 +167,8 @@ class WindowKernel:
         return self.values[np.ix_(idx, idx)]
 
     def minor(self, pts: Iterable) -> float:
-        """Principal minor det K(x_i, x_j) over the given points."""
-        sub = self.submatrix(pts)
-        if sub.size == 0:
-            return 1.0
-        return float(np.linalg.det(sub))
+        """Principal minor det K(x_i, x_j) over the given points (1 for none)."""
+        return float(np.linalg.det(self.submatrix(pts)))
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +311,8 @@ def _contour_value(op: str, pref, mode: str, contours: Callable[[int], tuple],
     denominator mode names.  n doubles from _START_NODES until successive
     values agree within tol on every entry (past max_nodes NonConvergenceError
     carries the largest last increment); each value must then be real within
-    max(1e-9, 50 tol).  Returns the real values, nodes per contour and last
-    increments."""
+    max(1e-9, 50 tol).  Returns the real values, n (the unit of max_nodes)
+    and the last increments."""
     n, prev = _START_NODES, None  # max_nodes >= 2 * _START_NODES: an increment precedes the cap
     while True:
         u1, f1, u2, f2 = contours(n)
@@ -332,16 +330,17 @@ def _contour_value(op: str, pref, mode: str, contours: Callable[[int], tuple],
     if np.any(bad):
         imag, limit = (float(np.ravel(v)[np.argmax(bad)]) for v in (np.abs(val.imag), limit))
         raise NonConvergenceError(
-            op + " (imaginary residue)", imag, limit, len(u1), cap="node count",
+            op + " (imaginary residue)", imag, limit, n, cap="node count",
             detail=f"imaginary part {imag:.3e} > limit {limit:.3e}",
         )
-    return val.real, len(u1), achieved
+    return val.real, n, achieved
 
 
 # ---------------------------------------------------------------------------
 # Route 2: limit kernel via hairpin contour integrals
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=32)
 def _hairpin_nodes(
     rho: float, n_ray: int, u_max: float, slope: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -354,7 +353,8 @@ def _hairpin_nodes(
     infinity to 0, the semicircle clockwise from -i rho through -rho to +i rho,
     the upper ray from 0 to infinity.  The second half is built as the
     conjugate of the first, so u[::-1] == conj(u) and w[::-1] == -conj(w)
-    exactly (which lets _coupled_sum form half its Cauchy block).
+    exactly (which lets _coupled_sum form half its Cauchy block).  Built once
+    per argument tuple, which every entry and level shares read-only.
 
     slope > 0 tilts the rays outward, u = t +- i (rho + slope*t), a legal
     deformation (no cut or pole is crossed, the integrand still decays), for
@@ -370,20 +370,13 @@ def _hairpin_nodes(
     keep = (t > 0) & (t <= u_max) & np.isfinite(dt)
     t, dt = t[keep], dt[keep]
     half_arc = max(8, n_ray // 8)  # half of the semicircle's nodes, theta from -pi/2 to -pi
-    gx, gw = (v[:half_arc] for v in _gauss_legendre(2 * half_arc))
+    gx, gw = (v[:half_arc] for v in np.polynomial.legendre.leggauss(2 * half_arc))
     arc_u = rho * np.exp(-1j * np.pi * (1.0 + 0.5 * gx))  # theta = -pi - (pi/2) gx
     u = np.concatenate([t - 1j * (rho + slope * t), arc_u])
     w = np.concatenate([-(1.0 - 1j * slope) * dt, -0.5j * np.pi * gw * arc_u])
-    return np.concatenate([u, np.conj(u[::-1])]), np.concatenate([w, -np.conj(w[::-1])])
-
-
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-point Gauss-Legendre nodes and weights on [-1, 1], built once per
-    size and shared read-only: the semicircle rule of every hairpin level."""
-    gx, gw = np.polynomial.legendre.leggauss(n)
-    gx.flags.writeable = gw.flags.writeable = False
-    return gx, gw
+    u, w = np.concatenate([u, np.conj(u[::-1])]), np.concatenate([w, -np.conj(w[::-1])])
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
 
 
 def _log_factor(u: np.ndarray, alpha, beta) -> np.ndarray:
@@ -408,20 +401,23 @@ def _auto_u_max(tail_exp: float, tol: float) -> float:
 # Route 3: pre-limit kernel via circle contour integrals
 # ---------------------------------------------------------------------------
 
-def _circle_contour(radius: float, n: int, sq: float, alpha: np.ndarray, beta: np.ndarray,
-                    power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _circle_contour(radius: float, n: int, sq: float, *exponents: tuple) -> tuple:
     """n trapezoid nodes omega on the positively oriented origin-centered
-    circle, starting at omega = radius, and there one row per entry of the
-    exponent arrays: the weighted factor (1 - sq*omega)^alpha
-    (1 - sq/omega)^beta omega^power (2 pi i/n) omega.  On a legal circle both
-    bases have positive real part, so principal logarithms implement the
-    required branches; the omega powers are integers, single-valued."""
+    circle, starting at omega = radius, then per (alpha, beta, power) of
+    exponent arrays one row per entry: the weighted factor (1 - sq*omega)^alpha
+    (1 - sq/omega)^beta omega^power (2 pi i/n) omega.  The nodes and both
+    logarithms are built once for all of them.  On a legal circle both bases
+    have positive real part, so principal logarithms implement the required
+    branches; the omega powers are integers, single-valued."""
     om = radius * np.exp(2j * math.pi * np.arange(n) / n)
-    f = np.multiply.outer(alpha, np.log1p(-sq * om))  # one array, updated in place
-    f += np.multiply.outer(beta, np.log1p(-sq / om))
-    np.exp(f, out=f)
-    f *= om ** power[:, None]
-    return om, np.multiply(f, (2j * math.pi / n) * om, out=f)
+    logs, out = (np.log1p(-sq * om), np.log1p(-sq / om)), [om]
+    for alpha, beta, power in exponents:
+        f = np.multiply.outer(alpha, logs[0])  # one array, updated in place
+        f += np.multiply.outer(beta, logs[1])
+        np.exp(f, out=f)
+        f *= om ** power[:, None]
+        out.append(np.multiply(f, (2j * math.pi / n) * om, out=f))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +473,14 @@ def _contour_grid(xv, yv, p: Params | XiParams, variant: str = "auto", *,
         a2, b2 = (z + cols - 0.5, -zp - cols - 0.5)[:: 1 if mode == "sum" else -1]
         if circles:
             sq, (r1, r_inner) = math.sqrt(p.xi), _circle_radii(p.xi)
-            r2, pow2 = (r1, -cols - 0.5) if mode == "sum" else (r_inner, cols - 0.5)
+            row_exps = (a1, b1, -rows - 0.5)
 
             def contours(n):
-                inner = _circle_contour(r2, n, sq, a2, b2, pow2)
-                return (*_circle_contour(r1, n, sq, a1, b1, -rows - 0.5), *inner)
+                if mode == "sum":  # rows and columns on one circle
+                    om, f1, f2 = _circle_contour(r1, n, sq, row_exps, (a2, b2, -cols - 0.5))
+                    return om, f1, om, f2
+                inner = _circle_contour(r_inner, n, sq, (a2, b2, cols - 0.5))
+                return (*_circle_contour(r1, n, sq, row_exps), *inner)
 
             val, n, achieved = _contour_value("underline_prelimit_contour", pref, mode,
                                               contours, _circle_sum, **caps)
@@ -492,8 +491,8 @@ def _contour_grid(xv, yv, p: Params | XiParams, variant: str = "auto", *,
             umax1, umax2 = (_auto_u_max(d, tol) for d in decays)
 
             def contours(n):
-                u1, w1 = _hairpin_nodes(RHO1, n, umax1)
-                u2, w2 = _hairpin_nodes(rho_2, n, umax2, slope=slope2)
+                u1, w1 = _hairpin_nodes(RHO1, n, umax1, 0.0)  # one cache key per hairpin
+                u2, w2 = _hairpin_nodes(rho_2, n, umax2, slope2)
                 return u1, _log_factor(u1, a1, b1) * w1, u2, _log_factor(u2, a2, b2) * w2
 
             val, n, achieved = _contour_value("underline_limit_contour", pref, mode, contours, **caps)
@@ -566,16 +565,46 @@ def _eigen_count(diag: np.ndarray, off: np.ndarray, lo: float, hi: float) -> int
     return int(dstebz(diag, off, 1, lo, hi, 0, 0, hi - lo, "E")[0])
 
 
+@functools.lru_cache(maxsize=None)
+def _zolotarev(j: int, r: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Zolotarev's best type (2r-1, 2r) approximation of sign on [l, 1], l = 2^(-(j+1)/2)
+    (Nakatsukasa and Freund, SIAM Rev. 2016), as sum_k w_k x/(x^2 + t_k^2):
+    t_k^2 = c_(2k-1), c_i = l^2 sc^2(iK'/(2r) | 1 - l^2), K' = K(1 - l^2), and w_k > 0
+    M times the residues in x^2, M balancing the error delta at the 2r + 1
+    equioscillation points l/dn(iK'/(2r) | 1 - l^2) = sqrt((l^2 + c_i)/(1 + c_i)),
+    where delta is read off.  Returns t, w (read-only, shared) and delta."""
+    ell = 2.0 ** (-0.5 * (j + 1))
+    # sc(u | 1 - l^2) = -i sn(iu | l^2) (A&S 16.20) by the AGM in l^2 (A&S 16.4), in which sin
+    # and arcsin act as sinh and arcsinh at an imaginary argument; c_n = c_(n-1)^2/(4 a_n).
+    a, b, c, ratios = 1.0, math.sqrt((1.0 - ell) * (1.0 + ell)), ell, []
+    while c > 1e-17 * a:
+        a, b, c = (a + b) / 2, math.sqrt(a * b), c * c / (2 * (a + b))
+        ratios.append(c / a)
+    psi = 2.0 ** len(ratios) * a * float(_sp_ellipkm1(ell * ell)) / (2 * r) * np.arange(1, r + 1)
+    for k in reversed(ratios):
+        psi = (psi + np.arcsinh(k * np.sinh(psi))) / 2
+    low = (ell * np.sinh(psi)) ** 2  # c_1 .. c_r, and c_(2r-i) = l^2/c_i
+    cs = np.r_[low, ell * ell / low[-2::-1]]
+    odd, even, i = cs[0::2], cs[1::2], np.arange(r - 1)  # interlaced poles and zeros in x^2
+    # Residue k: prod_i (even_i - odd_k)/(rest_i - odd_k), rest = odd but odd_k, each in (0, 1).
+    res = np.prod((even - odd[:, None]) / (odd[i + (i >= np.arange(r)[:, None])] - odd[:, None]), axis=1)
+    y = np.r_[ell * ell, (ell * ell + cs) / (1.0 + cs), 1.0]
+    s = np.sqrt(y) * ((1.0 / (y[:, None] + odd)) @ res)
+    t, w = np.sqrt(odd), res * (2.0 / (s.max() + s.min()))
+    t.flags.writeable = w.flags.writeable = False
+    return t, w, float((s.max() - s.min()) / (s.max() + s.min()))
+
+
 def _sign_quadrature(diag: np.ndarray, off: np.ndarray, tol: float) -> tuple:
-    """Trapezoid rule in s for sign(D) = (2/pi) int e^s Re[(D - i e^s)^-1] ds,
-    whose integrand at an eigenvalue lam is sign(lam) sech(s - log|lam|)/2.
-    The gap is the widest trial 2^(-j/2) lam_max (Gershgorin) whose interval
-    (-gap, gap] holds no eigenvalue: the counts are monotone in the trial, so
-    a bisection over the 80 trials finds it in seven compiled counts.
-    Step h errs by at most 2 sum_m sech(pi^2 m/h) (Poisson summation) and the
-    range [log gap - u, log lam_max + u] cuts tails of at most (2/pi) e^-u each,
-    so P+ = (I + sign D)/2 is entrywise within quadrature_bound <= max(tol/1000,
-    1e-14).  Returns nodes t = e^s, weights, positive count, certificate."""
+    """Nodes t and weights w with sign(D) ~ sum_k w_k Re[(D - i t_k)^-1]: at an
+    eigenvalue lam, Zolotarev's rule sum_k w_k lam/(lam^2 + t_k^2) on the
+    certified [gap, lam_max].  The gap is the widest trial 2^(-(j+1)/2) lam_max
+    (Gershgorin) whose interval (-gap, gap] holds no eigenvalue: the counts are
+    monotone in the trial, so a bisection over the 80 trials finds it in seven
+    compiled counts.  The rule has the fewest poles whose error delta is at most
+    max(tol/1000, 1e-14); D is symmetric, so ||sign D - rule(D)||_2 <= delta and
+    P+ = (I + sign D)/2 is entrywise within quadrature_bound = delta/2.
+    Returns t, w, the positive count and the certificate."""
     r = np.abs(off)
     lam_max = float(np.max(np.abs(diag) + np.r_[0.0, r] + np.r_[r, 0.0]))
     # Trial gaps down to 2^-40 lam_max, far above the eps * lam_max backward
@@ -591,28 +620,22 @@ def _sign_quadrature(diag: np.ndarray, off: np.ndarray, tol: float) -> tuple:
             cap="window half-width",
             detail=f"{inside(j - 1)} eigenvalue(s) within {deltas[-1]:.3e} of 0, the narrowest gap tried,",
         )
-    gap = deltas[j]
-    eps = max(tol / 1000.0, 1e-14)
-    q = eps / 8.0
-    h = math.pi**2 / math.log(1.0 / q)
-    u = math.log(4.0 / (math.pi * eps))
-    s0 = math.log(gap) - u
-    s = s0 + h * np.arange(math.ceil((math.log(lam_max) + u - s0) / h) + 1)
-    disc = 4.0 * q / (1.0 - q)  # >= 2 sum_m sech(pi^2 m/h), as sech x <= 2 e^-x
-    tails = (2.0 / math.pi) * (math.exp(math.log(lam_max) - s[-1]) + math.exp(-u))
-    t = np.exp(s)
-    cert = {"spectral_gap": gap, "quadrature_nodes": len(t), "quadrature_bound": (disc + tails) / 2}
-    return t, (2.0 / math.pi) * h * t, _eigen_count(diag, off, 0.0, 2.0 * lam_max), cert
+    gap, eps, r = deltas[j], max(tol / 1000.0, 1e-14), 1
+    while _zolotarev(j, r)[2] > eps:
+        r += 1
+    t, w, delta = _zolotarev(j, r)
+    cert = {"spectral_gap": gap, "quadrature_nodes": r, "quadrature_bound": delta / 2}
+    return lam_max * t, lam_max * w, _eigen_count(diag, off, 0.0, 2.0 * lam_max), cert
 
 
 def _spectral_center(N: int, M: int, p: XiParams, tol: float) -> tuple[np.ndarray, dict]:
     """Center [-N, N] block of the positive spectral projection of the
-    difference operator on [-M, M], M > N, by the sign quadrature.  One
+    difference operator on [-M, M], M > N, by _sign_quadrature's poles.  One
     two-ended pivot sweep gives the resolvent's diagonal g and the ratios of
     G(i, j > i) = g_i prod_{k=i}^{j-1} ratio_k, so tile (I, J > I) of b x b tiles
     is Re(A_I diag(w c_IJ) B_J^T) (suffix, gap and prefix products; no division)
     and the b diagonals that hold the diagonal tiles are running products over
-    all rows.  O(b + N/b) steps, O(N nodes) memory besides the block."""
+    all rows.  O(b + N/b) steps, O(N poles) memory besides the block."""
     diag, off = _difference_operator(M, p)
     t, w, positive, cert = _sign_quadrature(diag, off, tol)
     z, w = 1j * t, 0.5 * w  # P+ = (I + sign D)/2: half weights, then 1/2 on the diagonal
@@ -661,13 +684,14 @@ def underline_prelimit_window(N: int, p: XiParams, tol: float = 1e-9,
     """Pre-limit kernel on [-N, N] with certified interior accuracy.
 
     Center blocks of window projections on [-M, M] (boundary effects decay
-    into the interior) come from a resolvent quadrature of the sign function
-    certified a priori to max(tol/1000, 1e-14), in tiles of one semiseparable
-    product; no O(M^2) array is formed.  The padding M - N doubles until
-    successive blocks differ by at most tol; a rung with M > max_pad is not
-    run: NonConvergenceError carries the last residual (inf if the first rung
-    is past the cap).  meta records padding, padding_residual,
-    positive_eigenvalues, spectral_gap, quadrature_nodes and quadrature_bound."""
+    into the interior) come from Zolotarev's rational sign function over
+    resolvents, its error on the certified spectral gap at most max(tol/1000,
+    1e-14), in tiles of one semiseparable product; no O(M^2) array is formed.
+    The padding M - N doubles until successive blocks differ by at most tol; a
+    rung with M > max_pad is not run: NonConvergenceError carries the last
+    residual (inf if the first rung is past the cap).  meta records padding,
+    padding_residual, positive_eigenvalues, spectral_gap, quadrature_nodes
+    (the poles) and quadrature_bound."""
     if N < 1:
         raise ValueError("window half-width must be a positive integer")
     if not tol > 0:

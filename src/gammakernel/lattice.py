@@ -98,10 +98,6 @@ class HalfInt:
     def __abs__(self) -> "HalfInt":
         return HalfInt(abs(self.twice))
 
-    @property
-    def value(self) -> float:
-        return self.twice / 2.0
-
 
 class Partition:
     """A Young diagram: weakly decreasing positive row lengths.
@@ -149,25 +145,18 @@ class Partition:
         return sum(self.rows)
 
     def transpose(self) -> "Partition":
-        if not self.rows:
-            return Partition(())
-        cols = [0] * self.rows[0]
+        cols = [0] * max(self.rows, default=0)
         for r in self.rows:
             for j in range(r):
                 cols[j] += 1
         return Partition(cols)
 
     @property
-    def diagonal_length(self) -> int:
-        """Number of diagonal boxes d = #{i : lambda_i >= i}."""
-        return sum(1 for i, r in enumerate(self.rows, start=1) if r >= i)
-
-    @property
     def frobenius(self) -> tuple[tuple[HalfInt, HalfInt], ...]:
         """Modified Frobenius coordinates ((p_1,q_1),...,(p_d,q_d)), ascending."""
         if self._frobenius is None:
             t = self.transpose()
-            d = self.diagonal_length
+            d = sum(1 for i, r in enumerate(self.rows, start=1) if r >= i)  # diagonal boxes
             pairs = []
             for i in range(d, 0, -1):  # reverse so p ascends
                 p = HalfInt(2 * (self[i] - i) + 1)
@@ -175,12 +164,6 @@ class Partition:
                 pairs.append((p, q))
             self._frobenius = tuple(pairs)
         return self._frobenius
-
-    def boxes(self) -> Iterator[tuple[int, int]]:
-        """Iterate boxes (i, j), both 1-based."""
-        for i, r in enumerate(self.rows, start=1):
-            for j in range(1, r + 1):
-                yield (i, j)
 
 
 class FiniteConfig:
@@ -260,11 +243,7 @@ class FinitaryPermutation:
 
 def to_balanced_config(lam: Partition) -> FiniteConfig:
     """X(lambda) = {-q_d, ..., -q_1, p_1, ..., p_d}; always balanced."""
-    pts: list[HalfInt] = []
-    for p, q in lam.frobenius:
-        pts.append(p)
-        pts.append(-q)
-    return FiniteConfig(pts)
+    return FiniteConfig(x for p, q in lam.frobenius for x in (p, -q))
 
 
 def window_index(x: HalfInt, N: int) -> int | None:
@@ -333,7 +312,6 @@ def dim_ratio(lam: Partition) -> Fraction:
     den = 1
     for i in range(d):
         den *= factorial(ps[i]) * factorial(qs[i])
-    for i in range(d):
         for j in range(d):
             den *= ps[i] + qs[j] + 1  # p_i + q_j = ps[i] + qs[j] + 1
     return Fraction(num, den)
@@ -346,9 +324,6 @@ def dim_ratio(lam: Partition) -> Fraction:
 def partitions_of(n: int) -> Iterator[Partition]:
     """All partitions of n (n >= 0), in lexicographically decreasing order."""
     if n < 0:
-        return
-    if n == 0:
-        yield Partition(())
         return
 
     def gen(remaining: int, cap: int, prefix: list[int]) -> Iterator[Partition]:

@@ -142,8 +142,8 @@ def _box_rows(parts: Sequence[Partition]) -> tuple[np.ndarray, np.ndarray, np.nd
     counts = np.zeros((len(parts), len(contents)))
     logdim = np.empty(len(parts))
     for row, lam in enumerate(parts):
-        for i, j in lam.boxes():
-            counts[row, j - i - lo] += 1.0
+        for i, r in enumerate(lam.rows, start=1):  # row i holds the contents 1 - i .. r - i
+            counts[row, 1 - i - lo : r + 1 - i - lo] += 1.0
         fr = dim_ratio(lam)
         logdim[row] = 2.0 * (math.log(fr.numerator) - math.log(fr.denominator))
     return contents, counts, logdim

@@ -40,6 +40,7 @@ from gammakernel.kernels import (
     RHO2,
     SLOPE2,
     _auto_u_max,
+    _circle_contour,
     _circle_radii,
     _circle_sum,
     _contour_value,
@@ -47,7 +48,6 @@ from gammakernel.kernels import (
     _difference_operator,
     _eigen_count,
     _gamma_prefactor,
-    _gauss_legendre,
     _contour_grid,
     _hairpin_nodes,
     _log_factor,
@@ -139,16 +139,15 @@ FAR_MIXED_CELLS = [(1, -39), (19, -31), (59, -59)]
                          ids=["principal", "equal", "distinct", "shifted", "negated"])
 def test_limit_contour_difference_tilted_rays(p):
     # Mixed-sign entries take the "difference" route, whose outer rays tilt
-    # away from the inner contour: they stabilize by 512 nodes per ray (at
-    # most 1,076 per contour) and stay within 1e-10 of the closed form, also
-    # far from the origin.
+    # away from the inner contour: they stabilize by 512 nodes per ray and
+    # stay within 1e-10 of the closed form, also far from the origin.
     for tx, ty in MIXED_CELLS + FAR_MIXED_CELLS:
         ref = underline_limit_integrable(H(tx), H(ty), p)
         val, info = underline_limit_contour(H(tx), H(ty), p, full_output=True)
         assert info["variant"] == "difference"
         assert abs(val - ref) <= 1e-10 * max(1.0, abs(ref)), (tx, ty, val, ref)
         if (tx, ty) in MIXED_CELLS:
-            assert info["nodes_per_contour"] <= 1076, (tx, ty, info)
+            assert info["nodes_per_contour"] <= 512, (tx, ty, info)
 
 
 def test_limit_contour_variants_agree():
@@ -198,26 +197,16 @@ def test_limit_window_matches_contour():
                 assert abs(wk.entry(x, y) - underline_limit_contour(x, y, p)) < 1e-8, (p, x, y)
 
 
-def test_gauss_legendre_rule_cached_read_only():
-    for n in (16, 64, 256):
-        gx, gw = _gauss_legendre(n)
-        want_x, want_w = np.polynomial.legendre.leggauss(n)
-        assert np.array_equal(gx, want_x) and np.array_equal(gw, want_w)
-        assert not gx.flags.writeable and not gw.flags.writeable
-        assert _gauss_legendre(n)[0] is gx
-        with pytest.raises(ValueError):
-            gw[0] = 0.0
-
-
-def test_gauss_legendre_one_entry_per_size():
-    # The window-5 sweep doubles n = 64, ..., 512 per ray across its two
-    # blocks, so it needs the arc rules of sizes n/4 = 16, ..., 128 once each.
-    _gauss_legendre.cache_clear()
+def test_hairpin_nodes_one_entry_per_tuple():
+    # The window-5 sweep doubles n = 64, ..., 256 per ray in its "sum" block
+    # (rows and columns on one flat hairpin) and to 512 in its "difference"
+    # block, whose inner hairpin is the "sum" one: eight hairpins in all, each
+    # built once.
+    _hairpin_nodes.cache_clear()
     xv = np.arange(-9, 10, 2) / 2.0
     _contour_grid(xv, xv, EQUAL)
-    info = _gauss_legendre.cache_info()
-    assert info.currsize == info.misses == 4
-    assert info.hits > 0
+    info = _hairpin_nodes.cache_info()
+    assert info.currsize == info.misses == 8 and info.hits == 6
 
 
 @pytest.mark.parametrize("n", [64, 128, 256, 512])
@@ -231,6 +220,18 @@ def test_hairpin_nodes_conjugation_symmetric(n, u_max):
         assert np.array_equal(u[::-1], np.conj(u)) and np.array_equal(w[::-1], -np.conj(w))
         assert len(u) % 2 == 0 and np.all(u[: len(u) // 2].imag < 0)
         assert u[0].real == np.max(u.real) and np.argmin(u.real) in (len(u) // 2 - 1, len(u) // 2)
+
+
+def test_hairpin_nodes_cached_read_only():
+    # One build per argument tuple, shared read-only and bit-identical to a
+    # fresh build.
+    for args in ((RHO1, 128, 1e12, 0.0), (RHO2, 256, math.inf, SLOPE2)):
+        u, w = _hairpin_nodes(*args)
+        fu, fw = _hairpin_nodes.__wrapped__(*args)
+        assert np.array_equal(u, fu) and np.array_equal(w, fw)
+        assert _hairpin_nodes(*args)[0] is u and not u.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 0.0
 
 
 def _dense_coupled(a, b, u1, u2, mode):
@@ -431,6 +432,31 @@ def test_circle_sums_match_explicit_double_sum(n, xi):
             assert abs(rows[r, s] - want) <= 1e-13 * abs(want), (mode, r, s, rows[r, s], want)
 
 
+def test_circle_contour_shares_one_circle():
+    # Rows and columns on one circle from one call are bit-identical to two
+    # calls, and so is the whole "sum" grid (values and info) built either way.
+    rng = np.random.default_rng(3)
+    exps = [tuple(rng.standard_normal(k) for _ in range(3)) for k in (3, 4)]
+    om, *rows = _circle_contour(1.1, 256, 0.9, *exps)
+    for e, f in zip(exps, rows):
+        om2, f2 = _circle_contour(1.1, 256, 0.9, e)
+        assert np.array_equal(om, om2) and np.array_equal(f, f2)
+
+    def two_calls(radius, n, sq, *exponents):
+        return (_circle_contour(radius, n, sq)[0],
+                *(_circle_contour(radius, n, sq, e)[1] for e in exponents))
+
+    xv = np.arange(-9, 10, 2) / 2.0
+    for p in (XiParams(EQUAL, 0.9), XiParams(Params(0.3 + 0.5j, 0.3 - 0.5j), 0.5)):
+        for variant in ("auto", "sum"):
+            shared = _contour_grid(xv, xv, p, variant)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernels_module, "_circle_contour", two_calls)
+                split = _contour_grid(xv, xv, p, variant)
+            assert shared.keys() == split.keys()
+            assert all(np.array_equal(shared[k], split[k]) for k in shared), (p, variant)
+
+
 def test_prelimit_contour_variants_agree():
     px = XiParams(DISTINCT, 0.5)
     for tx, ty in [(1, -3), (3, -1), (5, -5)]:
@@ -603,7 +629,10 @@ def test_sign_quadrature_fails_without_spectral_gap():
 # sweeps, one from each end, and the block filled one row at a time.  The
 # library bisects over the trial gaps with compiled LAPACK counts (stebz),
 # runs both sweeps as one flat row per step and fills the block in tiles; its
-# certificate and nodes must match this bit for bit, its values within 1e-15.
+# gap and positive count must match this bit for bit and, over the same
+# nodes and weights, its values within 1e-15.  The trapezoid rule in
+# s = log t that the library used before Zolotarev's poles stays here as an
+# independent sign rule with its own a priori bound.
 
 def _reference_pivot_sweep(diag, off2, shifts):
     d = diag[0] - shifts
@@ -621,14 +650,23 @@ def _reference_counts(diag, off2, shifts):
     return neg
 
 
-def _reference_sign_quadrature(diag, off, tol):
+def _reference_gap(diag, off):
+    """lam_max (Gershgorin), the widest clear trial gap and the positive count."""
     r = np.abs(off)
     lam_max = float(np.max(np.abs(diag) + np.r_[0.0, r] + np.r_[r, 0.0]))
     deltas = lam_max * 2.0 ** (-0.5 * np.arange(1, 81))
     neg = _reference_counts(diag.tolist(), (r * r).tolist(), np.r_[0.0, deltas, -deltas])
     clear = neg[1 : 1 + len(deltas)] == neg[1 + len(deltas) :]
     assert clear.any()
-    gap = float(deltas[np.argmax(clear)])
+    return lam_max, float(deltas[np.argmax(clear)]), len(diag) - int(neg[0])
+
+
+def _trapezoid_sign_quadrature(diag, off, tol):
+    """sign(D) = (2/pi) int e^s Re[(D - i e^s)^-1] ds by the trapezoid rule in s:
+    step h errs by at most 2 sum_m sech(pi^2 m/h) (Poisson summation), the range
+    [log gap - u, log lam_max + u] cuts tails of at most (2/pi) e^-u each, and
+    P+ is entrywise within half their sum, <= max(tol/1000, 1e-14)."""
+    lam_max, gap, positive = _reference_gap(diag, off)
     eps = max(tol / 1000.0, 1e-14)
     q = eps / 8.0
     h = math.pi**2 / math.log(1.0 / q)
@@ -639,12 +677,12 @@ def _reference_sign_quadrature(diag, off, tol):
     tails = (2.0 / math.pi) * (math.exp(math.log(lam_max) - s[-1]) + math.exp(-u))
     t = np.exp(s)
     cert = {"spectral_gap": gap, "quadrature_nodes": len(t), "quadrature_bound": (disc + tails) / 2}
-    return t, (2.0 / math.pi) * h * t, len(diag) - int(neg[0]), cert
+    return t, (2.0 / math.pi) * h * t, positive, cert
 
 
-def _reference_center(N, M, p, tol):
+def _reference_center(N, M, p, tol, rule=_trapezoid_sign_quadrature):
     diag, off = _difference_operator(M, p)
-    t, w, positive, cert = _reference_sign_quadrature(diag, off, tol)
+    t, w, positive, cert = rule(diag, off, tol)
     z = 1j * t
     lo, m = M - N, 2 * N
     off2 = off * off
@@ -675,16 +713,16 @@ def _reference_window(N, p, tol):
 @pytest.mark.parametrize("xi", [0.3, 0.9, 0.99, 0.999])
 @pytest.mark.parametrize("p", [EQUAL, PRINCIPAL, DISTINCT], ids=["equal", "principal", "distinct"])
 def test_spectral_center_matches_reference_bit_for_bit(p, xi):
+    # The gap and positive count bit for bit; the sweep and the tiled fill
+    # against the row loop over the library's own nodes and weights.
     px = XiParams(p, xi)
     pad = max(16, math.ceil(1.0 / (1.0 - xi)))
     for N, M, tol in ((4, 4 + pad, 1e-9), (8, 8 + 2 * pad, 1e-6), (16, 16 + 4 * pad, 2e-3)):
         diag, off = _difference_operator(M, px)
-        t, w, positive, cert = _sign_quadrature(diag, off, tol)
-        rt, rw, rpositive, rcert = _reference_sign_quadrature(diag, off, tol)
-        assert cert == rcert and positive == rpositive
-        assert np.array_equal(t, rt) and np.array_equal(w, rw)
+        positive, cert = _sign_quadrature(diag, off, tol)[2:]
+        assert (cert["spectral_gap"], positive) == _reference_gap(diag, off)[1:]
         block, meta = _spectral_center(N, M, px, tol)
-        rblock, rmeta = _reference_center(N, M, px, tol)
+        rblock, rmeta = _reference_center(N, M, px, tol, rule=_sign_quadrature)
         assert meta == rmeta
         # The tiles group the products and sums differently from the row loop.
         assert np.max(np.abs(block - rblock)) <= 1e-15, (N, M, tol)
@@ -692,7 +730,9 @@ def test_spectral_center_matches_reference_bit_for_bit(p, xi):
 
 def test_prelimit_window_matches_reference_on_ladder_inputs():
     # The benchmark ladder's windows: N=64 at tol max(1e-7, 2(1 - xi)) on its
-    # three pairs, and N=8 at xi=0.99, tol 1e-6.
+    # three pairs, and N=8 at xi=0.99, tol 1e-6, against the trapezoid rule's
+    # ladder: the same rungs, gaps and positive counts, and values within the
+    # sum of the two rules' bounds (both approximate the same projection).
     equal, principal, distinct = Params(0.5, 0.5), Params(0.3 + 0.5j, 0.3 - 0.5j), Params(0.3, 0.7)
     cases = [(64, XiParams(p, xi), max(1e-7, 2.0 * (1.0 - xi)))
              for p, sweep in ((equal, (0.9, 0.99, 0.999)), (principal, (0.9, 0.99, 0.999)),
@@ -701,10 +741,10 @@ def test_prelimit_window_matches_reference_on_ladder_inputs():
     for N, px, tol in cases + [(8, XiParams(equal, 0.99), 1e-6)]:
         wk = underline_prelimit_window(N, px, tol=tol)
         values, meta = _reference_window(N, px, tol)
-        residual = wk.meta.pop("padding_residual")
-        assert abs(residual - meta.pop("padding_residual")) <= 1e-15, (N, px, tol)
-        assert wk.meta == meta, (N, px, tol)
-        assert np.max(np.abs(wk.values - values)) <= 1e-15, (N, px, tol)
+        for key in ("padding", "spectral_gap", "positive_eigenvalues"):
+            assert wk.meta[key] == meta[key], (key, N, px, tol)
+        bound = wk.meta["quadrature_bound"] + meta["quadrature_bound"]
+        assert np.max(np.abs(wk.values - values)) <= bound, (N, px, tol)
 
 
 def _tail_start_case(j):
@@ -722,16 +762,97 @@ def _tail_start_case(j):
     return diag + lam_max * 2.0 ** (-0.5 * j - 0.25), off
 
 
+# Evaluating sum_k w_k x/(x^2 + t_k^2) in double precision rounds each of its
+# positive terms; near 1 that is a few units of 2.2e-16, allowed once here.
+_RULE_ROUNDING = 1e-15
+
+
+def _rule_error(t, w, lo, hi, n=20001):
+    """max |1 - sum_k w_k x/(x^2 + t_k^2)| on a dense log grid over [lo, hi]."""
+    x = np.geomspace(lo, hi, n)
+    return float(np.max(np.abs(1.0 - (x[:, None] / (x[:, None] ** 2 + t**2)) @ w)))
+
+
 @pytest.mark.parametrize("j", [0, 79], ids=["first-trial", "last-trial"])
 def test_sign_quadrature_bisection_ends_match_reference(j):
     diag, off = _tail_start_case(j)
-    r = np.abs(off)
-    lam_max = float(np.max(np.abs(diag) + np.r_[0.0, r] + np.r_[r, 0.0]))
+    lam_max, gap, rpositive = _reference_gap(diag, off)
     t, w, positive, cert = _sign_quadrature(diag, off, 1e-9)
-    rt, rw, rpositive, rcert = _reference_sign_quadrature(diag, off, 1e-9)
-    assert rcert["spectral_gap"] == lam_max * 2.0 ** (-0.5 * (j + 1))  # the case hits what it names
-    assert cert == rcert and positive == rpositive
-    assert np.array_equal(t, rt) and np.array_equal(w, rw)
+    assert gap == lam_max * 2.0 ** (-0.5 * (j + 1))  # the case hits what it names
+    assert cert["spectral_gap"] == gap and positive == rpositive
+    # The rule against sign on the certified [gap, lam_max] (it is odd).
+    assert cert["quadrature_bound"] <= 1e-12 / 2
+    assert _rule_error(t, w, gap, lam_max) <= 2 * cert["quadrature_bound"] + _RULE_ROUNDING
+
+
+def _mp_zolotarev(j, r):
+    """Poles, weights and error of the (2r-1, 2r) Zolotarev rule in 60 digits,
+    straight from mpmath's Jacobi functions at parameter 1 - l^2."""
+    with mpmath.workdps(60):
+        ell = mpmath.mpf(2) ** (-mpmath.mpf(j + 1) / 2)
+        m1 = 1 - ell**2
+        kp = mpmath.ellipk(m1)
+        c = [ell**2 * mpmath.ellipfun("sc", i * kp / (2 * r), m1) ** 2 for i in range(1, 2 * r)]
+        odd, even = c[0::2], c[1::2]
+        res = [mpmath.fprod(e - o for e in even) / mpmath.fprod(q - o for q in odd if q != o)
+               for o in odd]
+        xs = [ell / mpmath.ellipfun("dn", i * kp / (2 * r), m1) for i in range(2 * r + 1)]
+        s = [x * mpmath.fsum(a / (x * x + o) for a, o in zip(res, odd)) for x in xs]
+        hi, lo = max(s), min(s)
+        return ([float(mpmath.sqrt(o)) for o in odd], [float(2 * a / (hi + lo)) for a in res],
+                float((hi - lo) / (hi + lo)))
+
+
+@pytest.mark.parametrize("r", [8, 30, 60])
+@pytest.mark.parametrize("j", [0, 20, 46, 55, 79])
+def test_zolotarev_table_matches_mpmath(j, r):
+    # Down to l = 2^-40 the AGM at the imaginary argument keeps every pole
+    # and weight to 1e-12; the error read off in double precision stays
+    # within the 1e-14 floor of the certified one.
+    t, w, delta = kernels_module._zolotarev(j, r)
+    mt, mw, mdelta = _mp_zolotarev(j, r)
+    assert len(t) == len(w) == r and np.all(w > 0)
+    assert np.max(np.abs(t / mt - 1.0)) <= 1e-12 and np.max(np.abs(w / mw - 1.0)) <= 1e-12
+    assert abs(delta - mdelta) <= 1e-14, (delta, mdelta)
+    assert not t.flags.writeable and kernels_module._zolotarev(j, r)[0] is t
+
+
+@pytest.mark.parametrize("j", [0, 13, 30, 46, 55, 79])  # l = 2^(-(j+1)/2); 55 and 79: l <= 4e-9
+def test_zolotarev_error_matches_dense_evaluation(j):
+    # The error read off at the 2r + 1 equioscillation points is the rule's
+    # maximum on [l, 1]: a dense grid reaches it to within its spacing and
+    # never exceeds it by more than rounding.
+    ell = 2.0 ** (-0.5 * (j + 1))
+    for r in (2, 8, 20, 45):
+        t, w, delta = kernels_module._zolotarev(j, r)
+        assert np.all(w > 0)
+        err = _rule_error(t, w, ell, 1.0)
+        assert 0.99 * delta - _RULE_ROUNDING <= err <= delta + _RULE_ROUNDING, (r, err, delta)
+
+
+def test_sign_quadrature_meets_the_floor_on_every_trial():
+    # At tol 1e-11 every one of the 80 trial gaps reaches the 1e-14 floor with
+    # positive weights, and no smaller pole count would.
+    for j in range(80):
+        # Eigenvalues +-1 and one between trials j and j - 1: lam_max 1, gap trial j.
+        diag, off = np.array([1.0, -1.0, 2.0 ** (0.25 - 0.5 * (j + 1))]), np.zeros(2)
+        t, w, positive, cert = _sign_quadrature(diag, off, 1e-11)
+        r = cert["quadrature_nodes"]
+        assert cert["spectral_gap"] == 2.0 ** (-0.5 * (j + 1)) and positive == 2, j
+        assert len(t) == r and np.all(w > 0) and cert["quadrature_bound"] <= 0.5e-14, j
+        assert r == 1 or kernels_module._zolotarev(j, r - 1)[2] > 1e-14, j
+
+
+@pytest.mark.parametrize("xi, pad", [(0.9, 256), (0.99, 4096), (0.999, 32000)])
+def test_sign_quadrature_needs_a_third_of_the_trapezoid_nodes(xi, pad):
+    # Criterion 8's last rungs (N = 256, tol 1e-8): at most a third of the
+    # trapezoid rule's nodes over the same gap, at a tighter bound.
+    diag, off = _difference_operator(256 + pad, XiParams(EQUAL, xi))
+    cert = _sign_quadrature(diag, off, 1e-8)[3]
+    ref = _trapezoid_sign_quadrature(diag, off, 1e-8)[3]
+    assert ref["spectral_gap"] == cert["spectral_gap"]
+    assert 3 * cert["quadrature_nodes"] <= ref["quadrature_nodes"], (cert, ref)
+    assert cert["quadrature_bound"] <= ref["quadrature_bound"]
 
 
 @pytest.mark.parametrize(
@@ -964,8 +1085,21 @@ def test_contour_imaginary_residue_reports_nodes():
         _contour_value("op", pref, "difference", contours, tol=1e-10, max_nodes=2**19)
     err = exc.value
     assert err.op == "op (imaginary residue)"
-    assert err.nodes == 3 and err.achieved == pytest.approx(3.0)
-    assert "imaginary part 3.000e+00 > limit 1.500e-08 at the node count 3" in str(err)
+    # The count is n per ray / circle at the level that stabilized (the
+    # second), the unit of max_nodes, not len(u1).
+    assert err.nodes == 128 and err.achieved == pytest.approx(3.0)
+    assert "imaginary part 3.000e+00 > limit 1.500e-08 at the node count 128" in str(err)
+
+
+@pytest.mark.parametrize("tol, cap", [(1e-3, 128), (1e-6, 256), (1e-10, 2**19)])
+def test_hairpin_node_count_is_per_ray_within_the_cap(tol, cap):
+    # nodes_per_contour counts n per ray, the unit of max_nodes: a doubling
+    # level, at most the cap (the whole hairpin has about 2n + n/4 nodes).
+    for x, y in ((1, 1), (5, -3)):
+        info = underline_limit_contour(H(x), H(y), EQUAL, tol=tol, max_nodes=cap, full_output=True)[1]
+        n = info["nodes_per_contour"]
+        assert n <= cap and n >= 64 and n & (n - 1) == 0, (x, y, info)
+    assert underline_limit_contour(H(1), H(1), EQUAL, full_output=True)[1]["nodes_per_contour"] == 256
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,9 @@ def hook_dim(lam: Partition) -> Fraction:
     """Independent oracle: dim(lambda) = |lambda|! / prod(hooks)."""
     t = lam.transpose()
     hooks = 1
-    for i, j in lam.boxes():
-        hooks *= (lam[i] - j) + (t[j] - i) + 1
+    for i, r in enumerate(lam.rows, start=1):
+        for j in range(1, r + 1):
+            hooks *= (lam[i] - j) + (t[j] - i) + 1
     return Fraction(factorial(lam.size), hooks)
 
 
