@@ -33,8 +33,8 @@ print("=" * 72)
 
 kern = j_transform(underline_prelimit_window(32, xp, tol=1e-10))
 examples = {
-    "indicator bump": TestFunction.from_map({H(1): 0.5}),
-    "odd two-point": TestFunction.from_map({H(-1): -0.4, H(3): 0.25}),
+    "indicator bump": TestFunction({H(1): 0.5}.items()),
+    "odd two-point": TestFunction({H(-1): -0.4, H(3): 0.25}.items()),
     "smooth window": TestFunction.from_callable(lambda t: -0.3 / (1.0 + t * t), 5),
 }
 for name, f in examples.items():
@@ -54,8 +54,8 @@ print("=" * 72)
 # points beyond it plus a declared bound on the inverse first moment of its
 # unlisted tail.  f is known out there only through its envelope, so the far
 # points enter the bound with the tail: expm1(0.2 (0.04 + 2/41 + 2/63)).
-f = TestFunction.from_map({H(1): 0.3, H(-1): -0.2}, tail=InverseDecay(0.2))
+f = TestFunction({H(1): 0.3, H(-1): -0.2}.items(), tail=InverseDecay(0.2))
 sparse = SparseConfig((H(1), H(-1), H(41), H(-63)), tail_sum_bound=0.04)
-value, rel_bound = phi_eval(f, sparse, full_output=True)
+value, rel_bound = phi_eval(f, sparse)
 print(f"Phi_f(core points) = {value:.12f}")
 print(f"certified relative slack from the far points and the tail: {rel_bound:.3e}")

@@ -22,10 +22,12 @@ from gammakernel import (
     SparseConfig,
     XiParams,
     apply_sigma_modified,
+    j_transform,
     rn_compose,
     rn_exact,
     rn_limit,
     to_balanced_config,
+    underline_limit_window,
     verify_limit_transport,
     verify_transport,
 )
@@ -84,7 +86,8 @@ print(
     f"pre-limit (xi = {xp.xi}): lhs {rep.lhs:.12f}  rhs {rep.rhs:.12f}"
     f"  diff {rep.difference:.2e}  passed: {rep.passed}"
 )
-rep = verify_limit_transport([1, 0], F, params, kernel_window=256)
+limit_kernel = j_transform(underline_limit_window(256, params))
+rep = verify_limit_transport([1, 0], F, params, limit_kernel)
 print(
     f"limit:               lhs {rep.lhs:.12f}  rhs {rep.rhs:.12f}"
     f"  diff {rep.difference:.2e}  passed: {rep.passed}"

@@ -47,7 +47,7 @@ print("=" * 72)
 print("Particle/hole involution: sampling the finitary process")
 print("=" * 72)
 flipped = sample_underline_then_involute(kern, 20_000, seed=2026)
-f = TestFunction.from_map({H(-1): -0.6, H(1): 0.4, H(3): -0.2})
+f = TestFunction({H(-1): -0.6, H(1): 0.4, H(3): -0.2}.items())
 emp = flipped.phi_mean(f)
 kj = j_transform(kern)
 print(f"E[Phi_f] empirical:   {emp.value:.6f} (+- {emp.se:.6f})")

@@ -330,7 +330,7 @@ def _parse_test_function(args):
         values[_parse_half(key)] = float(v)
     tail = InverseDecay(args.tail_c) if args.tail_c is not None else None
     try:
-        return TestFunction.from_map(values, tail=tail), {str(x): v for x, v in values.items()}
+        return TestFunction(values.items(), tail), {str(x): v for x, v in values.items()}
     except ValueError as e:
         raise CliError("f_values", str(e))
 
@@ -341,8 +341,8 @@ def _cmd_fredholm(args) -> _Run:
     s = expectation_sum(f, p, max_size=args.max_size)
     wk = kr.j_transform(kr.underline_prelimit_window(args.window, p))
     d = expectation_det(f, wk, tol=args.det_tol, full_output=True)
-    exact = isinstance(f.tail, ZeroTail) and d.windows[-1] >= f.support_radius
-    det_err = 0.0 if exact else (abs(d.increments[-1]) if d.increments else 0.0)
+    # A zero-tail f runs to its cover, where the determinant is exact.
+    det_err = 0.0 if isinstance(f.tail, ZeroTail) else d.increments[-1]
     diff = abs(s.value - d.value)
     combined = s.error + max(args.det_tol, det_err) + 1e-10
     rows = [
@@ -372,12 +372,9 @@ def _cmd_rn(args) -> _Run:
     config = _balanced_config(args)
     base = _build_params(args)
     xi = _xi_value(args, required=False)
-    pts_n = max(((abs(x.twice) + 1) // 2 for x in config.points), default=0)
-    N = args.window if args.window is not None else max(word_window(word), pts_n, 1)
-    if N < word_window(word):
-        raise CliError("rn_window", f"--window must be >= {word_window(word)} for this word")
-    # Tabulate the tail out to the farthest point, so every point is evaluated.
-    expr = rn_compose(word, config.restrict(N), base, N=N, radius=max(2 * N, 16, pts_n))
+    # The window holds every point of the config, so every point is evaluated.
+    N = max([word_window(word)] + [(abs(x.twice) + 1) // 2 for x in config.points])
+    expr = rn_compose(word, config, base, N=N)
     rows: list[list] = []
     if xi is not None:
         rows.append(["exact", xi, rn_exact(word, config, XiParams(base, xi)), 0.0])
@@ -385,7 +382,7 @@ def _cmd_rn(args) -> _Run:
     limit = rn_limit(expr, config)
     rows.append(["limit", 1.0, limit.value, limit.bound])
     opts = {"z": _fmt(base.z), "zp": _fmt(base.z_prime), "xi": xi,
-            "word": list(word), "config": [str(x) for x in config.points], "window": N}
+            "word": list(word), "config": [str(x) for x in config.points]}
     return opts, ["route", "xi", "value", "bound"], rows, None
 
 
@@ -415,7 +412,8 @@ def _cmd_transport(args) -> _Run:
         rep = verify_transport(word, F, XiParams(base, xi), max_size=args.max_size)
         rows = [["prelimit", rep.lhs, rep.rhs, rep.difference, rep.bound, rep.passed]]
         return {**common, "max_size": args.max_size}, header, rows, None
-    rep = verify_limit_transport(word, F, base, kernel_window=args.window, atol=args.atol)
+    kernel = kr.j_transform(kr.underline_limit_window(args.window, base))
+    rep = verify_limit_transport(word, F, base, kernel, atol=args.atol)
     rows = [["limit", rep.lhs, rep.rhs, rep.difference, rep.tolerance, rep.passed]]
     # The factored kernel's rank and the Richardson residual behind the tolerance.
     opts = {**common, "window": args.window, "atol": args.atol}
@@ -561,7 +559,6 @@ def _build_parser() -> _Parser:
     r.add_argument("--word", required=True, help="JSON array, leftmost factor first")
     r.add_argument("--config", default="",
                    help="balanced config; use --config='-1/2,1/2' (leading dash)")
-    r.add_argument("--window", type=int, default=None)
 
     t = subs.add_parser("transport", help="transport identity verification report")
     _add_common(t, xi_help="verify the pre-limit measure at this xi (omit for the limit)")

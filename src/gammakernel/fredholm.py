@@ -8,8 +8,9 @@ window reduces to finite linear algebra in the weighted arrangement
     det(1 + A_g A_h K A_h),    f = g h^2,   h(x) = |x|^(-1/2),
 
 with g = f/h^2 bounded when f decays like 1/|x|.  This module provides the
-function/configuration types, the expectation by exhaustive weight enumeration
-and by nested-window determinants, and the sparseness certificate for
+function/configuration types, Phi_f with its certified bound, the expectation
+by exhaustive weight enumeration and by nested-window determinants (run to the
+support's cover for a zero-tail f), and the sparseness certificate for
 densities decaying like C/|x|.
 
 A TestFunction is stored as one array, its values on the 2R ascending points
@@ -102,10 +103,6 @@ class TestFunction:
         self.table, self.tail = table, tail or ZeroTail()
 
     @classmethod
-    def from_map(cls, mapping: Mapping, tail: TailModel | None = None) -> "TestFunction":
-        return cls(tuple(mapping.items()), tail)
-
-    @classmethod
     def from_callable(
         cls, fn: Callable[[float], float], N: int, tail: TailModel | None = None
     ) -> "TestFunction":
@@ -179,14 +176,14 @@ class PhiValue(NamedTuple):
     relative_bound: float
 
 
-def phi_eval(f: TestFunction, X, full_output: bool = False):
-    """Phi_f(X) = prod over x in X of (1 + f(x)).
+def phi_eval(f: TestFunction, X) -> PhiValue:
+    """Phi_f(X) = prod over x in X of (1 + f(x)), with its certified relative
+    bound.
 
     When |f| <= c/|x| beyond f's table, the points there can change log Phi_f
     by at most c times their sum of 1/|x| (log(1+t) <= t): the listed points
     beyond the table and, for a SparseConfig, the unlisted remainder's
-    tail_sum_bound.  The certified relative bound is returned with
-    full_output=True.  Any other X is read as a FiniteConfig, a set; the value
+    tail_sum_bound.  Any other X is read as a FiniteConfig, a set; the value
     is the one-row case of phi_rows on f's window.
     """
     pts = X.points if isinstance(X, (SparseConfig, FiniteConfig)) else FiniteConfig(X).points
@@ -195,8 +192,6 @@ def phi_eval(f: TestFunction, X, full_output: bool = False):
     row = np.zeros((1, 2 * R), dtype=bool)
     row[0, [j for j in cols if j is not None]] = True
     value = float(phi_rows(f, row, R)[0])
-    if not full_output:
-        return value
     tail_sum = math.fsum([1.0 / abs(float(x)) for x, j in zip(pts, cols) if j is None]
                          + [X.tail_sum_bound if isinstance(X, SparseConfig) else 0.0])
     return PhiValue(value, math.expm1(f.tail.c * tail_sum) if isinstance(f.tail, InverseDecay) else 0.0)
@@ -322,20 +317,20 @@ def expectation_det(f: TestFunction, kernel: WindowKernel, tol: float = 1e-8,
     weighted operator D_f K_w has entries f(x) sqrt(|x|/|y|) K(x, y), and
     _window_dets evaluates it on the window chain 1, 2, 4, ..., weighting
     and factoring each window's block only when the chain reaches it.  A
-    zero-tail f enters as a row on its support, with no LU, and is exact
-    once the chain covers that support; a decaying f costs one r x r LU per
-    window (r the block's certified rank, _factor) and must stabilize below
-    tol > 0 on two consecutive doublings within the kernel window (tol = 0
-    runs a zero-tail f to its cover).
+    zero-tail f enters as a row on its support, with no LU, and the chain
+    runs to the first window covering that support, where it is exact
+    (windows short of a gap in the support repeat one determinant); tol
+    governs only a decaying f, which costs one r x r LU per window (r the
+    block's certified rank, _factor) and must stabilize below tol on two
+    consecutive doublings within the kernel window.
     """
     if not kernel.kind.startswith("k_"):
         raise ValueError(
             f"expectation_det requires a finitary-process kernel, got {kernel.kind!r}"
         )
-    zero_tail = isinstance(f.tail, ZeroTail)
-    if not (tol > 0 or zero_tail and tol == 0):
+    if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    cover = int(math.ceil(f.support_radius)) if zero_tail else None
+    zero_tail = isinstance(f.tail, ZeroTail)
     if zero_tail and f.support_radius > kernel.N:
         raise ValueError(
             f"kernel window [-{kernel.N}, {kernel.N}] does not cover the support "
@@ -351,9 +346,8 @@ def expectation_det(f: TestFunction, kernel: WindowKernel, tol: float = 1e-8,
         dets.append(float(_window_dets(fw[sl], us[:, sl], _factor(kw), [n])[0, 0]))
         if len(dets) >= 2:
             increments.append(abs(dets[-1] - dets[-2]) / max(1.0, abs(dets[-1])))
-        done_exact = zero_tail and n >= cover
-        done_stable = len(increments) >= 2 and increments[-1] < tol and increments[-2] < tol
-        if done_exact or done_stable:
+        stable = len(increments) >= 2 and increments[-1] < tol and increments[-2] < tol
+        if (n >= f.support_radius) if zero_tail else stable:
             break
     else:
         achieved = max(increments[-2:]) if increments else math.inf

@@ -680,7 +680,7 @@ def _spectral_center(N: int, M: int, p: XiParams, tol: float) -> tuple[np.ndarra
 
 
 def underline_prelimit_window(N: int, p: XiParams, tol: float = 1e-9,
-                              max_pad: int = 1 << 16) -> WindowKernel:
+                              max_pad: int = 1 << 20) -> WindowKernel:
     """Pre-limit kernel on [-N, N] with certified interior accuracy.
 
     Center blocks of window projections on [-M, M] (boundary effects decay

@@ -17,7 +17,8 @@ harnesses check the transport identity
     < F o sigma~, P > = < mu(sigma, .) F, P >
 
 by exhaustive enumeration for the pre-limit measures and by Fredholm
-determinants of the limit kernel.  Window configurations are occupancy rows
+determinants of a limit kernel the caller builds for the same parameters,
+which the check compares.  Window configurations are occupancy rows
 on [-N, N], and sigma~ moves them by lattice._modified_occupancy.
 """
 
@@ -43,7 +44,7 @@ from .fredholm import (
     _window_dets,
     phi_eval,
 )
-from .kernels import WindowKernel, j_transform, underline_limit_window, window_points
+from .kernels import WindowKernel, window_points
 
 __all__ = [
     "RnExpression",
@@ -156,7 +157,7 @@ class RnExpression:
                 f"configuration reaches {far[-1]} beyond the tabulated radius "
                 f"{self.radius}; rebuild the expression with a larger radius"
             )
-        return phi_eval(self.f, X if isinstance(X, SparseConfig) else listed, full_output=True)
+        return phi_eval(self.f, X if isinstance(X, SparseConfig) else listed)
 
     def evaluate(self, X, xi: float = 1.0) -> float:
         """Exact value on a finite configuration with all points tabulated."""
@@ -460,9 +461,10 @@ class LimitTransportReport(NamedTuple):
     rank: int
 
 
-def verify_limit_transport(sigma, F: CylinderFunction, p: Params, kernel: WindowKernel | None = None,
-                           kernel_window: int = 256, atol: float = 1e-5) -> LimitTransportReport:
-    """Check the transport identity for the limit measure.
+def verify_limit_transport(sigma, F: CylinderFunction, p: Params, kernel: WindowKernel,
+                           atol: float = 1e-5) -> LimitTransportReport:
+    """Check the transport identity for the limit measure on a k_limit kernel
+    built for p, such as j_transform(underline_limit_window(256, p)).
 
     Both sides sum determinants det(I + D_h K_w) by one routine
     (fredholm._window_dets) on K_w = U V^T, factored once at its certified
@@ -479,17 +481,16 @@ def verify_limit_transport(sigma, F: CylinderFunction, p: Params, kernel: Window
     """
     if not atol >= 0:
         raise ValueError(f"atol must be >= 0, got {atol}")
-    ns = _doubling_windows(kernel_window if kernel is None else kernel.N)
+    ns = _doubling_windows(kernel.N)
     if len(ns) < 4:
         raise ValueError(f"the window chain {ns} leaves no residual after two Richardson "
                          "levels: the kernel window needs N >= 5")
-    perm = _as_permutation(sigma)
-    if kernel is None:
-        kernel = j_transform(underline_limit_window(kernel_window, p))
     if kernel.kind != "k_limit":
         raise ValueError(f"limit transport check requires a k_limit kernel, got {kernel.kind!r}: "
                          "the limit density omits the pre-limit factor xi^k (use verify_transport)")
-    K = kernel.N
+    if kernel.params != p:
+        raise ValueError(f"kernel built for {kernel.params}, not for {p}")
+    perm, K = _as_permutation(sigma), kernel.N
     need = max([word_window(perm)] + [abs(x.twice) // 2 + 1 for x in F.points])
     if need > K:
         raise ValueError(f"kernel window [-{K}, {K}] too small for the word and F "

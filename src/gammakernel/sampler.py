@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from typing import ClassVar, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,6 @@ __all__ = [
     "sample_window",
 ]
 
-ALGORITHM = "spectral projection mixture + lockstep diagonal Schur-complement chain"
-RNG = "numpy Philox (counter-based), 64-bit seed, SeedSequence chunk spawn"
 CLAMP_LIMIT = 1e-4
 _CHUNK = 4096
 _BLOCK = 64
@@ -61,8 +59,12 @@ class SampleBatch:
     ``occupancy[s, i]`` says whether sample s holds ``points[i]``; ``configs``
     is the same batch as point sets; ``diagonal`` holds the per-point
     occupation frequencies with standard errors; ``max_clamp`` is the largest
-    spectral correction applied to push eigenvalues into [0, 1].
+    spectral correction applied to push eigenvalues into [0, 1].  Every
+    batch names the one algorithm and generator that drew it.
     """
+
+    algorithm: ClassVar[str] = "spectral projection mixture + lockstep diagonal Schur-complement chain"
+    rng: ClassVar[str] = "numpy Philox (counter-based), 64-bit seed, SeedSequence chunk spawn"
 
     N: int
     seed: int
@@ -72,8 +74,6 @@ class SampleBatch:
     occupancy: np.ndarray
     diagonal: tuple[tuple[HalfInt, Estimate], ...]
     max_clamp: float
-    algorithm: str = ALGORITHM
-    rng: str = RNG
 
     @cached_property
     def configs(self) -> tuple[FiniteConfig, ...]:

@@ -180,7 +180,7 @@ def _random_test_functions(rng: random.Random, count: int) -> list[TestFunction]
         radius = rng.choice((3, 4, 5, 6))
         vals = {x: rng.uniform(-0.5, 0.8) for x in window_points(radius)}
         tail = InverseDecay(rng.uniform(0.1, 0.5)) if k % 2 else None
-        out.append(TestFunction.from_map(vals, tail))
+        out.append(TestFunction(vals.items(), tail))
     return out
 
 

@@ -317,6 +317,18 @@ def test_fredholm_trailing_zero_keeps_det_exact():
     assert config_echo(runs[1].stdout)["f"] == {"3/2": 0.5, "9/2": 0.0}
 
 
+def test_fredholm_gapped_support_runs_det_to_its_cover():
+    # Windows 1, 2, 4 hold only 1/2 of the support {1/2, 41/2} and agree; a
+    # chain stopped there reports error 0 at 4.1e-7 from the sum, outside
+    # the combined error 1.4e-7.  Run to window 32 the routes agree.
+    res = run_cli("fredholm", "--xi=0.6", "--f", '{"1/2": -0.5, "41/2": -0.9}',
+                  "--window=64", "--max-size=24")
+    assert res.returncode == 0, res.stderr
+    by_route = {r["route"]: r for r in parse_csv(res.stdout)[1]}
+    assert float(by_route["det"]["error"]) == 0.0
+    assert float(by_route["difference"]["value"]) <= float(by_route["difference"]["error"])
+
+
 # ---------------------------------------------------------------------------
 # rn
 # ---------------------------------------------------------------------------
@@ -341,13 +353,16 @@ def test_rn_limit_add_value():
 
 
 def test_rn_tabulates_out_to_the_farthest_point():
-    # 99/2 lies beyond max(2N, 16) for N = 2; the tail is tabulated out to
-    # it, so the narrow window gives the rows of a window holding every point.
-    args = ("rn", "--word=[1]", "--config=-3/2,-1/2,1/2,99/2")
-    narrow, wide = run_cli(*args, "--window=2"), run_cli(*args, "--window=50")
-    assert narrow.returncode == 0, narrow.stderr
-    assert parse_csv(narrow.stdout) == parse_csv(wide.stdout)
-    assert config_echo(narrow.stdout)["window"] == 2
+    # 99/2 lies beyond max(2N, 16) for the word's N = 2; the window grows to
+    # hold it, so it is evaluated with no radius error and the limit row
+    # carries no tail bound.  The echo names no window.
+    res = run_cli("rn", "--word=[1]", "--config=-3/2,-1/2,1/2,99/2", "--xi=0.5")
+    assert res.returncode == 0, res.stderr
+    by_route = {r["route"]: r for r in parse_csv(res.stdout)[1]}
+    exact = float(by_route["exact"]["value"])
+    assert float(by_route["closed_form"]["value"]) == pytest.approx(exact, rel=1e-11)
+    assert float(by_route["limit"]["bound"]) == 0.0
+    assert "window" not in config_echo(res.stdout)
 
 
 def test_rn_bad_word():
@@ -382,10 +397,14 @@ def test_transport_limit_passes():
 def test_transport_limit_prints_its_certificate():
     # The factored kernel's rank and the Richardson residual, as the library
     # reports them; the pre-limit mode prints none.
-    from gammakernel import CylinderFunction, HalfInt, Params, verify_limit_transport
+    from gammakernel import (
+        CylinderFunction, HalfInt, Params, j_transform, underline_limit_window,
+        verify_limit_transport,
+    )
 
-    rep = verify_limit_transport([0], CylinderFunction.contains(HalfInt(1)), Params(0.5, 0.5),
-                                 kernel_window=64, atol=1e-3)
+    p = Params(0.5, 0.5)
+    rep = verify_limit_transport([0], CylinderFunction.contains(HalfInt(1)), p,
+                                 j_transform(underline_limit_window(64, p)), atol=1e-3)
     args = ("transport", "--word", "[0]", "--f-contains", "1/2", "--window", "64", "--atol", "1e-3")
     res = run_cli(*args)
     assert res.returncode == 0, res.stderr

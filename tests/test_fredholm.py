@@ -55,7 +55,7 @@ def k_window(base, xi, N):
 # ---------------------------------------------------------------------------
 
 def test_test_function_basics():
-    f = TestFunction.from_map({H(1): -1.0, H(3): 0.25})
+    f = TestFunction({H(1): -1.0, H(3): 0.25}.items())
     assert f(H(1)) == -1.0
     assert f(H(3)) == 0.25
     assert f(H(5)) == 0.0  # outside the tabulation
@@ -81,12 +81,12 @@ def test_test_function_validation():
 
 def test_phi_trivials():
     zero = TestFunction(())
-    assert phi_eval(zero, FiniteConfig([H(1), H(-3)])) == 1.0
-    f = TestFunction.from_map({H(1): 0.5})
-    assert phi_eval(f, FiniteConfig([])) == 1.0
-    kill = TestFunction.from_map({H(1): -1.0})
-    assert phi_eval(kill, FiniteConfig([H(1), H(3)])) == 0.0
-    assert phi_eval(kill, [H(3)]) == 1.0
+    assert phi_eval(zero, FiniteConfig([H(1), H(-3)])).value == 1.0
+    f = TestFunction({H(1): 0.5}.items())
+    assert phi_eval(f, FiniteConfig([])).value == 1.0
+    kill = TestFunction({H(1): -1.0}.items())
+    assert phi_eval(kill, FiniteConfig([H(1), H(3)])).value == 0.0
+    assert phi_eval(kill, [H(3)]).value == 1.0
 
 
 def test_phi_multiplicativity():
@@ -99,25 +99,26 @@ def test_phi_multiplicativity():
         h = TestFunction(tuple((x, f(x) + g(x) + f(x) * g(x)) for x in pts))
         idx = rng.choice(len(pts), size=rng.integers(0, 6), replace=False)
         X = FiniteConfig([pts[i] for i in idx])
-        assert phi_eval(h, X) == pytest.approx(phi_eval(f, X) * phi_eval(g, X), abs=1e-12)
+        want = phi_eval(f, X).value * phi_eval(g, X).value
+        assert phi_eval(h, X).value == pytest.approx(want, abs=1e-12)
 
 
 def test_phi_sparse_certified():
-    f = TestFunction.from_map({H(1): 0.5}, tail=InverseDecay(2.0))
+    f = TestFunction({H(1): 0.5}.items(), tail=InverseDecay(2.0))
     X = SparseConfig((H(1), H(3)), tail_sum_bound=0.1)
-    out = phi_eval(f, X, full_output=True)
+    out = phi_eval(f, X)
     assert isinstance(out, PhiValue)
     assert out.value == pytest.approx(1.5)
     # The listed point 3/2 lies beyond f's table, where f is known only
     # through its envelope 2/|x|; it enters the bound with the unlisted tail.
     assert out.relative_bound == pytest.approx(math.expm1(2.0 * (0.1 + 2.0 / 3.0)))
     # On a finite configuration only the points beyond the table count.
-    fin = phi_eval(f, FiniteConfig((H(1), H(3), H(-5))), full_output=True)
+    fin = phi_eval(f, FiniteConfig((H(1), H(3), H(-5))))
     assert fin == (pytest.approx(1.5), pytest.approx(math.expm1(2.0 * (2.0 / 3.0 + 2.0 / 5.0))))
-    assert phi_eval(f, FiniteConfig((H(1), H(-1))), full_output=True) == (1.5, 0.0)
+    assert phi_eval(f, FiniteConfig((H(1), H(-1)))) == (1.5, 0.0)
     # A zero-tail function is unaffected by the unlisted remainder.
-    g = TestFunction.from_map({H(1): 0.5})
-    assert phi_eval(g, X, full_output=True).relative_bound == 0.0
+    g = TestFunction({H(1): 0.5}.items())
+    assert phi_eval(g, X).relative_bound == 0.0
 
 
 def test_phi_rows_matches_column_loop():
@@ -139,8 +140,8 @@ def test_phi_raw_iterable_is_a_set():
     # A raw point list is read as a configuration: a repeated point counts
     # once, and the factors multiply in ascending point order whatever the
     # list's order, so every route gives the same bits.
-    f = TestFunction.from_map({H(1): 0.5})
-    assert phi_eval(f, [H(1), H(1)]) == phi_eval(f, FiniteConfig([H(1), H(1)])) == 1.5
+    f = TestFunction({H(1): 0.5}.items())
+    assert phi_eval(f, [H(1), H(1)]).value == phi_eval(f, FiniteConfig([H(1), H(1)])).value == 1.5
     rng = np.random.default_rng(5)
     pts = [H(t) for t in range(-11, 12, 2)]
     for _ in range(20):
@@ -149,13 +150,13 @@ def test_phi_raw_iterable_is_a_set():
         want = 1.0
         for x in sorted(set(picked)):
             want *= 1.0 + g(x)
-        assert phi_eval(g, picked[::-1]) == phi_eval(g, FiniteConfig(picked)) == want
+        assert phi_eval(g, picked[::-1]).value == phi_eval(g, FiniteConfig(picked)).value == want
 
 
 def test_test_function_array_form():
     # The pair constructor tabulates on the smallest window [-R, R]; the array
     # constructor takes that table directly, and on_window slices or pads it.
-    f = TestFunction.from_map({H(-3): 0.25, H(1): -0.5, H(5): 0.0})
+    f = TestFunction({H(-3): 0.25, H(1): -0.5, H(5): 0.0}.items())
     assert np.array_equal(f.table, [0.0, 0.25, 0.0, -0.5, 0.0, 0.0])
     assert f == TestFunction(np.array(f.table))
     assert f != TestFunction(np.array(f.table), InverseDecay(1.0))
@@ -186,7 +187,7 @@ def test_expectation_sum_avoidance():
     # f = -1 at {1/2} turns E[Phi_f] into the avoidance probability
     # 1 - rho_1(1/2) of the finitary process.
     px = XiParams(EQUAL, 0.3)
-    f = TestFunction.from_map({H(1): -1.0})
+    f = TestFunction({H(1): -1.0}.items())
     out = expectation_sum(f, px, max_size=18)
     rho = correlation_oracle([H(1)], px, max_size=18, process="config")
     assert abs(out.value - (1.0 - rho.value)) <= out.error + rho.tail_mass + 1e-12
@@ -198,14 +199,14 @@ def test_expectation_sum_matches_per_partition_reference(max_size):
     # Tabulated points reach |x| = 25/2, beyond the ensemble's window.
     fs = [
         TestFunction(()),
-        TestFunction.from_map({H(1): -1.0, H(-3): 0.5, H(25): 3.0}),
+        TestFunction({H(1): -1.0, H(-3): 0.5, H(25): 3.0}.items()),
         TestFunction.from_callable(lambda t: -0.3 / abs(t), 12, InverseDecay(0.3)),
     ]
     for base, xi in ((EQUAL, 0.3), (PRINCIPAL, 0.5)):
         px = XiParams(base, xi)
         items, tail = enumerate_weights(px, max_size)
         for f in fs:
-            ref = math.fsum(w * phi_eval(f, to_balanced_config(lam)) for lam, w in items)
+            ref = math.fsum(w * phi_eval(f, to_balanced_config(lam)).value for lam, w in items)
             out = expectation_sum(f, px, max_size=max_size)
             assert abs(out.value - ref) <= 1e-15 * abs(ref)
             assert out.tail_mass == tail
@@ -218,7 +219,7 @@ def test_expectation_sum_matches_per_partition_reference(max_size):
 def test_expectation_det_trivials():
     K = k_window(EQUAL, 0.3, 8)
     assert expectation_det(TestFunction(()), K) == 1.0
-    f = TestFunction.from_map({H(1): -1.0})
+    f = TestFunction({H(1): -1.0}.items())
     want = 1.0 - K.entry(H(1), H(1))
     assert expectation_det(f, K) == pytest.approx(want, abs=1e-14)
 
@@ -231,31 +232,41 @@ def test_expectation_det_requires_k_kind():
 
 def test_expectation_det_support_must_fit():
     K = k_window(EQUAL, 0.3, 4)
-    f = TestFunction.from_map({H(11): 0.5})
+    f = TestFunction({H(11): 0.5}.items())
     with pytest.raises(ValueError):
         expectation_det(f, K)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
 def test_expectation_det_rejects_tol_not_above_zero(tol):
-    # A decaying f can never meet increment < tol when tol <= 0 or nan.
+    # A decaying f can never meet increment < tol when tol <= 0 or nan; a
+    # zero-tail f, which runs to its cover whatever tol is, is held to the
+    # same rule.
     K = k_window(EQUAL, 0.3, 8)
-    f = TestFunction.from_map({H(1): -0.3}, tail=InverseDecay(0.3))
-    with pytest.raises(ValueError, match="tol must be > 0"):
-        expectation_det(f, K, tol=tol)
-    # A zero-tail f is exact once the chain covers its support, so tol = 0
-    # (run to the cover) stays valid for it; a negative or nan tol does not.
-    zero = TestFunction.from_map({H(1): -1.0})
-    if tol == 0.0:
-        assert expectation_det(zero, K, tol=tol) == pytest.approx(1.0 - K.entry(H(1), H(1)), abs=1e-14)
-    else:
+    f = TestFunction({H(1): -0.3}.items(), tail=InverseDecay(0.3))
+    zero = TestFunction({H(1): -1.0}.items())
+    for g in (f, zero):
         with pytest.raises(ValueError, match="tol must be > 0"):
-            expectation_det(zero, K, tol=tol)
+            expectation_det(g, K, tol=tol)
+
+
+def test_expectation_det_runs_a_gapped_zero_tail_f_to_its_cover():
+    # Windows 1, 2, 4 hold only the point 1/2 of the support {1/2, 41/2}, so
+    # their determinants agree and two zero increments follow; the chain
+    # must still run to window 32, the first to cover 41/2.
+    K = j_transform(underline_limit_window(64, EQUAL))
+    f = TestFunction({H(1): -0.5, H(41): -0.5}.items())
+    out = expectation_det(f, K, full_output=True)
+    assert out.windows == (1, 2, 4, 8, 16, 32)
+    assert out.increments[:2] == (0.0, 0.0)
+    fv = f.on_window(32)
+    assert out.value == _dense_window_det(0.0 * fv, fv, _weighted_kernel(K, 32))
+    assert abs(out.value - out.determinants[2]) > 1e-3
 
 
 def test_expectation_det_full_output():
     K = k_window(EQUAL, 0.3, 8)
-    f = TestFunction.from_map({H(1): 0.5, H(-3): -0.5})
+    f = TestFunction({H(1): 0.5, H(-3): -0.5}.items())
     out = expectation_det(f, K, full_output=True)
     assert isinstance(out, ExpectationDet)
     assert out.windows[0] == 1 and out.windows[-1] <= 8
@@ -344,14 +355,14 @@ def test_expectation_det_small_windows_bit_identical_to_dense_route(base):
     # so both a zero-tail f (row on its support) and a decaying f (one LU per
     # window) reproduce the dense route bit for bit.
     K = k_window(base, 0.3, 32)
-    zero = TestFunction.from_map({H(1): -1.0, H(-3): 0.5, H(39): -0.25})
+    zero = TestFunction({H(1): -1.0, H(-3): 0.5, H(39): -0.25}.items())
     decay = TestFunction.from_callable(lambda t: -0.4 / abs(t), 8, tail=InverseDecay(0.4))
-    for f, tol in ((zero, 0.0), (decay, 1e-8)):  # tol 0: the chain runs to the cover
-        out = expectation_det(f, K, tol=tol, full_output=True)
+    for f in (zero, decay):  # the zero-tail f runs to its cover, 39/2
+        out = expectation_det(f, K, full_output=True)
         assert out.windows[-1] == 32
         for n, got in zip(out.windows, out.determinants):
             fv, kw = f.on_window(n), _weighted_kernel(K, n)
-            want = _dense_window_det(0.0 * fv, fv, kw) if tol == 0.0 else _dense_window_det(fv, 0.0 * fv, kw)
+            want = _dense_window_det(0.0 * fv, fv, kw) if f is zero else _dense_window_det(fv, 0.0 * fv, kw)
             assert got == want, (n, got, want)
 
 

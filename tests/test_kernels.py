@@ -548,6 +548,14 @@ def test_prelimit_window_beyond_eigensolver_reach():
     assert ev.min() > -1e-6 and ev.max() < 1.0 + 1e-6
 
 
+def test_prelimit_window_default_cap_reaches_xi_09999():
+    # The ladder at xi = 0.9999 starts at padding 10001 and stabilizes at
+    # 320032, past 2^16: the default cap 2^20 lets it finish.
+    wk = underline_prelimit_window(8, XiParams(EQUAL, 0.9999), tol=1e-6)
+    assert wk.meta["padding"] > 1 << 16
+    assert wk.meta["padding_residual"] <= 1e-6
+
+
 def test_prelimit_center_block_memory_is_linear_in_padding():
     # One rung at M = 8000: an M x M array alone would take 2 GB.  At N = 256
     # the tiled fill keeps O(N nodes) beside the 2 MB block (about 200 nodes).

@@ -587,7 +587,7 @@ def test_expand_cylinder_indicator():
     assert terms[0][0] == pytest.approx(1.0)
     assert terms[0][1] == TestFunction(())
     assert terms[1][0] == pytest.approx(-1.0)
-    assert terms[1][1] == TestFunction.from_map({H(1): -1.0})
+    assert terms[1][1] == TestFunction({H(1): -1.0}.items())
 
 
 def test_cylinder_array_matches_mapping():
@@ -823,15 +823,21 @@ def test_verify_limit_transport_word_exceeds_kernel():
 @pytest.mark.parametrize("K", [1, 2, 4])
 def test_verify_limit_transport_needs_a_measured_residual(K):
     # The chains 1, 2, 4 and shorter leave one value after two Richardson
-    # levels, so no residual is measured: the check refuses them before it
-    # builds a kernel.  The chain 1, 2, 4, 5 is the shortest with one.
+    # levels, so no residual is measured.  The chain 1, 2, 4, 5 is the
+    # shortest with one.
     F = CylinderFunction.contains(H(1))
     with pytest.raises(ValueError, match="N >= 5"):
-        verify_limit_transport((1,), F, EQUAL, kernel_window=K)
-    with pytest.raises(ValueError, match="N >= 5"):
-        verify_limit_transport((1,), F, EQUAL, kernel=j_transform(underline_limit_window(K, EQUAL)))
-    report = verify_limit_transport((1,), F, EQUAL, kernel_window=5)
+        verify_limit_transport((1,), F, EQUAL, j_transform(underline_limit_window(K, EQUAL)))
+    report = verify_limit_transport((1,), F, EQUAL, j_transform(underline_limit_window(5, EQUAL)))
     assert report.windows == (1, 2, 4, 5) and report.residual > 0.0
+
+
+def test_verify_limit_transport_rejects_a_kernel_of_other_params():
+    # K64 is built for the equal pair: against p = (0.3, 0.7) it would report
+    # a failed identity (difference 8.8e-4) where only the inputs disagree.
+    F = CylinderFunction.contains(H(1))
+    with pytest.raises(ValueError, match="kernel built for"):
+        verify_limit_transport((1,), F, Params(0.3, 0.7), K64)
 
 
 def test_verify_limit_transport_f_exceeds_kernel():

@@ -198,8 +198,8 @@ def test_estimators_match_direct_counts(batch):
         ref = bernoulli(sum(1 for c in configs if not set(pts) & set(c.points)))
         assert batch.avoidance(pts) == ref
     assert batch.mean_count() == mean([len(c) for c in configs])
-    f = TestFunction.from_map({H(-3): -0.6, H(1): 0.4, H(3): -0.2, H(11): 5.0})
-    assert batch.phi_mean(f) == mean([phi_eval(f, c) for c in configs])
+    f = TestFunction({H(-3): -0.6, H(1): 0.4, H(3): -0.2, H(11): 5.0}.items())
+    assert batch.phi_mean(f) == mean([phi_eval(f, c).value for c in configs])
     ref = bernoulli(sum(1 for c in configs if c.is_balanced()))
     assert batch.balance_frequency() == ref
 
@@ -229,7 +229,7 @@ def test_involuted_rho1_matches_j_kernel_diagonal():
 
 
 def test_involuted_phi_mean_matches_det_route():
-    f = TestFunction.from_map({H(-1): -0.6, H(1): 0.4, H(3): -0.2})
+    f = TestFunction({H(-1): -0.6, H(1): 0.4, H(3): -0.2}.items())
     est = INVOLUTED.phi_mean(f)
     exact = expectation_det(f, KJ)
     assert abs(est.value - exact) <= 4 * est.se
