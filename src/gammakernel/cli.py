@@ -315,7 +315,7 @@ def _cmd_correlate(args) -> _Run:
     opts = {"z": _fmt(p.base.z), "zp": _fmt(p.base.z_prime), "xi": args.xi,
             "window": args.window, "order": args.order, "max_size": args.max_size,
             "process": args.process}
-    return opts, ["points", "oracle", "tail_mass", "minor", "abs_diff", "passed"], rows, None
+    return opts, ["points", "oracle", "tail_mass", "minor", "abs_diff", "passed"], rows, under.meta
 
 
 def _parse_test_function(args):
@@ -353,7 +353,7 @@ def _cmd_fredholm(args) -> _Run:
     opts = {"z": _fmt(p.base.z), "zp": _fmt(p.base.z_prime), "xi": args.xi,
             "f": f_echo, "tail_c": args.tail_c,
             "window": args.window, "max_size": args.max_size, "det_tol": args.det_tol}
-    return opts, ["route", "value", "error"], rows, None
+    return opts, ["route", "value", "error"], rows, dict(wk.meta, windows=list(d.windows))
 
 
 def _balanced_config(args):

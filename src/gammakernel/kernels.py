@@ -16,7 +16,7 @@ its xi -> 1 limit (the Gamma kernel).  Four evaluation methods are provided:
   * underline_limit_contour    -- double contour integral over hairpin
     contours [+inf - i rho, 0-, +inf + i rho], in two variants ("sum"
     denominator u1+u2+1, and "difference" denominator u1-u2 with rho1 < rho2
-    and outer rays tilted away from the inner ones, which halves its nodes):
+    and outer rays tilted from the inner ones at slope 8, 256 nodes per ray):
     factor rows times one Cauchy matrix per node doubling, of which the
     conjugation-symmetric node order (_hairpin_nodes) lets only the first
     half of the rows be built, in row blocks never kept (_coupled_sum);
@@ -97,7 +97,7 @@ class NonConvergenceError(RuntimeError):
 # Configuration and window containers
 # ---------------------------------------------------------------------------
 
-RHO1, RHO2, SLOPE2 = 0.2, 0.4, 2.0  # hairpin offsets; slope of the outer "difference" rays
+RHO1, RHO2, SLOPE2 = 0.2, 0.4, 8.0  # hairpin offsets; outer "difference" ray slope (2 took twice the nodes)
 _START_NODES = 64  # nodes per ray / circle at the first contour level, doubled from there
 _TILE = 16  # rows per tile of the ladder's center block (timed against 8, 32 and 64)
 
@@ -356,12 +356,12 @@ def _hairpin_nodes(
     exactly (which lets _coupled_sum form half its Cauchy block).  Built once
     per argument tuple, which every entry and level shares read-only.
 
-    slope > 0 tilts the rays outward, u = t +- i (rho + slope*t), a legal
-    deformation (no cut or pole is crossed, the integrand still decays), for
-    the outer contour of nested pairs: their distance, which sets the trapezoid
-    rate over 1/(u1 - u2), then grows like slope * t.  The _auto_u_max envelope
-    still bounds the tail: |u| >= t sqrt(1 + slope^2) gives |u|^(d-1) |du| past
-    U the bound (1 + slope^2)^(d/2) U^d/(-d) <= U^d/(-d), as d < 0.
+    slope tilts the rays, u = t +- i (rho + slope*t), legal for any slope >= 0:
+    Re u = t >= 0 keeps them off the cut (-inf, -1]; rho + slope*t > RHO1 keeps
+    an outer contour outside the inner one, their distance (which sets the
+    trapezoid rate over 1/(u1 - u2)) growing like slope*t; and the _auto_u_max
+    tail envelope holds, as |u| >= t sqrt(1 + slope^2) bounds |u|^(d-1) |du| past
+    U by (1 + slope^2)^(d/2) U^d/(-d) <= U^d/(-d) for d < 0.
     """
     h = 2.0 * 3.9 / n_ray  # tau on [-3.9, 3.9], descending: t from +inf to 0
     tau = np.arange(n_ray // 2, -(n_ray // 2) - 1, -1) * h

@@ -48,6 +48,16 @@ def config_echo(text):
     raise AssertionError("no config echo found")
 
 
+def printed_certificate(text):
+    """The certificate a run printed: the '# certificate:' line after the CSV
+    config echo, or the "certificate" key of the JSONL header."""
+    lines = text.splitlines()
+    if lines[0].startswith("{"):
+        return json.loads(lines[0])["certificate"]
+    assert lines[2].startswith("# certificate: ")
+    return json.loads(lines[2][len("# certificate: "):])
+
+
 def stderr_error(res):
     return json.loads(res.stderr.strip().splitlines()[-1])["error"]
 
@@ -226,6 +236,15 @@ def test_kernel_contour_prints_its_certificate(method, nodes, flags):
     assert json.loads(res.stdout.splitlines()[0])["certificate"] == cert
 
 
+def test_kernel_contour_limit_difference_block_stops_at_256():
+    # A near mixed-sign pair of the equal pair: the "difference" block's
+    # slope-8 outer rays stabilize at 256 nodes per ray.
+    res = run_cli("kernel", "--method=contour-limit", "--x=3/2", "--y=-5/2")
+    assert res.returncode == 0, res.stderr
+    cert = printed_certificate(res.stdout)
+    assert set(cert) == {"difference"} and cert["difference"]["nodes_per_contour"] == 256
+
+
 def test_kernel_xi_flag_validation():
     res = run_cli("kernel", "--method", "integrable", "--x", "1/2", "--xi", "0.5")
     assert res.returncode == 2
@@ -282,6 +301,18 @@ def test_correlate_all_rows_pass():
     assert all(r["passed"] == "true" for r in rows)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_correlate_prints_the_ladder_certificate(fmt):
+    # The pre-limit window's padding-ladder meta follows the config echo.
+    from gammakernel import Params, XiParams, underline_prelimit_window
+
+    meta = underline_prelimit_window(2, XiParams(Params(0.5, 0.5), 0.2)).meta
+    res = run_cli("correlate", "--xi", "0.2", "--window", "2", "--order", "1",
+                  "--max-size", "12", "--format", fmt)
+    assert res.returncode == 0, res.stderr
+    assert printed_certificate(res.stdout) == meta
+
+
 def test_correlate_rejects_empty_window():
     res = run_cli("correlate", "--xi", "0.2", "--window", "0")
     assert res.returncode == 2
@@ -327,6 +358,24 @@ def test_fredholm_gapped_support_runs_det_to_its_cover():
     by_route = {r["route"]: r for r in parse_csv(res.stdout)[1]}
     assert float(by_route["det"]["error"]) == 0.0
     assert float(by_route["difference"]["value"]) <= float(by_route["difference"]["error"])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_fredholm_prints_the_ladder_certificate_and_window_chain(fmt):
+    # The pre-limit window's padding-ladder meta, plus the determinant chain's
+    # windows, follows the config echo.
+    from gammakernel import (HalfInt, Params, TestFunction, XiParams, expectation_det,
+                             j_transform, underline_prelimit_window)
+
+    p = XiParams(Params(0.5, 0.5), 0.2)
+    under = underline_prelimit_window(32, p)
+    f = TestFunction([(HalfInt.parse("1/2"), -0.5), (HalfInt.parse("-3/2"), 0.25)])
+    windows = expectation_det(f, j_transform(under), tol=1e-8, full_output=True).windows
+    res = run_cli("fredholm", "--xi", "0.2", "--f", '{"1/2": -0.5, "-3/2": 0.25}',
+                  "--window", "32", "--max-size", "14", "--format", fmt)
+    assert res.returncode == 0, res.stderr
+    cert = printed_certificate(res.stdout)
+    assert cert == dict(under.meta, windows=list(windows)) and cert["windows"] == [1, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -139,15 +139,30 @@ FAR_MIXED_CELLS = [(1, -39), (19, -31), (59, -59)]
                          ids=["principal", "equal", "distinct", "shifted", "negated"])
 def test_limit_contour_difference_tilted_rays(p):
     # Mixed-sign entries take the "difference" route, whose outer rays tilt
-    # away from the inner contour: they stabilize by 512 nodes per ray and
-    # stay within 1e-10 of the closed form, also far from the origin.
+    # away from the inner contour: they stabilize by 256 nodes per ray (512
+    # for the negated pair at (1/2, -11/2)) and stay within 1e-10 of the
+    # closed form, also far from the origin.
+    cap = 512 if p is NEGATED else 256
     for tx, ty in MIXED_CELLS + FAR_MIXED_CELLS:
         ref = underline_limit_integrable(H(tx), H(ty), p)
         val, info = underline_limit_contour(H(tx), H(ty), p, full_output=True)
         assert info["variant"] == "difference"
         assert abs(val - ref) <= 1e-10 * max(1.0, abs(ref)), (tx, ty, val, ref)
         if (tx, ty) in MIXED_CELLS:
-            assert info["nodes_per_contour"] <= 512, (tx, ty, info)
+            assert info["nodes_per_contour"] <= cap, (tx, ty, info)
+
+
+@pytest.mark.parametrize("p", [EQUAL, Params(0.3 + 0.5j, 0.3 - 0.5j), Params(0.3, 0.7)],
+                         ids=["equal", "principal", "distinct"])
+def test_limit_contour_near_mixed_cells_stop_at_256(p):
+    # Every mixed-sign cell with |x|, |y| <= 11/2 of the three parameter pairs
+    # the contour benchmark draws from stabilizes by 256 nodes per ray on the
+    # slope-8 outer rays (slope 2 took 512), within 1e-10 of the closed form.
+    for a, b in ((a, b) for a in range(1, 12, 2) for b in range(1, 12, 2)):
+        ref = underline_limit_integrable(H(a), H(-b), p)
+        val, info = underline_limit_contour(H(a), H(-b), p, full_output=True)
+        assert info["variant"] == "difference" and info["nodes_per_contour"] <= 256, (a, b, info)
+        assert abs(val - ref) <= 1e-10 * max(1.0, abs(ref)), (a, b, val, ref)
 
 
 def test_limit_contour_variants_agree():
@@ -199,14 +214,14 @@ def test_limit_window_matches_contour():
 
 def test_hairpin_nodes_one_entry_per_tuple():
     # The window-5 sweep doubles n = 64, ..., 256 per ray in its "sum" block
-    # (rows and columns on one flat hairpin) and to 512 in its "difference"
-    # block, whose inner hairpin is the "sum" one: eight hairpins in all, each
-    # built once.
+    # (rows and columns on one flat hairpin) and in its "difference" block,
+    # whose inner hairpin is the "sum" one: six hairpins in all, each built
+    # once.
     _hairpin_nodes.cache_clear()
     xv = np.arange(-9, 10, 2) / 2.0
     _contour_grid(xv, xv, EQUAL)
     info = _hairpin_nodes.cache_info()
-    assert info.currsize == info.misses == 8 and info.hits == 6
+    assert info.currsize == info.misses == 6 and info.hits == 6
 
 
 @pytest.mark.parametrize("n", [64, 128, 256, 512])
